@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
 
 from .chart import Chart, grid_index
 from .errors import ChartError, MapRangeError, NotGeneralTypeError
@@ -56,6 +55,8 @@ class MonotoneMap:
             raise ChartError("map values must be strictly increasing")
         if np.any(self.derivative <= 0.0):
             raise ChartError("map derivative must be positive at every knot")
+        from scipy.interpolate import CubicSpline
+
         self._forward = _monotone_hermite(self.knots, self.values, self.derivative)
         self._inverse = _monotone_hermite(self.values, self.knots, 1.0 / self.derivative)
         self._slope = CubicSpline(self.knots, self.derivative)
@@ -85,6 +86,8 @@ class MonotoneMap:
 def _monotone_hermite(x, y, d):
     """Cubic Hermite interpolant, falling back to PCHIP if the given slopes
     could break monotonicity (Fritsch-Carlson bound d <= 3 * secant)."""
+    from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+
     secant = np.diff(y) / np.diff(x)
     ok = np.all(d[:-1] <= 3.0 * secant) and np.all(d[1:] <= 3.0 * secant)
     if ok:

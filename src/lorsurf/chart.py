@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import ChartError, DomainError, NotGeneralTypeError
 from .stencils import check_grid
@@ -95,6 +94,8 @@ class Chart:
 
     def interpolator(self, name):
         """Bicubic spline of a stored field (degree capped by grid size)."""
+        from scipy.interpolate import RectBivariateSpline
+
         arr = getattr(self, name)
         if arr is None:
             raise ChartError(f"chart has no field {name}")

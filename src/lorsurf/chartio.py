@@ -75,6 +75,15 @@ def write_chart(chart, path):
     _atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
 
 
+def _integer(doc, key):
+    """The integer stored under `key`; booleans, fractions and strings are refused."""
+    value = doc[key]
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ChartError(f"{key} must be an integer, got {json.dumps(value)[:40]}")
+    return int(value)
+
+
 def read_chart(path):
     """Parse and validate a chart file."""
     try:
@@ -113,8 +122,8 @@ def read_chart(path):
             v_grid=np.asarray(doc["v_grid"], dtype=float),
             F=field("F"), H=field("H"),
             L=field("L"), M=field("M"), N=field("N"), K=field("K"),
-            u0_index=int(doc["u0_index"]), v0_index=int(doc["v0_index"]),
-            eps1=int(doc["eps1"]), eps2=int(doc["eps2"]),
+            u0_index=_integer(doc, "u0_index"), v0_index=_integer(doc, "v0_index"),
+            eps1=_integer(doc, "eps1"), eps2=_integer(doc, "eps2"),
             canonical=canonical, metadata=metadata)
         return chart.validate()
     except (TypeError, ValueError) as exc:

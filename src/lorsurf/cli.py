@@ -5,14 +5,18 @@ Exit codes: 0 all checks passed, 1 a check failed (or integration
 aborted), 2 malformed input or violated precondition.  Reports are JSON
 documents whose pass/fail verdicts are recomputable from the recorded
 numbers and tolerances; identical inputs and flags produce byte-identical
-files (timing goes to stderr, never into the report).  LSL_THREADS caps
-the worker count of the reconstruction sweep without changing results.
+files (timing goes to stderr, never into the report).  A verdict never
+passes on a non-finite value or tolerance.
+
+Only canonicalize and reconstruct load scipy (splines and Simpson
+quadrature); corpus, analyze and residual run on numpy alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from types import SimpleNamespace
@@ -96,7 +100,18 @@ def _parse_domain(text):
     return u_min, u_max, v_min, v_max
 
 
+def _all_finite(x):
+    """False if x holds a non-finite float anywhere in its dicts and lists."""
+    if isinstance(x, dict):
+        return all(_all_finite(v) for v in x.values())
+    if isinstance(x, (list, tuple)):
+        return all(_all_finite(v) for v in x)
+    return not isinstance(x, float) or math.isfinite(x)
+
+
 def _check(name, values, tolerance, passed):
+    """A verdict; it fails whenever a recorded value or the tolerance is non-finite."""
+    passed = bool(passed) and _all_finite(values) and _all_finite(tolerance)
     return {"name": name, "values": values, "tolerance": tolerance, "pass": passed}
 
 
@@ -358,8 +373,8 @@ def _apply_eps_overrides(chart, args):
 
 def _residual_for(chart, mode):
     if mode == "general":
-        rep = natural_residual(chart)
         acc = accumulate_LN(chart)
+        rep = natural_residual(chart, acc)
         scale = 1.0 + float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
         return rep, scale
     if chart.K is None:
@@ -403,8 +418,12 @@ def cmd_residual(args):
     checks = [_check("residual", {"max_abs": rep.max_abs, "l2": rep.l2,
                                   "scale": scale}, tol, rep.max_abs <= tol)]
     if order is not None:
-        checks.append(_check("order", {"order_estimate": order}, args.min_order,
-                             order >= args.min_order or order == float("inf")))
+        # A zero residual on either grid leaves the order undefined: recorded as
+        # null, it passes only when the finer grid's residual is exactly zero.
+        defined = math.isfinite(order)
+        checks.append(_check("order", {"order_estimate": order if defined else None},
+                             args.min_order,
+                             order >= args.min_order if defined else rep2.max_abs == 0.0))
     passed = all(c["pass"] for c in checks)
     doc = {
         "schema_version": 1, "command": "residual",

@@ -92,14 +92,16 @@ def accumulate_LN(chart):
                              metadata=dict(chart.metadata, accumulated_LN=True))
 
 
-def natural_residual(chart):
+def natural_residual(chart, acc=None):
     """Residual of the general natural equation on the grid interior.
 
     residual = (F F_uv - F_u F_v)/F - (L N - M^2) with L, M, N rebuilt by
     accumulate_LN, so this is exactly the Gauss-equation residual of the
-    reconstructed second fundamental form.
+    reconstructed second fundamental form.  Pass `acc`, the result of
+    accumulate_LN(chart), when the caller already has it.
     """
-    acc = accumulate_LN(chart)
+    if acc is None:
+        acc = accumulate_LN(chart)
     u, v = chart.u_grid, chart.v_grid
     F = chart.F
     F_u = gradient(F, u, axis=0)[1:-1, 1:-1]

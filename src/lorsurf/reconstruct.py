@@ -24,15 +24,12 @@ equation.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import minkowski as mk
 from .chart import Chart
@@ -53,15 +50,6 @@ __all__ = [
     "CongruenceReport",
     "congruence_check",
 ]
-
-
-def _worker_count():
-    raw = os.environ.get("LSL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, 64))
 
 
 @dataclass
@@ -167,6 +155,8 @@ def _sample_coeffs(t, F, P, Q):
     derivative of the interpolating spline, which keeps d<X,Y>/dt = (dF/F)
     <X,Y> consistent with the sampled F.
     """
+    from scipy.interpolate import CubicSpline
+
     mids = 0.5 * (t[:-1] + t[1:])
     sF = CubicSpline(t, F, axis=0)
     dF = sF.derivative()
@@ -226,22 +216,8 @@ def _integrate_grid(u, v, F, L, M, N, i0, j0, seed, first="u"):
 
     # column sweep: coefficient samples along v for every column at once
     col_nodes, col_mids = _sample_coeffs(v, F.T, N.T, M.T)
-
-    def run(lo, hi):
-        nodes = tuple(c[:, lo:hi] for c in col_nodes)
-        mids = tuple(c[:, lo:hi] for c in col_mids)
-        _march(base[lo:hi], v, j0, nodes, mids, _rhs_v, states,
-               lambda out, k, S: out.__setitem__((slice(lo, hi), k), S))
-
-    workers = _worker_count()
-    if workers <= 1 or nu < 2 * workers:
-        run(0, nu)
-    else:
-        bounds = np.linspace(0, nu, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, bounds[w], bounds[w + 1]) for w in range(workers)]
-            for f in futures:
-                f.result()
+    _march(base, v, j0, col_nodes, col_mids, _rhs_v, states,
+           lambda out, k, S: out.__setitem__((slice(None), k), S))
     return states
 
 
@@ -314,7 +290,7 @@ def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
         # re-validate against this chart's base value of F
         seed = initial_frame(F0, X=seed.X, Y=seed.Y, l=seed.l, x=seed.x)
 
-    nat = natural_residual(chart)
+    nat = natural_residual(chart, acc)
     scale = 1.0 + float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
     warning = nat.max_abs > warn_rel * scale
     if warning:

@@ -9,7 +9,6 @@ the running integrals.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .errors import StencilError
 
@@ -97,6 +96,24 @@ def cross_derivative(F, u, v):
     return num / (du * dv)
 
 
+def _cumtrapz(f, t, axis=-1):
+    """Running trapezoid integral along `axis`, zero at the first node.
+
+    The same expression and memory layout as scipy.integrate.cumulative_trapezoid(
+    f, x=t, axis=axis, initial=0.0), so the results agree bit for bit and
+    later reductions over them sum in the same order.
+    """
+    shape = [1] * f.ndim
+    shape[axis] = -1
+    hi = [slice(None)] * f.ndim
+    lo = list(hi)
+    hi[axis], lo[axis] = slice(1, None), slice(None, -1)
+    steps = np.diff(t).reshape(shape) * (f[tuple(hi)] + f[tuple(lo)]) / 2.0
+    first = list(f.shape)
+    first[axis] = 1
+    return np.concatenate([np.zeros(first), np.cumsum(steps, axis=axis)], axis=axis)
+
+
 def cumtrapz_from(f, t, i0, axis=0):
     """Signed running trapezoid integral along `axis`, anchored at node i0.
 
@@ -104,7 +121,7 @@ def cumtrapz_from(f, t, i0, axis=0):
     i < i0 are negative accumulations, G at i0 is exactly zero.
     """
     f = np.asarray(f, dtype=float)
-    g = cumulative_trapezoid(f, x=t, axis=axis, initial=0.0)
+    g = _cumtrapz(f, t, axis=axis)
     anchor = np.take(g, [i0], axis=axis)
     return g - anchor
 
@@ -122,7 +139,9 @@ def cumsimpson_from(f, t, i0):
     if t.size < 2:
         raise StencilError("quadrature needs at least 2 nodes")
     if t.size == 2:
-        g = cumulative_trapezoid(f, x=t, initial=0.0)
+        g = _cumtrapz(f, t)
     else:
+        from scipy.integrate import cumulative_simpson
+
         g = cumulative_simpson(f, x=t, initial=0.0)
     return g - g[i0]

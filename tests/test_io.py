@@ -65,6 +65,10 @@ def test_chart_file_optional_fields_absent(tmp_path):
     lambda d: d["F"][0].__setitem__(0, -1.0),
     lambda d: d["F"][0].__setitem__(0, None),
     lambda d: d.update(u0_index=10_000),
+    lambda d: d.update(u0_index=1.7),     # int() truncated it to node 1
+    lambda d: d.update(v0_index=True),    # int() read it as node 1
+    lambda d: d.update(eps1=True),        # int() read it as +1, a valid sign
+    lambda d: d.update(eps2="-1"),        # int() parsed the string
 ])
 def test_malformed_chart_rejected(tmp_path, corrupt):
     chart = awkward_chart()
@@ -76,6 +80,15 @@ def test_malformed_chart_rejected(tmp_path, corrupt):
     bad.write_text(json.dumps(doc))
     with pytest.raises((ls.ChartError, ls.StencilError)):
         ls.read_chart(str(bad))
+
+
+def test_chart_integral_float_index_is_accepted(tmp_path):
+    path = tmp_path / "chart.json"
+    ls.write_chart(awkward_chart(), str(path))
+    doc = json.loads(path.read_text())
+    doc["u0_index"] = 2.0
+    path.write_text(json.dumps(doc))
+    assert ls.read_chart(str(path)).u0_index == 2
 
 
 def test_chart_not_json(tmp_path):
