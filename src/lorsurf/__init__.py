@@ -55,6 +55,7 @@ from .natural import (
     convergence_order,
     minimal_residual,
     natural_residual,
+    natural_scale,
 )
 from .reconstruct import (
     CongruenceReport,

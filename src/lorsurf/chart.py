@@ -114,11 +114,7 @@ def chart_from_provider(provider, u_grid, v_grid, u0, v0, include_K=True):
     """
     u_grid = check_grid(np.asarray(u_grid, dtype=float), "u_grid")
     v_grid = check_grid(np.asarray(v_grid, dtype=float), "v_grid")
-    nodes = provider.singular_nodes(u_grid, v_grid)
-    if nodes.size:
-        shown = ", ".join(f"({i},{j})" for i, j in nodes[:8])
-        more = "" if len(nodes) <= 8 else f" and {len(nodes) - 8} more"
-        raise DomainError(f"grid touches the singular set at nodes {shown}{more}")
+    provider.refuse_singular_nodes(u_grid, v_grid)
     i0 = grid_index(u_grid, u0, "u_grid")
     j0 = grid_index(v_grid, v0, "v_grid")
     U, V = np.meshgrid(u_grid, v_grid, indexing="ij")

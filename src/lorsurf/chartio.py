@@ -11,6 +11,7 @@ index = u (the in-memory layout is the transpose).  All writes are atomic
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -106,10 +107,15 @@ def read_chart(path):
     def field(name):
         if name not in doc:
             return None
-        arr = np.asarray(doc[name], dtype=float)
-        if arr.ndim != 2:
+        rows = doc[name]
+        if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
             raise ChartError(f"field {name} must be a 2-D array")
-        return arr.T  # file stores row index = v
+        # numpy would read true and "1.5" as numbers
+        others = set(map(type, itertools.chain.from_iterable(rows))) - {int, float}
+        if others:
+            raise ChartError(f"field {name} must hold only numbers, found "
+                             + ", ".join(sorted(t.__name__ for t in others)))
+        return np.asarray(rows, dtype=float).T  # file stores row index = v
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

@@ -41,35 +41,20 @@ from .chartio import (
     write_mesh_obj,
     write_report,
 )
-from .errors import (
-    ChartError,
-    DegeneracyError,
-    DegenerateMetricError,
-    DomainError,
-    InvalidFrameError,
-    LorsurfError,
-    MapRangeError,
-    NaturalEquationError,
-    NotGeneralTypeError,
-    NotIsotropicError,
-    NotLorentzSurfaceError,
-    ReconstructionAbort,
-    StencilError,
-    UnknownSurfaceError,
-)
+from .errors import ChartError, DomainError, LorsurfError
 from .natural import (
     accumulate_LN,
     cmc_residual,
     convergence_order,
     minimal_residual,
     natural_residual,
+    natural_scale,
 )
 from .reconstruct import cmc_pair, congruence_check, initial_frame, reconstruct
 from .surfaces import fundamental_forms, kind_field
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_INPUT = 2
 
 _KIND_NAMES = {1: "general_first_kind", -1: "general_second_kind", 0: "not_general_type"}
 
@@ -237,7 +222,8 @@ def cmd_analyze(args):
 
         kinds = kind_field(SimpleNamespace(K=K[valid], H=H[valid]))
         statuses.append(_status("classification", {
-            "kind_at_base": _KIND_NAMES[int(kind_field_point(K[i0, j0], H[i0, j0]))],
+            "kind_at_base": _KIND_NAMES[int(kind_field(
+                SimpleNamespace(K=K[i0, j0], H=H[i0, j0])))],
             "count_first_kind": int(np.sum(kinds == 1)),
             "count_second_kind": int(np.sum(kinds == -1)),
             "count_not_general_type": int(np.sum(kinds == 0)),
@@ -275,12 +261,9 @@ def cmd_analyze(args):
             raise ChartError("mesh export requires a corpus source")
         chart = src.chart_data
         if chart.L is not None and chart.N is not None:
-            if chart.K is not None:
-                h2k = chart.H**2 - chart.K
-            else:
-                h2k = chart.L * chart.N / chart.F**2  # identical in null coordinates
-            tolk = 1e-8 * (1.0 + chart.H**2 + np.abs(h2k))
-            kinds = np.where(h2k > tolk, 1, np.where(h2k < -tolk, -1, 0))
+            # H^2 - K = LN/F^2 in null coordinates
+            K = chart.K if chart.K is not None else chart.H**2 - chart.L * chart.N / chart.F**2
+            kinds = kind_field(SimpleNamespace(K=K, H=chart.H))
             statuses.append(_status("classification", {
                 "count_first_kind": int(np.sum(kinds == 1)),
                 "count_second_kind": int(np.sum(kinds == -1)),
@@ -293,7 +276,7 @@ def cmd_analyze(args):
         nat = natural_residual(chart)
         statuses.append(_status("natural_residual", {"max_abs": nat.max_abs, "l2": nat.l2}))
 
-    passed = all(c["pass"] for c in checks)
+    passed = all(c["pass"] for c in checks) and _all_finite([s["values"] for s in statuses])
     doc = {
         "schema_version": 1, "command": "analyze", "inputs": src.inputs,
         "effective_tolerances": {"tol_iso": tol_iso, "tol_normal": tol_normal,
@@ -306,12 +289,6 @@ def cmd_analyze(args):
     else:
         print(json.dumps(doc, indent=1))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
-
-
-def kind_field_point(K, H):
-    tol = 1e-8 * (1.0 + H * H + abs(K))
-    d = H * H - K
-    return 1 if d > tol else (-1 if d < -tol else 0)
 
 
 # -- canonicalize --------------------------------------------------------------
@@ -371,19 +348,23 @@ def _apply_eps_overrides(chart, args):
                              eps2=eps2 if eps2 is not None else chart.eps2).validate()
 
 
+def _constant_H(chart, what):
+    """The chart's H value; ChartError unless H is constant on the grid."""
+    H0 = float(chart.H[chart.u0_index, chart.v0_index])
+    if float(np.max(chart.H) - np.min(chart.H)) > 1e-10 * (1.0 + abs(H0)):
+        raise ChartError(f"{what} requires a constant H field")
+    return H0
+
+
 def _residual_for(chart, mode):
     if mode == "general":
         acc = accumulate_LN(chart)
-        rep = natural_residual(chart, acc)
-        scale = 1.0 + float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
-        return rep, scale
+        return natural_residual(chart, acc), natural_scale(acc)
     if chart.K is None:
         raise ChartError(f"mode {mode} requires a K field")
     scale = 1.0 + float(np.max(np.abs(chart.K)))
     if mode == "cmc":
-        H0 = float(chart.H[chart.u0_index, chart.v0_index])
-        if float(np.max(chart.H) - np.min(chart.H)) > 1e-10 * (1.0 + abs(H0)):
-            raise ChartError("mode cmc requires a constant H field")
+        H0 = _constant_H(chart, "mode cmc")
         return cmc_residual(chart.K, H0, chart.u_grid, chart.v_grid), scale + H0 * H0
     if mode == "minimal":
         if float(np.max(np.abs(chart.H))) > 1e-10:
@@ -485,9 +466,10 @@ def cmd_reconstruct(args):
         if args.pair:
             if chart.K is None:
                 raise ChartError("--pair requires a K field")
-            H0 = float(chart.H[chart.u0_index, chart.v0_index])
-            if float(np.max(chart.H) - np.min(chart.H)) > 1e-10 * (1.0 + abs(H0)):
-                raise ChartError("--pair requires a constant H field")
+            H0 = _constant_H(chart, "--pair")
+            if H0 == 0.0:
+                raise ChartError("--pair requires a non-zero H: a minimal surface is fixed "
+                                 "by K up to motion, so it has no pair")
             # cmc_pair anchors its charts at the grid center; validate the seed there
             ic = (chart.u_grid.size - 1) // 2
             jc = (chart.v_grid.size - 1) // 2
@@ -633,21 +615,9 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         code = args.fn(args)
-    except (ChartError, DomainError, StencilError, DegeneracyError,
-            UnknownSurfaceError, InvalidFrameError, NaturalEquationError,
-            NotIsotropicError, NotLorentzSurfaceError, DegenerateMetricError,
-            MapRangeError) as exc:
-        print(f"lorsurf: error: {exc}", file=sys.stderr)
-        code = EXIT_INPUT
-    except NotGeneralTypeError as exc:
-        print(f"lorsurf: not of general type: {exc}", file=sys.stderr)
-        code = EXIT_CHECK_FAILED
-    except ReconstructionAbort as exc:
-        print(f"lorsurf: reconstruction aborted: {exc}", file=sys.stderr)
-        code = EXIT_CHECK_FAILED
     except LorsurfError as exc:
-        print(f"lorsurf: error: {exc}", file=sys.stderr)
-        code = EXIT_INPUT
+        print(f"lorsurf: {exc.label}: {exc}", file=sys.stderr)
+        code = exc.exit_code
     finally:
         print(f"lorsurf: wall time {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return code

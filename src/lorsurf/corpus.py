@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chart import Chart, grid_index
-from .errors import DomainError, NotGeneralTypeError, UnknownSurfaceError
+from .errors import NotGeneralTypeError, UnknownSurfaceError
+from .minkowski import vec
 from .stencils import check_grid
 from .surfaces import SurfaceJet2, SurfaceKind, SurfaceProvider
 
@@ -61,48 +62,42 @@ class CorpusEntry:
     notes: str
 
 
-def _vec(c1, c2, c3):
-    return np.stack(np.broadcast_arrays(np.asarray(c1, dtype=float),
-                                        np.asarray(c2, dtype=float),
-                                        np.asarray(c3, dtype=float)), axis=-1)
-
-
 # -- Enneper-type minimal surface of the first kind --------------------------
 
 def _enneper1_pos(u, v):
-    return _vec((u**3 - v**3 + 3 * u - 3 * v) / 6.0,
-                (-u**3 + v**3 + 3 * u - 3 * v) / 6.0,
-                (u * u - v * v) / 2.0)
+    return vec((u**3 - v**3 + 3 * u - 3 * v) / 6.0,
+               (-u**3 + v**3 + 3 * u - 3 * v) / 6.0,
+               (u * u - v * v) / 2.0)
 
 
 def _enneper1_jet(u, v):
     zero = np.zeros_like(np.asarray(u, dtype=float) + np.asarray(v, dtype=float))
     return SurfaceJet2(
         x=_enneper1_pos(u, v),
-        x_u=_vec((u * u + 1) / 2.0, (1 - u * u) / 2.0, u + zero),
-        x_v=_vec(-(v * v + 1) / 2.0, (v * v - 1) / 2.0, -v + zero),
-        x_uu=_vec(u + zero, -u + zero, 1.0 + zero),
-        x_uv=_vec(zero, zero, zero),
-        x_vv=_vec(-v + zero, v + zero, -1.0 + zero))
+        x_u=vec((u * u + 1) / 2.0, (1 - u * u) / 2.0, u + zero),
+        x_v=vec(-(v * v + 1) / 2.0, (v * v - 1) / 2.0, -v + zero),
+        x_uu=vec(u + zero, -u + zero, 1.0 + zero),
+        x_uv=vec(zero, zero, zero),
+        x_vv=vec(-v + zero, v + zero, -1.0 + zero))
 
 
 # -- Enneper-type minimal surface of the second kind -------------------------
 
 def _enneper2_pos(u, v):
-    return _vec((u**3 - v**3 + 3 * u - 3 * v) / 6.0,
-                (-u**3 + v**3 + 3 * u - 3 * v) / 6.0,
-                (u * u + v * v) / 2.0)
+    return vec((u**3 - v**3 + 3 * u - 3 * v) / 6.0,
+               (-u**3 + v**3 + 3 * u - 3 * v) / 6.0,
+               (u * u + v * v) / 2.0)
 
 
 def _enneper2_jet(u, v):
     zero = np.zeros_like(np.asarray(u, dtype=float) + np.asarray(v, dtype=float))
     return SurfaceJet2(
         x=_enneper2_pos(u, v),
-        x_u=_vec((u * u + 1) / 2.0, (1 - u * u) / 2.0, u + zero),
-        x_v=_vec(-(v * v + 1) / 2.0, (v * v - 1) / 2.0, v + zero),
-        x_uu=_vec(u + zero, -u + zero, 1.0 + zero),
-        x_uv=_vec(zero, zero, zero),
-        x_vv=_vec(-v + zero, v + zero, 1.0 + zero))
+        x_u=vec((u * u + 1) / 2.0, (1 - u * u) / 2.0, u + zero),
+        x_v=vec(-(v * v + 1) / 2.0, (v * v - 1) / 2.0, v + zero),
+        x_uu=vec(u + zero, -u + zero, 1.0 + zero),
+        x_uv=vec(zero, zero, zero),
+        x_vv=vec(-v + zero, v + zero, 1.0 + zero))
 
 
 # -- Lorentz sphere (CMC, H^2 - K = 0) ----------------------------------------
@@ -110,7 +105,7 @@ def _enneper2_jet(u, v):
 def _sphere_pos(u, v):
     p, q = u - v, u + v
     S = 1.0 / np.cosh(q)
-    return _vec(np.sinh(p) * S, np.cosh(p) * S, np.tanh(q))
+    return vec(np.sinh(p) * S, np.cosh(p) * S, np.tanh(q))
 
 
 def _sphere_jet(u, v):
@@ -119,30 +114,30 @@ def _sphere_jet(u, v):
     T = np.tanh(q)
     sh, ch = np.sinh(p), np.cosh(p)
     return SurfaceJet2(
-        x=_vec(sh * S, ch * S, T),
-        x_u=_vec(S * (ch - sh * T), S * (sh - ch * T), S * S),
-        x_v=_vec(S * (-ch - sh * T), S * (-sh - ch * T), S * S),
-        x_uu=_vec(2 * S * T * (T * sh - ch), 2 * S * T * (T * ch - sh), -2 * S * S * T),
-        x_uv=_vec(-2 * S**3 * sh, -2 * S**3 * ch, -2 * S * S * T),
-        x_vv=_vec(2 * S * T * (T * sh + ch), 2 * S * T * (T * ch + sh), -2 * S * S * T))
+        x=vec(sh * S, ch * S, T),
+        x_u=vec(S * (ch - sh * T), S * (sh - ch * T), S * S),
+        x_v=vec(S * (-ch - sh * T), S * (-sh - ch * T), S * S),
+        x_uu=vec(2 * S * T * (T * sh - ch), 2 * S * T * (T * ch - sh), -2 * S * S * T),
+        x_uv=vec(-2 * S**3 * sh, -2 * S**3 * ch, -2 * S * S * T),
+        x_vv=vec(2 * S * T * (T * sh + ch), 2 * S * T * (T * ch + sh), -2 * S * S * T))
 
 
 # -- Lorentz cylinder (CMC pair member with L = M = N = 1) --------------------
 
 def _cylinder_pos(u, v):
     q = u + v
-    return _vec(u - v, np.cos(q), np.sin(q))
+    return vec(u - v, np.cos(q), np.sin(q))
 
 
 def _cylinder_jet(u, v):
     q = u + v
     s, c = np.sin(q), np.cos(q)
     one = np.ones_like(q)
-    d2 = _vec(0.0 * q, -c, -s)
+    d2 = vec(0.0 * q, -c, -s)
     return SurfaceJet2(
-        x=_vec(u - v, c, s),
-        x_u=_vec(one, -s, c),
-        x_v=_vec(-one, -s, c),
+        x=vec(u - v, c, s),
+        x_u=vec(one, -s, c),
+        x_v=vec(-one, -s, c),
         x_uu=d2, x_uv=d2, x_vv=d2)
 
 
@@ -150,7 +145,7 @@ def _cylinder_jet(u, v):
 
 def _hcylinder_pos(u, v):
     p = u - v
-    return _vec(np.sinh(p), np.cosh(p), u + v)
+    return vec(np.sinh(p), np.cosh(p), u + v)
 
 
 def _hcylinder_jet(u, v):
@@ -159,12 +154,12 @@ def _hcylinder_jet(u, v):
     one = np.ones_like(p)
     zero = np.zeros_like(p)
     return SurfaceJet2(
-        x=_vec(sh, ch, u + v),
-        x_u=_vec(ch, sh, one),
-        x_v=_vec(-ch, -sh, one),
-        x_uu=_vec(sh, ch, zero),
-        x_uv=_vec(-sh, -ch, zero),
-        x_vv=_vec(sh, ch, zero))
+        x=vec(sh, ch, u + v),
+        x_u=vec(ch, sh, one),
+        x_v=vec(-ch, -sh, one),
+        x_uu=vec(sh, ch, zero),
+        x_uv=vec(-sh, -ch, zero),
+        x_vv=vec(sh, ch, zero))
 
 
 # -- Hyperbolic cone (non-constant H; canonicalization known in closed form) --
@@ -172,7 +167,7 @@ def _hcylinder_jet(u, v):
 def _cone_pos(u, v):
     p, q = u - v, u + v
     A = np.exp(q / 2.0)
-    return _vec(A * np.sinh(p), _SQRT3 * A, A * np.cosh(p))
+    return vec(A * np.sinh(p), _SQRT3 * A, A * np.cosh(p))
 
 
 def _cone_jet(u, v):
@@ -180,12 +175,12 @@ def _cone_jet(u, v):
     A = np.exp(q / 2.0)
     sh, ch = np.sinh(p), np.cosh(p)
     return SurfaceJet2(
-        x=_vec(A * sh, _SQRT3 * A, A * ch),
-        x_u=_vec(A * (sh / 2 + ch), _SQRT3 * A / 2, A * (ch / 2 + sh)),
-        x_v=_vec(A * (sh / 2 - ch), _SQRT3 * A / 2, A * (ch / 2 - sh)),
-        x_uu=_vec(A * (5 * sh / 4 + ch), _SQRT3 * A / 4, A * (5 * ch / 4 + sh)),
-        x_uv=_vec(-3 * A * sh / 4, _SQRT3 * A / 4, -3 * A * ch / 4),
-        x_vv=_vec(A * (5 * sh / 4 - ch), _SQRT3 * A / 4, A * (5 * ch / 4 - sh)))
+        x=vec(A * sh, _SQRT3 * A, A * ch),
+        x_u=vec(A * (sh / 2 + ch), _SQRT3 * A / 2, A * (ch / 2 + sh)),
+        x_v=vec(A * (sh / 2 - ch), _SQRT3 * A / 2, A * (ch / 2 - sh)),
+        x_uu=vec(A * (5 * sh / 4 + ch), _SQRT3 * A / 4, A * (5 * ch / 4 + sh)),
+        x_uv=vec(-3 * A * sh / 4, _SQRT3 * A / 4, -3 * A * ch / 4),
+        x_vv=vec(A * (5 * sh / 4 - ch), _SQRT3 * A / 4, A * (5 * ch / 4 - sh)))
 
 
 _PROVIDER_BOX = (-50.0, 50.0, -50.0, 50.0)  # parametrizations are global; the
@@ -297,11 +292,7 @@ def reference_chart(name, u_grid, v_grid, u0=None, v0=None):
     entry = get(name)
     u_grid = check_grid(np.asarray(u_grid, dtype=float), "u_grid")
     v_grid = check_grid(np.asarray(v_grid, dtype=float), "v_grid")
-    nodes = entry.provider.singular_nodes(u_grid, v_grid)
-    if nodes.size:
-        shown = ", ".join(f"({i},{j})" for i, j in nodes[:8])
-        more = "" if len(nodes) <= 8 else f" and {len(nodes) - 8} more"
-        raise DomainError(f"grid touches the singular set of {name} at nodes {shown}{more}")
+    entry.provider.refuse_singular_nodes(u_grid, v_grid, f"the singular set of {name}")
     i0 = (u_grid.size - 1) // 2 if u0 is None else grid_index(u_grid, u0, "u_grid")
     j0 = (v_grid.size - 1) // 2 if v0 is None else grid_index(v_grid, v0, "v_grid")
     U, V = np.meshgrid(u_grid, v_grid, indexing="ij")

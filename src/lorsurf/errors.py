@@ -1,8 +1,14 @@
-"""Exception hierarchy shared by all lorsurf modules."""
+"""Exception hierarchy shared by all lorsurf modules.
+
+Each class carries the CLI's `exit_code` and the `label` of its message.
+"""
 
 
 class LorsurfError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
+    label = "error"
 
 
 class DomainError(LorsurfError):
@@ -23,6 +29,9 @@ class NotIsotropicError(LorsurfError):
 
 class NotGeneralTypeError(LorsurfError):
     """L or N vanishes (H^2 - K = 0): no canonical coordinates exist here."""
+
+    exit_code = 1
+    label = "not of general type"
 
 
 class MapRangeError(LorsurfError):
@@ -51,6 +60,9 @@ class NaturalEquationError(LorsurfError):
 
 class ReconstructionAbort(LorsurfError):
     """Frame integration aborted (F <= 0 or non-finite state)."""
+
+    exit_code = 1
+    label = "reconstruction aborted"
 
     def __init__(self, message, node=None):
         super().__init__(message)

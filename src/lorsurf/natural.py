@@ -32,6 +32,7 @@ __all__ = [
     "ResidualReport",
     "accumulate_LN",
     "natural_residual",
+    "natural_scale",
     "cmc_residual",
     "minimal_residual",
     "F_from_K_cmc",
@@ -109,8 +110,16 @@ def natural_residual(chart, acc=None):
     F_uv = cross_derivative(F, u, v)
     Fi = F[1:-1, 1:-1]
     lhs = (Fi * F_uv - F_u * F_v) / Fi
-    rhs = acc.L[1:-1, 1:-1] * acc.N[1:-1, 1:-1] - acc.M[1:-1, 1:-1] ** 2
+    # an overflow here yields a non-finite residual, which every verdict fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = acc.L[1:-1, 1:-1] * acc.N[1:-1, 1:-1] - acc.M[1:-1, 1:-1] ** 2
     return _summarize(lhs - rhs, u[1:-1], v[1:-1])
+
+
+def natural_scale(acc):
+    """Scale 1 + max|LN| + max M^2 of the accumulate_LN result `acc`; inf on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 1.0 + float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
 
 
 def _degeneracy_tol(K, H):

@@ -34,7 +34,8 @@ import numpy as np
 from . import minkowski as mk
 from .chart import Chart
 from .errors import InvalidFrameError, NaturalEquationError, ReconstructionAbort
-from .natural import F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual, natural_residual
+from .natural import (F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
+                      natural_residual, natural_scale)
 from .stencils import check_grid
 from .surfaces import SurfaceJet2, fundamental_forms, jets_from_mesh
 
@@ -65,14 +66,15 @@ class FrameState:
         return np.stack([self.X, self.Y, self.l, self.x])
 
 
-def _frame_errors(X, Y, l, F0):
+def _frame_errors(X, Y, l, F):
+    """Deviations from the frame invariants; broadcasts over stacks of frames."""
     return {
-        "X^2": abs(float(mk.inner(X, X))),
-        "Y^2": abs(float(mk.inner(Y, Y))),
-        "<X,Y>-F0": abs(float(mk.inner(X, Y)) - F0),
-        "l^2-1": abs(float(mk.inner(l, l)) - 1.0),
-        "<X,l>": abs(float(mk.inner(X, l))),
-        "<Y,l>": abs(float(mk.inner(Y, l))),
+        "X^2": np.abs(mk.inner(X, X)),
+        "Y^2": np.abs(mk.inner(Y, Y)),
+        "<X,Y>-F0": np.abs(mk.inner(X, Y) - F),
+        "l^2-1": np.abs(mk.inner(l, l) - 1.0),
+        "<X,l>": np.abs(mk.inner(X, l)),
+        "<Y,l>": np.abs(mk.inner(Y, l)),
     }
 
 
@@ -99,7 +101,7 @@ def initial_frame(F0, X=None, Y=None, l=None, x=None, tol=1e-10):
     x = np.zeros(3) if x is None else np.asarray(x, dtype=float)
     allowed = tol * (1.0 + abs(F0))
     errors = _frame_errors(X, Y, l, F0)
-    bad = {k: e for k, e in errors.items() if e > allowed}
+    bad = {k: float(e) for k, e in errors.items() if e > allowed}
     if bad:
         raise InvalidFrameError(f"seed violates frame conditions {bad} (tol {allowed:.3g})")
     if not float(mk.det3(X, Y, l)) > 0.0:
@@ -124,19 +126,9 @@ def _rhs_u(S, F, dF, P, Q):
     return out
 
 
-def _rhs_v(S, F, dF, P, Q):
-    """v-family right-hand side; P = N drives Y, Q = M."""
-    X, Y, l = S[..., 0, :], S[..., 1, :], S[..., 2, :]
-    a = np.asarray(dF / F)[..., None]
-    p = np.asarray(P)[..., None]
-    q = np.asarray(Q)[..., None]
-    iF = np.asarray(1.0 / F)[..., None]
-    out = np.empty_like(S)
-    out[..., 0, :] = q * l
-    out[..., 1, :] = a * Y + p * l
-    out[..., 2, :] = -(p * iF) * X - (q * iF) * Y
-    out[..., 3, :] = Y
-    return out
+# Frame rows with X and Y exchanged: the v-family of the frame system is the
+# u-family on these rows with L and N exchanged.
+_SWAP_XY = (1, 0, 2, 3)
 
 
 def _rk4_step(S, h, rhs, c0, cm, c1):
@@ -204,7 +196,7 @@ def _integrate_grid(u, v, F, L, M, N, i0, j0, seed, first="u"):
         swapped = FrameState(X=seed.Y, Y=seed.X, l=seed.l, x=seed.x)
         states = _integrate_grid(v, u, F.T, N.T, M.T, L.T, j0, i0, swapped, first="u")
         states = states.transpose(1, 0, 2, 3).copy()
-        return states[:, :, (1, 0, 2, 3), :]
+        return states[:, :, _SWAP_XY, :]
 
     nu, nv = u.size, v.size
     states = np.empty((nu, nv, 4, 3))
@@ -214,10 +206,11 @@ def _integrate_grid(u, v, F, L, M, N, i0, j0, seed, first="u"):
     _march(seed.as_array(), u, i0, base_nodes, base_mids, _rhs_u, base,
            lambda out, k, S: out.__setitem__(k, S))
 
-    # column sweep: coefficient samples along v for every column at once
+    # column sweep: coefficient samples along v for every column at once; the
+    # u-family kernel marches the X/Y-swapped state, swapped back on write
     col_nodes, col_mids = _sample_coeffs(v, F.T, N.T, M.T)
-    _march(base, v, j0, col_nodes, col_mids, _rhs_v, states,
-           lambda out, k, S: out.__setitem__((slice(None), k), S))
+    _march(base[:, _SWAP_XY], v, j0, col_nodes, col_mids, _rhs_u, states,
+           lambda out, k, S: out.__setitem__((slice(None), k), S[:, _SWAP_XY]))
     return states
 
 
@@ -272,6 +265,14 @@ def _euclid(A):
     return np.sqrt(np.sum(A * A, axis=-1))
 
 
+def _interior_forms(mesh, u, v):
+    """Fundamental forms of a mesh on its interior nodes, by grid finite differences."""
+    jets = jets_from_mesh(mesh, u, v)
+    interior = SurfaceJet2(**{k: getattr(jets, k)[1:-1, 1:-1] for k in
+                              ("x", "x_u", "x_v", "x_uu", "x_uv", "x_vv")})
+    return fundamental_forms(interior)
+
+
 def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
     """March the frame system over a chart and assemble all diagnostics.
 
@@ -291,7 +292,7 @@ def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
         seed = initial_frame(F0, X=seed.X, Y=seed.Y, l=seed.l, x=seed.x)
 
     nat = natural_residual(chart, acc)
-    scale = 1.0 + float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
+    scale = natural_scale(acc)
     warning = nat.max_abs > warn_rel * scale
     if warning:
         warnings.warn(
@@ -303,14 +304,7 @@ def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
     X, Y, l, mesh = (states[:, :, 0, :], states[:, :, 1, :],
                      states[:, :, 2, :], states[:, :, 3, :])
 
-    drift = np.stack([
-        np.abs(mk.inner(X, X)),
-        np.abs(mk.inner(Y, Y)),
-        np.abs(mk.inner(X, Y) - chart.F),
-        np.abs(mk.inner(l, l) - 1.0),
-        np.abs(mk.inner(X, l)),
-        np.abs(mk.inner(Y, l)),
-    ]).max(axis=0)
+    drift = np.stack(list(_frame_errors(X, Y, l, chart.F).values())).max(axis=0)
 
     D = _central(X, v, axis=1)[1:-1, :, :] - _central(Y, u, axis=0)[:, 1:-1, :]
     compat = _euclid(D)
@@ -320,10 +314,7 @@ def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
         + (acc.L[1:-1, 1:-1, None] / Fi) * Y[1:-1, 1:-1]
     compat_l = _euclid(Dl)
 
-    jets = jets_from_mesh(mesh, u, v)
-    interior = SurfaceJet2(**{k: getattr(jets, k)[1:-1, 1:-1] for k in
-                              ("x", "x_u", "x_v", "x_uu", "x_uv", "x_vv")})
-    fd = fundamental_forms(interior)
+    fd = _interior_forms(mesh, u, v)
     dF = np.abs(fd.F - chart.F[1:-1, 1:-1])
     dH = np.abs(fd.H - chart.H[1:-1, 1:-1])
     mismatch = FormMismatch(
@@ -428,14 +419,8 @@ def congruence_check(mesh_a, mesh_b, u_grid, v_grid, tol=1e-6):
     """
     u = check_grid(np.asarray(u_grid, dtype=float), "u_grid", 3)
     v = check_grid(np.asarray(v_grid, dtype=float), "v_grid", 3)
-
-    def forms(mesh):
-        jets = jets_from_mesh(mesh, u, v)
-        interior = SurfaceJet2(**{k: getattr(jets, k)[1:-1, 1:-1] for k in
-                                  ("x", "x_u", "x_v", "x_uu", "x_uv", "x_vv")})
-        return fundamental_forms(interior)
-
-    fa, fb = forms(np.asarray(mesh_a, dtype=float)), forms(np.asarray(mesh_b, dtype=float))
+    fa = _interior_forms(np.asarray(mesh_a, dtype=float), u, v)
+    fb = _interior_forms(np.asarray(mesh_b, dtype=float), u, v)
     mismatch = {name: float(np.max(np.abs(getattr(fa, name) - getattr(fb, name))))
                 for name in ("F", "L", "M", "N")}
     flipped = {"F": mismatch["F"]}

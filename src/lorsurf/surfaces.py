@@ -121,6 +121,14 @@ class SurfaceProvider:
         U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
         return np.argwhere(np.asarray(self.singular_set(U, V)))
 
+    def refuse_singular_nodes(self, u_grid, v_grid, what="the singular set"):
+        """DomainError naming the first grid nodes that hit the singular set, if any."""
+        nodes = self.singular_nodes(u_grid, v_grid)
+        if nodes.size:
+            shown = ", ".join(f"({i},{j})" for i, j in nodes[:8])
+            more = "" if len(nodes) <= 8 else f" and {len(nodes) - 8} more"
+            raise DomainError(f"grid touches {what} at nodes {shown}{more}")
+
 
 def jet_from_position(f, domain, h=None, singular_set=None):
     """Wrap a position map f(u, v) -> (..., 3) in a finite-difference provider.

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorsurf as ls
+from lorsurf import errors
 from lorsurf.cli import main
 
 from conftest import CONE_TU0
@@ -46,6 +48,27 @@ def test_corpus_show(capsys):
 
 def test_corpus_show_unknown():
     assert run("corpus", "show", "klein_bottle") == 2
+
+
+# -- exit codes ------------------------------------------------------------------
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(cls, errors.LorsurfError)]
+CHECK_FAILURES = {errors.NotGeneralTypeError: "not of general type",
+                  errors.ReconstructionAbort: "reconstruction aborted"}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_contract(monkeypatch, capsys, cls):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr("lorsurf.cli.cmd_corpus", fail)
+    code = run("corpus", "list")
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == (1 if cls in CHECK_FAILURES else 2)
+    assert len(lines) == 1
+    assert lines[0].startswith(f"lorsurf: {CHECK_FAILURES.get(cls, 'error')}: ")
 
 
 # -- analyze ---------------------------------------------------------------------
@@ -179,13 +202,22 @@ def test_residual_overflow_fails_instead_of_passing(tmp_path):
     path = tmp_path / "huge.json"
     ls.write_chart(small_chart(1e200), str(path))
     rep = tmp_path / "r.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run("residual", str(path), "--mode", "general", "--report", str(rep))
-    assert code == 1
+    assert run("residual", str(path), "--mode", "general", "--report", str(rep)) == 1
     doc = load(str(rep))
     res = check(doc, "residual")
     assert res["values"]["max_abs"] == float("inf") and res["tolerance"] == float("inf")
     assert res["pass"] is False and doc["summary"]["passed"] is False
+
+
+def test_analyze_overflow_fails_instead_of_passing(tmp_path):
+    # the huge H node overflows the natural residual recorded as a status
+    path = tmp_path / "huge.json"
+    ls.write_chart(small_chart(1e200), str(path))
+    rep = tmp_path / "r.json"
+    assert run("analyze", str(path), "--report", str(rep)) == 1
+    doc = load(str(rep))
+    assert status(doc, "natural_residual")["values"]["max_abs"] == float("inf")
+    assert doc["summary"]["passed"] is False
 
 
 def test_residual_undefined_order_is_null_and_passes_on_exact_data(tmp_path):
@@ -250,6 +282,16 @@ def test_reconstruct_pair(tmp_path):
     assert status(doc, "pair_congruence")["values"]["verdict"] == "not_congruent"
     for suffix in ("_p.obj", "_p.csv", "_m.obj", "_m.csv"):
         assert (tmp_path / ("cyl" + suffix)).exists()
+
+
+def test_reconstruct_pair_refuses_zero_H(capsys, tmp_path):
+    # a minimal surface has no pair: cmc_pair's ValueError must not escape
+    code = run("reconstruct", "enneper1", "--grid", "21x21", "--pair",
+               "--mesh", str(tmp_path / "p"))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("lorsurf: error:")
+    assert "fixed by K" in lines[0]
 
 
 def test_reconstruct_defective_chart_warns_but_succeeds(tmp_path):

@@ -69,6 +69,8 @@ def test_chart_file_optional_fields_absent(tmp_path):
     lambda d: d.update(v0_index=True),    # int() read it as node 1
     lambda d: d.update(eps1=True),        # int() read it as +1, a valid sign
     lambda d: d.update(eps2="-1"),        # int() parsed the string
+    lambda d: d["F"][0].__setitem__(0, True),   # numpy read it as 1.0
+    lambda d: d["H"][1].__setitem__(2, "1.5"),  # numpy parsed the string
 ])
 def test_malformed_chart_rejected(tmp_path, corrupt):
     chart = awkward_chart()
