@@ -74,8 +74,10 @@ class Chart:
             if arr.shape != shape:
                 raise ChartError(f"field {name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
-                where = tuple(np.argwhere(~np.isfinite(arr))[0])
-                raise ChartError(f"field {name} is non-finite at node {where}")
+                i, j = map(int, np.argwhere(~np.isfinite(arr))[0])
+                raise ChartError(
+                    f"field {name} is non-finite at node ({i}, {j}), (u, v) = "
+                    f"({float(self.u_grid[i])!r}, {float(self.v_grid[j])!r})")
             setattr(self, name, arr)
         bad = np.argwhere(self.F <= 0.0)
         if bad.size:

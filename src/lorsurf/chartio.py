@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import tempfile
 
@@ -25,6 +26,7 @@ __all__ = [
     "write_chart",
     "read_chart",
     "write_report",
+    "report_json",
     "write_mesh_obj",
     "write_mesh_csv",
     "digest_bytes",
@@ -136,9 +138,25 @@ def read_chart(path):
         raise ChartError(f"malformed chart file {path!r}: {exc}") from exc
 
 
+def _finite_or_name(x):
+    """x with every non-finite float replaced by "Infinity", "-Infinity" or "NaN"."""
+    if isinstance(x, dict):
+        return {k: _finite_or_name(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_name(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+    return x
+
+
+def report_json(doc):
+    """A report document as strict JSON text; non-finite floats become strings."""
+    return json.dumps(_finite_or_name(doc), indent=1, allow_nan=False)
+
+
 def write_report(doc, path):
     """Write a report document; content is fully deterministic for fixed inputs."""
-    _atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    _atomic_write_text(path, report_json(doc) + "\n")
 
 
 def write_mesh_obj(mesh, u_grid, v_grid, path, comments=()):

@@ -2,11 +2,12 @@
 
 Subcommands: analyze, canonicalize, residual, reconstruct, corpus.
 Exit codes: 0 all checks passed, 1 a check failed (or integration
-aborted), 2 malformed input or violated precondition.  Reports are JSON
-documents whose pass/fail verdicts are recomputable from the recorded
-numbers and tolerances; identical inputs and flags produce byte-identical
-files (timing goes to stderr, never into the report).  A verdict never
-passes on a non-finite value or tolerance.
+aborted), 2 malformed input or violated precondition.  Reports are strict
+JSON documents (a non-finite number is written as the string "Infinity",
+"-Infinity" or "NaN") whose pass/fail verdicts are recomputable from the
+recorded numbers and tolerances; identical inputs and flags produce
+byte-identical files (timing goes to stderr, never into the report).  A
+verdict never passes on a non-finite value or tolerance.
 
 Only canonicalize and reconstruct load scipy (splines and Simpson
 quadrature); corpus, analyze and residual run on numpy alone.
@@ -36,6 +37,7 @@ from .chartio import (
     digest_bytes,
     digest_text,
     read_chart,
+    report_json,
     write_chart,
     write_mesh_csv,
     write_mesh_obj,
@@ -188,8 +190,7 @@ def cmd_analyze(args):
         j0 = grid_index(v_grid, src.v0, "v_grid")
         fields, normal, valid, excluded = _forms_on_grid(entry.provider, u_grid, v_grid)
         E, F, G = fields["E"], fields["F"], fields["G"]
-        L, M, N = fields["L"], fields["M"], fields["N"]
-        K, H = fields["K"], fields["H"]
+        L, N, K, H = fields["L"], fields["N"], fields["K"], fields["H"]
 
         e_max = float(np.max(np.abs(E[valid])))
         g_max = float(np.max(np.abs(G[valid])))
@@ -199,35 +200,35 @@ def cmd_analyze(args):
                              e_max <= tol_iso and g_max <= tol_iso and f_min > tol_iso))
 
         U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
-        jets = entry.provider.jet(U, V)
-        n_unit = float(np.max(np.abs(mk.inner(normal, normal)[valid] - 1.0)))
-        n_xu = float(np.max(np.abs(mk.inner(jets.x_u, normal)[valid])))
-        n_xv = float(np.max(np.abs(mk.inner(jets.x_v, normal)[valid])))
+        Uv, Vv, nrm = U[valid], V[valid], normal[valid]
+        jets = entry.provider.jet(Uv, Vv)
+        n_unit = float(np.max(np.abs(mk.inner(nrm, nrm) - 1.0)))
+        n_xu = float(np.max(np.abs(mk.inner(jets.x_u, nrm))))
+        n_xv = float(np.max(np.abs(mk.inner(jets.x_v, nrm))))
         checks.append(_check("normal_contract", {"max_abs_l2_minus_1": n_unit,
                                                  "max_abs_xu_l": n_xu,
                                                  "max_abs_xv_l": n_xv}, tol_normal,
                              max(n_unit, n_xu, n_xv) <= tol_normal))
 
-        ref = entry.reference
-        ref_devs = {
-            "F": float(np.max(np.abs((F - ref.F(U, V)))[valid])),
-            "L": float(np.max(np.abs((L - ref.L(U, V)))[valid])),
-            "M": float(np.max(np.abs((M - ref.M(U, V)))[valid])),
-            "N": float(np.max(np.abs((N - ref.N(U, V)))[valid])),
-            "K": float(np.max(np.abs((K - ref.K(U, V)))[valid])),
-            "H": float(np.max(np.abs((H - ref.H(U, V)))[valid])),
-        }
+        # deviations relative to 1 + max|reference field|, on the regular nodes
+        ref_devs = {}
+        for name in ("F", "L", "M", "N", "K", "H"):
+            want = getattr(entry.reference, name)(Uv, Vv)
+            ref_devs[name] = float(np.max(np.abs(fields[name][valid] - want))
+                                   / (1.0 + np.max(np.abs(want))))
         checks.append(_check("reference_match", ref_devs, tol_ref,
                              max(ref_devs.values()) <= tol_ref))
 
         kinds = kind_field(SimpleNamespace(K=K[valid], H=H[valid]))
+        base_ok = bool(valid[i0, j0])  # a singular base node has no forms
         statuses.append(_status("classification", {
             "kind_at_base": _KIND_NAMES[int(kind_field(
-                SimpleNamespace(K=K[i0, j0], H=H[i0, j0])))],
+                SimpleNamespace(K=K[i0, j0], H=H[i0, j0])))] if base_ok else "unavailable",
             "count_first_kind": int(np.sum(kinds == 1)),
             "count_second_kind": int(np.sum(kinds == -1)),
             "count_not_general_type": int(np.sum(kinds == 0)),
-            "H_at_base": float(H[i0, j0]), "K_at_base": float(K[i0, j0]),
+            "H_at_base": float(H[i0, j0]) if base_ok else None,
+            "K_at_base": float(K[i0, j0]) if base_ok else None,
             "excluded_singular_nodes": excluded,
         }))
 
@@ -287,7 +288,7 @@ def cmd_analyze(args):
     if args.report:
         write_report(doc, args.report)
     else:
-        print(json.dumps(doc, indent=1))
+        print(report_json(doc))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -416,7 +417,7 @@ def cmd_residual(args):
     if args.report:
         write_report(doc, args.report)
     else:
-        print(json.dumps(doc, indent=1))
+        print(report_json(doc))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -557,7 +558,8 @@ def build_parser():
     p.add_argument("--mesh", default=None, help="mesh export prefix (corpus sources)")
     p.add_argument("--tol-iso", type=float, default=1e-8, dest="tol_iso")
     p.add_argument("--tol-normal", type=float, default=1e-9, dest="tol_normal")
-    p.add_argument("--tol-ref", type=float, default=1e-9, dest="tol_ref")
+    p.add_argument("--tol-ref", type=float, default=1e-9, dest="tol_ref",
+                   help="tolerance on max|field - reference| / (1 + max|reference|)")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("canonicalize", help="construct canonical coordinates")

@@ -10,6 +10,10 @@ class LorsurfError(Exception):
     exit_code = 2
     label = "error"
 
+    def __init__(self, message="", node=None):
+        super().__init__(message)
+        self.node = node  # plain-int index of the first offending node, when known
+
 
 class DomainError(LorsurfError):
     """Evaluation requested outside a provider's domain or on its singular set."""
@@ -45,10 +49,6 @@ class StencilError(LorsurfError):
 class DegeneracyError(LorsurfError):
     """|H^2 - K| or |K| below tolerance at some node."""
 
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node  # (i, j) grid index of the first offending node
-
 
 class InvalidFrameError(LorsurfError):
     """A custom initial frame violates the null-frame conditions."""
@@ -63,10 +63,6 @@ class ReconstructionAbort(LorsurfError):
 
     exit_code = 1
     label = "reconstruction aborted"
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class ChartError(LorsurfError):

@@ -179,12 +179,12 @@ def F_from_K_cmc(K, H):
     tol = _degeneracy_tol(K, H)
     bad = np.abs(d) <= tol
     if np.any(bad):
-        where = tuple(np.argwhere(np.atleast_1d(bad))[0])
+        where = tuple(map(int, np.argwhere(np.atleast_1d(bad))[0]))
         raise DegeneracyError(f"|H^2 - K| vanishes at index {where}", node=where)
     signs = np.sign(d)
     first = signs.flat[0]
     if np.any(signs != first):
-        where = tuple(np.argwhere(signs != first)[0])
+        where = tuple(map(int, np.argwhere(signs != first)[0]))
         raise DegeneracyError(
             f"sign of H^2 - K is not constant (changes at index {where})", node=where)
     return 1.0 / np.sqrt(np.abs(d)), int(first)

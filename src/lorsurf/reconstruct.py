@@ -33,7 +33,8 @@ import numpy as np
 
 from . import minkowski as mk
 from .chart import Chart
-from .errors import InvalidFrameError, NaturalEquationError, ReconstructionAbort
+from .errors import (DegenerateMetricError, InvalidFrameError, NaturalEquationError,
+                     NotLorentzSurfaceError, ReconstructionAbort)
 from .natural import (F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
                       natural_residual, natural_scale)
 from .stencils import check_grid
@@ -51,6 +52,10 @@ __all__ = [
     "CongruenceReport",
     "congruence_check",
 ]
+
+# Columns per block of the column splines and of the mesh diagnostics; the
+# transient memory of both is O(nu * _BLOCK) instead of O(nu * nv).
+_BLOCK = 32
 
 
 @dataclass
@@ -139,14 +144,8 @@ def _rk4_step(S, h, rhs, c0, cm, c1):
     return S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _sample_coeffs(t, F, P, Q):
-    """Coefficient samples (F, dF, P, Q) at nodes and interval midpoints.
-
-    F, P, Q are arrays with the marching direction along axis 0 (1-D for a
-    single line, 2-D (n, m) for m simultaneous lines).  dF is the exact
-    derivative of the interpolating spline, which keeps d<X,Y>/dt = (dF/F)
-    <X,Y> consistent with the sampled F.
-    """
+def _spline_samples(t, F, P, Q):
+    """Unchecked coefficient samples (F, dF, P, Q) at nodes and interval midpoints."""
     from scipy.interpolate import CubicSpline
 
     mids = 0.5 * (t[:-1] + t[1:])
@@ -155,6 +154,29 @@ def _sample_coeffs(t, F, P, Q):
     nodes = (F.copy(), dF(t), P.copy(), Q.copy())
     smid = (sF(mids), dF(mids),
             CubicSpline(t, P, axis=0)(mids), CubicSpline(t, Q, axis=0)(mids))
+    return nodes, smid
+
+
+def _sample_coeffs(t, F, P, Q):
+    """Coefficient samples (F, dF, P, Q) at nodes and interval midpoints.
+
+    F, P, Q are arrays with the marching direction along axis 0 (1-D for a
+    single line, 2-D (n, m) for m simultaneous lines).  dF is the exact
+    derivative of the interpolating spline, which keeps d<X,Y>/dt = (dF/F)
+    <X,Y> consistent with the sampled F.  The splines of different lines
+    are independent, so 2-D input is sampled in blocks of _BLOCK lines.
+    """
+    if F.ndim == 1:
+        nodes, smid = _spline_samples(t, F, P, Q)
+    else:
+        n, m = F.shape
+        nodes = tuple(np.empty((n, m)) for _ in range(4))
+        smid = tuple(np.empty((n - 1, m)) for _ in range(4))
+        for j in range(0, m, _BLOCK):
+            cols = slice(j, j + _BLOCK)
+            block = _spline_samples(t, F[:, cols], P[:, cols], Q[:, cols])
+            for out, part in zip(nodes + smid, block[0] + block[1]):
+                out[:, cols] = part
     for arr, label in ((nodes[0], "node"), (smid[0], "midpoint")):
         bad = arr <= 0.0
         if np.any(bad):
@@ -265,12 +287,38 @@ def _euclid(A):
     return np.sqrt(np.sum(A * A, axis=-1))
 
 
-def _interior_forms(mesh, u, v):
-    """Fundamental forms of a mesh on its interior nodes, by grid finite differences."""
-    jets = jets_from_mesh(mesh, u, v)
-    interior = SurfaceJet2(**{k: getattr(jets, k)[1:-1, 1:-1] for k in
-                              ("x", "x_u", "x_v", "x_uu", "x_uv", "x_vv")})
-    return fundamental_forms(interior)
+def _interior_form_blocks(mesh, u, v):
+    """Fundamental forms of a mesh on its interior nodes, by grid finite differences.
+
+    Yields (cols, FundamentalData) for consecutive blocks of interior columns
+    (cols is a slice of v-indices; the rows are 1..nu-2).  Each block's jets
+    come from the block plus one neighbour column on either side, so every
+    value equals the whole-grid computation's.  The mesh and the grids are
+    checked before the first block.
+    """
+    mesh = np.asarray(mesh, dtype=float)
+    u = check_grid(u, "u_grid", 3)
+    v = check_grid(v, "v_grid", 3)
+    if mesh.shape != (u.size, v.size, 3):
+        raise ValueError(f"mesh shape {mesh.shape} does not match grid {(u.size, v.size, 3)}")
+
+    def blocks():
+        for j in range(1, v.size - 1, _BLOCK):
+            k = min(j + _BLOCK, v.size - 1)
+            jets = jets_from_mesh(mesh[:, j - 1:k + 1], u, v[j - 1:k + 1])
+            interior = SurfaceJet2(**{name: getattr(jets, name)[1:-1, 1:-1] for name in
+                                      ("x", "x_u", "x_v", "x_uu", "x_uv", "x_vv")})
+            try:
+                fd = fundamental_forms(interior)
+            except (DegenerateMetricError, NotLorentzSurfaceError) as exc:
+                a, b = exc.node
+                i, jj = a + 1, j + b
+                reason = str(exc).partition(" at index ")[0]
+                raise type(exc)(f"{reason} at mesh node ({i}, {jj}), (u, v) = "
+                                f"({float(u[i])!r}, {float(v[jj])!r})", node=(i, jj)) from None
+            yield slice(j, k), fd
+
+    return blocks()
 
 
 def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
@@ -278,7 +326,8 @@ def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
 
     The chart should satisfy the natural equation; a residual above
     `warn_rel` * scale only warns (the resulting diagnostics then exhibit
-    the inconsistency, which is the point of the probe).
+    the inconsistency, which is the point of the probe).  The diagnostics
+    are computed in one pass over blocks of interior columns.
     """
     chart.validate()
     acc = accumulate_LN(chart)
@@ -304,23 +353,39 @@ def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
     X, Y, l, mesh = (states[:, :, 0, :], states[:, :, 1, :],
                      states[:, :, 2, :], states[:, :, 3, :])
 
-    drift = np.stack(list(_frame_errors(X, Y, l, chart.F).values())).max(axis=0)
+    nu, nv = u.size, v.size
+    drift = np.empty((nu, nv))
+    compat = np.empty((nu - 2, nv - 2))
+    compat_l = np.empty((nu - 2, nv - 2))
+    dF = np.empty((nu - 2, nv - 2))
+    dH = np.empty((nu - 2, nv - 2))
+    e_max, g_max = [], []
+    rows = slice(1, -1)
+    for cols, fd in _interior_form_blocks(mesh, u, v):
+        # the first and last blocks also carry the border columns of the drift
+        outer = slice(0 if cols.start == 1 else cols.start,
+                      nv if cols.stop == nv - 1 else cols.stop)
+        drift[:, outer] = np.stack(list(_frame_errors(
+            X[:, outer], Y[:, outer], l[:, outer], chart.F[:, outer]).values())).max(axis=0)
 
-    D = _central(X, v, axis=1)[1:-1, :, :] - _central(Y, u, axis=0)[:, 1:-1, :]
-    compat = _euclid(D)
-    Fi = chart.F[1:-1, 1:-1, None]
-    Dl = _central(l, u, axis=0)[:, 1:-1, :] \
-        + (acc.M[1:-1, 1:-1, None] / Fi) * X[1:-1, 1:-1] \
-        + (acc.L[1:-1, 1:-1, None] / Fi) * Y[1:-1, 1:-1]
-    compat_l = _euclid(Dl)
+        wide = slice(cols.start - 1, cols.stop + 1)
+        inner = slice(cols.start - 1, cols.stop - 1)
+        D = _central(X[rows, wide], v[wide], axis=1) - _central(Y[:, cols], u, axis=0)
+        compat[:, inner] = _euclid(D)
+        Fi = chart.F[rows, cols, None]
+        Dl = _central(l[:, cols], u, axis=0) \
+            + (acc.M[rows, cols, None] / Fi) * X[rows, cols] \
+            + (acc.L[rows, cols, None] / Fi) * Y[rows, cols]
+        compat_l[:, inner] = _euclid(Dl)
 
-    fd = _interior_forms(mesh, u, v)
-    dF = np.abs(fd.F - chart.F[1:-1, 1:-1])
-    dH = np.abs(fd.H - chart.H[1:-1, 1:-1])
+        dF[:, inner] = np.abs(fd.F - chart.F[rows, cols])
+        dH[:, inner] = np.abs(fd.H - chart.H[rows, cols])
+        e_max.append(np.max(np.abs(fd.E)))
+        g_max.append(np.max(np.abs(fd.G)))
     mismatch = FormMismatch(
         f_max=float(dF.max()), f_l2=float(np.sqrt(np.mean(dF**2))),
         h_max=float(dH.max()), h_l2=float(np.sqrt(np.mean(dH**2))),
-        e_max=float(np.max(np.abs(fd.E))), g_max=float(np.max(np.abs(fd.G))))
+        e_max=float(np.max(e_max)), g_max=float(np.max(g_max)))
 
     transpose_diff = None
     if transpose_probe:
@@ -412,20 +477,24 @@ class CongruenceReport:
 def congruence_check(mesh_a, mesh_b, u_grid, v_grid, tol=1e-6):
     """Intrinsic congruence test on two meshes over the same grid.
 
-    Both meshes are re-analyzed by grid finite differences and compared
-    through (F, L, M, N) on interior nodes.  All four matching within tol
-    means congruent up to a proper motion; F matching while (L, M, N)
-    match with a global sign flip indicates a non-proper motion.
+    Both meshes are re-analyzed by grid finite differences, one block of
+    columns at a time, and compared through (F, L, M, N) on interior nodes.
+    All four matching within tol means congruent up to a proper motion; F
+    matching while (L, M, N) match with a global sign flip indicates a
+    non-proper motion.
     """
-    u = check_grid(np.asarray(u_grid, dtype=float), "u_grid", 3)
-    v = check_grid(np.asarray(v_grid, dtype=float), "v_grid", 3)
-    fa = _interior_forms(np.asarray(mesh_a, dtype=float), u, v)
-    fb = _interior_forms(np.asarray(mesh_b, dtype=float), u, v)
-    mismatch = {name: float(np.max(np.abs(getattr(fa, name) - getattr(fb, name))))
-                for name in ("F", "L", "M", "N")}
+    diff = dict.fromkeys("FLMN", -np.inf)
+    summ = dict.fromkeys("LMN", -np.inf)
+    for (_, fa), (_, fb) in zip(_interior_form_blocks(mesh_a, u_grid, v_grid),
+                                _interior_form_blocks(mesh_b, u_grid, v_grid)):
+        for name in diff:
+            a, b = getattr(fa, name), getattr(fb, name)
+            diff[name] = np.maximum(diff[name], np.max(np.abs(a - b)))
+            if name in summ:
+                summ[name] = np.maximum(summ[name], np.max(np.abs(a + b)))
+    mismatch = {name: float(m) for name, m in diff.items()}
     flipped = {"F": mismatch["F"]}
-    flipped.update({name: float(np.max(np.abs(getattr(fa, name) + getattr(fb, name))))
-                    for name in ("L", "M", "N")})
+    flipped.update({name: float(m) for name, m in summ.items()})
     if max(mismatch.values()) <= tol:
         verdict = CongruenceVerdict.CONGRUENT
     elif max(flipped.values()) <= tol:

@@ -83,6 +83,13 @@ class FundamentalData:
     l: np.ndarray
 
 
+def _offender(mask, u, v):
+    """Where the first True of `mask` lies: its (u, v) and its flat index."""
+    mask, u, v = np.broadcast_arrays(mask, u, v)
+    k = int(np.flatnonzero(mask)[0])
+    return f"(u, v) = ({float(u.flat[k])!r}, {float(v.flat[k])!r}), flat index {k}"
+
+
 @dataclass
 class SurfaceProvider:
     """Jet source on a rectangular parameter domain.
@@ -104,14 +111,13 @@ class SurfaceProvider:
         m = self.stencil_margin
         bad = (u < u_min + m) | (u > u_max - m) | (v < v_min + m) | (v > v_max - m)
         if np.any(bad):
-            where = np.argwhere(np.atleast_1d(bad))[0]
-            raise DomainError(
-                f"evaluation outside domain {self.domain} (first offender at flat index {tuple(where)})")
+            raise DomainError(f"evaluation outside domain {self.domain} "
+                              f"(first offender at {_offender(bad, u, v)})")
         if self.singular_set is not None:
             sing = np.asarray(self.singular_set(u, v))
             if np.any(sing):
-                where = np.argwhere(np.atleast_1d(sing))[0]
-                raise DomainError(f"evaluation on singular set (first offender at flat index {tuple(where)})")
+                raise DomainError(
+                    f"evaluation on singular set (first offender at {_offender(sing, u, v)})")
         return self.jet(u, v)
 
     def singular_nodes(self, u_grid, v_grid):
@@ -212,12 +218,13 @@ def fundamental_forms(jet, tol=1e-12):
     disc = E * G - F * F
     degenerate = np.abs(disc) <= tol * scale**2
     if np.any(degenerate):
-        where = tuple(np.argwhere(np.atleast_1d(degenerate))[0])
-        raise DegenerateMetricError(f"EG - F^2 vanishes at index {where}")
+        where = tuple(map(int, np.argwhere(np.atleast_1d(degenerate))[0]))
+        raise DegenerateMetricError(f"EG - F^2 vanishes at index {where}", node=where)
     nonlorentz = ww <= tol * scale**2
     if np.any(nonlorentz):
-        where = tuple(np.argwhere(np.atleast_1d(nonlorentz))[0])
-        raise NotLorentzSurfaceError(f"normal direction not spacelike at index {where}")
+        where = tuple(map(int, np.argwhere(np.atleast_1d(nonlorentz))[0]))
+        raise NotLorentzSurfaceError(f"normal direction not spacelike at index {where}",
+                                     node=where)
     l = w / np.sqrt(ww)[..., None]
     L = mk.inner(jet.x_uu, l)
     M = mk.inner(jet.x_uv, l)

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,15 @@ def run(*argv):
 def load(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def load_strict(path):
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_refuse_constant)
 
 
 def status(doc, name):
@@ -115,6 +126,32 @@ def test_analyze_rejects_grid_flags_for_chart_files(tmp_path):
     assert run("analyze", str(path), "--grid", "11x11") == 2
 
 
+def test_analyze_beside_the_singular_set_passes_without_warnings(capsys):
+    # K reaches ~4e4 next to the singular line u = v, and the base node lies on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("analyze", "enneper1", "--domain", "0:1,0:1", "--grid", "11x11")
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    ref = check(doc, "reference_match")
+    assert code == 0 and ref["pass"] is True
+    assert max(ref["values"].values()) <= ref["tolerance"]
+    cls = status(doc, "classification")["values"]
+    assert cls["kind_at_base"] == "unavailable" and cls["K_at_base"] is None
+    assert cls["excluded_singular_nodes"] == 11
+
+
+def test_analyze_fails_a_wrong_reference_field(monkeypatch, tmp_path):
+    entry = ls.get("enneper1")
+    K = entry.reference.K
+    monkeypatch.setattr(entry, "reference",
+                        dataclasses.replace(entry.reference, K=lambda u, v: K(u, v) * (1 + 1e-6)))
+    rep = tmp_path / "r.json"
+    assert run("analyze", "enneper1", "--grid", "21x21", "--report", str(rep)) == 1
+    ref = check(load_strict(str(rep)), "reference_match")
+    assert ref["pass"] is False and ref["values"]["K"] > ref["tolerance"]
+    assert max(v for name, v in ref["values"].items() if name != "K") <= ref["tolerance"]
+
+
 def test_analyze_unknown_source():
     assert run("analyze", "/no/such/file.json") == 2
 
@@ -203,9 +240,9 @@ def test_residual_overflow_fails_instead_of_passing(tmp_path):
     ls.write_chart(small_chart(1e200), str(path))
     rep = tmp_path / "r.json"
     assert run("residual", str(path), "--mode", "general", "--report", str(rep)) == 1
-    doc = load(str(rep))
+    doc = load_strict(str(rep))
     res = check(doc, "residual")
-    assert res["values"]["max_abs"] == float("inf") and res["tolerance"] == float("inf")
+    assert res["values"]["max_abs"] == "Infinity" and res["tolerance"] == "Infinity"
     assert res["pass"] is False and doc["summary"]["passed"] is False
 
 
@@ -215,8 +252,8 @@ def test_analyze_overflow_fails_instead_of_passing(tmp_path):
     ls.write_chart(small_chart(1e200), str(path))
     rep = tmp_path / "r.json"
     assert run("analyze", str(path), "--report", str(rep)) == 1
-    doc = load(str(rep))
-    assert status(doc, "natural_residual")["values"]["max_abs"] == float("inf")
+    doc = load_strict(str(rep))
+    assert status(doc, "natural_residual")["values"]["max_abs"] == "Infinity"
     assert doc["summary"]["passed"] is False
 
 

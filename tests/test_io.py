@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lorsurf as ls
-from lorsurf.chartio import write_mesh_csv, write_mesh_obj
+from lorsurf.chartio import report_json, write_mesh_csv, write_mesh_obj
 
 
 def awkward_chart():
@@ -134,3 +134,14 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     ls.write_chart(chart, str(tmp_path / "c.json"))
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp_")]
     assert leftovers == []
+
+
+def test_report_json_is_strict_and_keeps_finite_reports_byte_identical():
+    doc = {"values": {"max_abs": float("inf"), "low": -float("inf"), "l2": float("nan"),
+                      "order": None, "pair": (1.5, 2)}, "pass": False}
+    text = report_json(doc)
+    back = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in report"))
+    assert back["values"] == {"max_abs": "Infinity", "low": "-Infinity", "l2": "NaN",
+                              "order": None, "pair": [1.5, 2]}
+    finite = {"checks": [{"values": {"x": 0.1, "n": [1, 2.5e-300]}, "pass": True}]}
+    assert report_json(finite) == json.dumps(finite, indent=1)

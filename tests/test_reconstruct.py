@@ -1,8 +1,14 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lorsurf as ls
 import lorsurf.minkowski as mk
+from lorsurf.reconstruct import FormMismatch, _sample_coeffs, _spline_samples
 from lorsurf.surfaces import SurfaceJet2, fundamental_forms, jets_from_mesh
 
 from conftest import enneper1_chart
@@ -279,3 +285,141 @@ def test_congruence_pair_members_differ():
     assert rep.mismatch["F"] <= 1e-3
     assert rep.mismatch["L"] > 1.0 and rep.mismatch["N"] > 1.0
     assert rep.mismatch_flipped["M"] > 1.0
+
+
+# -- blocked diagnostics against the whole-grid formulas --------------------------------
+
+def _central(A, t, axis):
+    n = t.size
+    hi = [slice(None)] * A.ndim
+    lo = [slice(None)] * A.ndim
+    hi[axis], lo[axis] = slice(2, None), slice(None, -2)
+    shape = [1] * A.ndim
+    shape[axis] = n - 2
+    return (A[tuple(hi)] - A[tuple(lo)]) / (t[2:] - t[:-2]).reshape(shape)
+
+
+def _euclid(A):
+    return np.sqrt(np.sum(A * A, axis=-1))
+
+
+def whole_grid_diagnostics(res, chart):
+    """The diagnostics of reconstruct computed on the whole grid at once."""
+    u, v, X, Y, l = chart.u_grid, chart.v_grid, res.X, res.Y, res.l
+    acc = ls.accumulate_LN(chart)
+    F = chart.F
+    drift = np.stack([np.abs(mk.inner(X, X)), np.abs(mk.inner(Y, Y)),
+                      np.abs(mk.inner(X, Y) - F), np.abs(mk.inner(l, l) - 1.0),
+                      np.abs(mk.inner(X, l)), np.abs(mk.inner(Y, l))]).max(axis=0)
+    D = _central(X, v, axis=1)[1:-1] - _central(Y, u, axis=0)[:, 1:-1]
+    Fi = F[1:-1, 1:-1, None]
+    Dl = _central(l, u, axis=0)[:, 1:-1] + (acc.M[1:-1, 1:-1, None] / Fi) * X[1:-1, 1:-1] \
+        + (acc.L[1:-1, 1:-1, None] / Fi) * Y[1:-1, 1:-1]
+    fd = interior_forms(res.mesh, u, v)
+    dF = np.abs(fd.F - F[1:-1, 1:-1])
+    dH = np.abs(fd.H - chart.H[1:-1, 1:-1])
+    mismatch = FormMismatch(
+        f_max=float(dF.max()), f_l2=float(np.sqrt(np.mean(dF**2))),
+        h_max=float(dH.max()), h_l2=float(np.sqrt(np.mean(dH**2))),
+        e_max=float(np.max(np.abs(fd.E))), g_max=float(np.max(np.abs(fd.G))))
+    return drift, _euclid(D), _euclid(Dl), mismatch
+
+
+def whole_grid_congruence(mesh_a, mesh_b, u, v):
+    fa, fb = interior_forms(mesh_a, u, v), interior_forms(mesh_b, u, v)
+    diff = {n: float(np.max(np.abs(getattr(fa, n) - getattr(fb, n)))) for n in "FLMN"}
+    summ = {n: float(np.max(np.abs(getattr(fa, n) + getattr(fb, n)))) for n in "LMN"}
+    return diff, dict(F=diff["F"], **summ)
+
+
+def bits(x):
+    if isinstance(x, dict):
+        return {k: bits(v) for k, v in x.items()}
+    if isinstance(x, FormMismatch):
+        return bits(vars(x))
+    if isinstance(x, tuple):
+        return [bits(a) for a in x]
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def random_grid(rng, lo, hi, n):
+    steps = rng.uniform(0.5, 1.5, n - 1)
+    return lo + (hi - lo) * np.concatenate([[0.0], np.cumsum(steps) / steps.sum()])
+
+
+@settings(max_examples=25, deadline=None)
+@given(nu=st.integers(3, 90), nv=st.integers(3, 90), seed=st.integers(0, 2**32 - 1))
+@example(nu=5, nv=3, seed=0).via("one block of one column")
+@example(nu=40, nv=34, seed=1).via("nv - 2 is one block width")
+@example(nu=3, nv=66, seed=2).via("nv - 2 is two block widths")
+@example(nu=21, nv=67, seed=3).via("a one-column last block")
+def test_blocked_diagnostics_equal_whole_grid_bit_for_bit(nu, nv, seed):
+    rng = np.random.default_rng(seed)
+    u, v = random_grid(rng, 1.0, 2.0, nu), random_grid(rng, -1.0, 0.0, nv)
+    chart = ls.reference_chart("enneper1", u, v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = ls.reconstruct(chart)
+    acc = ls.accumulate_LN(chart)
+    columns = (v, chart.F.T, acc.N.T, acc.M.T)  # nu columns, sampled in blocks
+    assert bits(sum(_sample_coeffs(*columns), ())) == bits(sum(_spline_samples(*columns), ()))
+
+    drift, compat, compat_l, mismatch = whole_grid_diagnostics(res, chart)
+    assert bits(res.invariant_drift) == bits(drift)
+    assert bits(res.compat_residual) == bits(compat)
+    assert bits(res.compat_residual_l) == bits(compat_l)
+    assert bits(res.form_mismatch) == bits(mismatch)
+    assert bits([res.max_invariant_drift, res.max_compat, res.max_compat_l]) == \
+        bits([drift.max(), compat.max(), compat_l.max()])
+
+    U, V = np.meshgrid(u, v, indexing="ij")
+    closed = ls.get("enneper1").position(U, V)
+    rep = ls.congruence_check(res.mesh, closed, u, v)
+    diff, flipped = whole_grid_congruence(res.mesh, closed, u, v)
+    assert bits(rep.mismatch) == bits(diff)
+    assert bits(rep.mismatch_flipped) == bits(flipped)
+
+
+def test_degenerate_node_in_a_late_block_is_named_on_the_full_grid():
+    # a plane whose u-tangent turns null from column 71 on: EG - F^2 = 0 there
+    u, v = np.linspace(1.0, 2.0, 9), np.linspace(0.0, 1.0, 90)
+    U, V = np.meshgrid(u, v, indexing="ij")
+    s = (np.arange(v.size) >= 70).astype(float)[None, :]
+    mesh = np.stack([U, s * U, V], axis=-1)
+    with pytest.raises(ls.DegenerateMetricError) as whole:
+        interior_forms(mesh, u, v)
+    i, j = (k + 1 for k in whole.value.node)
+    assert j >= 65  # the third block of 32 interior columns
+    with pytest.raises(ls.DegenerateMetricError) as blocked:
+        ls.congruence_check(mesh, mesh, u, v)
+    assert blocked.value.node == (i, j)
+    where = f"at mesh node ({i}, {j}), (u, v) = ({float(u[i])!r}, {float(v[j])!r})"
+    assert where in str(blocked.value)
+
+
+def test_congruence_check_refuses_mismatched_meshes_and_short_grids():
+    g = np.linspace(0.0, 1.0, 12)
+    U, V = np.meshgrid(g, g, indexing="ij")
+    mesh = ls.get("cylinder").position(U, V)
+    with pytest.raises(ValueError):
+        ls.congruence_check(mesh, mesh[:, :-1], g, g)
+    with pytest.raises(ValueError):
+        ls.congruence_check(mesh[:, :-1], mesh, g, g)
+    with pytest.raises(ls.StencilError):
+        ls.congruence_check(mesh[:2], mesh[:2], g[:2], g)
+
+
+def test_reconstruct_peak_allocation_per_node():
+    # the diagnostics run over column blocks, so the peak is the frame states,
+    # the spline samples and the result arrays: a few hundred bytes per node
+    n = 401
+    u, v = np.linspace(1.0, 2.0, n), np.linspace(-1.0, 0.0, n)
+    chart = ls.reference_chart("enneper1", u, v)
+    ls.reconstruct(ls.reference_chart("enneper1", u[:11], v[:11]))  # imports done
+    tracemalloc.start()
+    try:
+        ls.reconstruct(chart)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * n) <= 450.0

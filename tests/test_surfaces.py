@@ -299,3 +299,44 @@ def test_jets_from_mesh_recovers_forms():
     h = g[1] - g[0]
     assert np.max(np.abs(fd.F - 2.0)) <= h**2
     assert np.max(np.abs(fd.M - 1.0)) <= h**2
+
+
+def _nan_chart():
+    g = np.linspace(0.0, 1.0, 4)
+    F = np.ones((4, 4))
+    F[2, 1] = np.nan
+    return ls.Chart(u_grid=g, v_grid=g, F=F, H=np.zeros((4, 4)),
+                    u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
+
+
+_SPACELIKE_JET = ls.SurfaceJet2(
+    x=np.zeros((2, 3)), x_u=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    x_v=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+    x_uu=np.zeros((2, 3)), x_uv=np.zeros((2, 3)), x_vv=np.zeros((2, 3)))
+
+ERROR_SITES = {
+    "outside domain": (lambda: ls.get("enneper1").provider(np.array([1.0, 99.0]), 0.25),
+                       "(u, v) = (99.0, 0.25)"),
+    "singular set": (lambda: ls.get("enneper1").provider(np.array([1.0, 0.5]),
+                                                         np.array([0.0, 0.5])),
+                     "(u, v) = (0.5, 0.5)"),
+    "degenerate metric": (lambda: ls.fundamental_forms(
+        ls.get("enneper1").provider.jet(np.array([1.5, 1.2]), np.array([0.0, 1.2]))),
+        "index (1,)"),
+    "not Lorentz": (lambda: ls.fundamental_forms(_SPACELIKE_JET), "index (1,)"),
+    "non-finite chart field": (_nan_chart, "node (2, 1), (u, v) = "),
+    "|H^2 - K| vanishes": (lambda: ls.F_from_K_cmc(np.array([[0.0, 1.0]]), 1.0),
+                           "index (0, 1)"),
+    "H^2 - K changes sign": (lambda: ls.F_from_K_cmc(np.array([[0.0, 2.0]]), 1.0),
+                             "index (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("site", ERROR_SITES)
+def test_error_locations_are_plain_ints(site):
+    fn, where = ERROR_SITES[site]
+    with pytest.raises(ls.LorsurfError) as err:
+        fn()
+    assert "np." not in str(err.value) and where in str(err.value)
+    node = err.value.node
+    assert node is None or all(type(k) is int for k in node)
