@@ -48,6 +48,7 @@ from .minkowski import (
     vec,
 )
 from .natural import (
+    REL_TOL,
     F_from_K_cmc,
     ResidualReport,
     accumulate_LN,
@@ -55,7 +56,6 @@ from .natural import (
     convergence_order,
     minimal_residual,
     natural_residual,
-    natural_scale,
 )
 from .reconstruct import (
     CongruenceReport,

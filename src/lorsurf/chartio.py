@@ -87,6 +87,14 @@ def _integer(doc, key):
     return int(value)
 
 
+def _numbers(what, values):
+    """Refuse anything but JSON numbers in `values`; numpy would read true and "1.5"."""
+    others = set(map(type, values)) - {int, float}
+    if others:
+        raise ChartError(f"{what} must hold only numbers, found "
+                         + ", ".join(sorted(t.__name__ for t in others)))
+
+
 def read_chart(path):
     """Parse and validate a chart file."""
     try:
@@ -99,12 +107,18 @@ def read_chart(path):
     if not isinstance(doc, dict):
         raise ChartError("chart file must contain a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or isinstance(version, bool):
         raise ChartError(f"unsupported chart schema_version {version!r}")
     missing = [k for k in ("u_grid", "v_grid", "F", "H", "u0_index", "v0_index",
                            "eps1", "eps2") if k not in doc]
     if missing:
         raise ChartError(f"chart file misses required keys: {', '.join(missing)}")
+
+    def grid(key):
+        if not isinstance(doc[key], list):
+            raise ChartError(f"{key} must be a 1-D array")
+        _numbers(key, doc[key])
+        return np.asarray(doc[key], dtype=float)
 
     def field(name):
         if name not in doc:
@@ -112,29 +126,26 @@ def read_chart(path):
         rows = doc[name]
         if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
             raise ChartError(f"field {name} must be a 2-D array")
-        # numpy would read true and "1.5" as numbers
-        others = set(map(type, itertools.chain.from_iterable(rows))) - {int, float}
-        if others:
-            raise ChartError(f"field {name} must hold only numbers, found "
-                             + ", ".join(sorted(t.__name__ for t in others)))
+        _numbers(f"field {name}", itertools.chain.from_iterable(rows))
         return np.asarray(rows, dtype=float).T  # file stores row index = v
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ChartError("metadata must be a JSON object")
     metadata = dict(metadata)
-    canonical = bool(metadata.pop("canonical", False))
+    canonical = metadata.pop("canonical", False)
+    if not isinstance(canonical, bool):
+        raise ChartError("metadata.canonical must be true or false")
     try:
         chart = Chart(
-            u_grid=np.asarray(doc["u_grid"], dtype=float),
-            v_grid=np.asarray(doc["v_grid"], dtype=float),
+            u_grid=grid("u_grid"), v_grid=grid("v_grid"),
             F=field("F"), H=field("H"),
             L=field("L"), M=field("M"), N=field("N"), K=field("K"),
             u0_index=_integer(doc, "u0_index"), v0_index=_integer(doc, "v0_index"),
             eps1=_integer(doc, "eps1"), eps2=_integer(doc, "eps2"),
             canonical=canonical, metadata=metadata)
         return chart.validate()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ChartError(f"malformed chart file {path!r}: {exc}") from exc
 
 

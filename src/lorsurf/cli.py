@@ -45,14 +45,13 @@ from .chartio import (
 )
 from .errors import ChartError, DomainError, LorsurfError
 from .natural import (
-    accumulate_LN,
+    REL_TOL,
     cmc_residual,
     convergence_order,
     minimal_residual,
     natural_residual,
-    natural_scale,
 )
-from .reconstruct import cmc_pair, congruence_check, initial_frame, reconstruct
+from .reconstruct import FrameState, cmc_pair, congruence_check, reconstruct
 from .surfaces import fundamental_forms, kind_field
 
 EXIT_OK = 0
@@ -63,15 +62,22 @@ _KIND_NAMES = {1: "general_first_kind", -1: "general_second_kind", 0: "not_gener
 
 # -- argument helpers ---------------------------------------------------------
 
-def _parse_grid(text):
+def _int_at_least_2(text):
+    """An integer of at least 2: nodes per axis or a refinement factor."""
     try:
-        nu, nv = text.lower().split("x")
-        nu, nv = int(nu), int(nv)
+        n = int(text)
     except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {n}")
+    return n
+
+
+def _parse_grid(text):
+    parts = text.lower().split("x")
+    if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"grid must look like 201x201, got {text!r}")
-    if nu < 2 or nv < 2:
-        raise argparse.ArgumentTypeError("grid needs at least 2 nodes per axis")
-    return nu, nv
+    return _int_at_least_2(parts[0]), _int_at_least_2(parts[1])
 
 
 def _parse_domain(text):
@@ -359,31 +365,29 @@ def _constant_H(chart, what):
 
 def _residual_for(chart, mode):
     if mode == "general":
-        acc = accumulate_LN(chart)
-        return natural_residual(chart, acc), natural_scale(acc)
+        return natural_residual(chart)
     if chart.K is None:
         raise ChartError(f"mode {mode} requires a K field")
-    scale = 1.0 + float(np.max(np.abs(chart.K)))
     if mode == "cmc":
         H0 = _constant_H(chart, "mode cmc")
-        return cmc_residual(chart.K, H0, chart.u_grid, chart.v_grid), scale + H0 * H0
+        return cmc_residual(chart.K, H0, chart.u_grid, chart.v_grid)
     if mode == "minimal":
         if float(np.max(np.abs(chart.H))) > 1e-10:
             raise ChartError("mode minimal requires H = 0")
-        return minimal_residual(chart.K, chart.u_grid, chart.v_grid), scale
+        return minimal_residual(chart.K, chart.u_grid, chart.v_grid)
     raise ChartError(f"unknown mode {mode!r}")
 
 
 def cmd_residual(args):
     src = _Source(args)
     chart = _apply_eps_overrides(src.chart(), args)
-    rep, scale = _residual_for(chart, args.mode)
-    tol = args.tol if args.tol is not None else 1e-3 * scale
+    rep = _residual_for(chart, args.mode)
+    tol = args.tol if args.tol is not None else REL_TOL * rep.scale
 
     order = None
     if args.refined:
         refined = read_chart(args.refined)
-        rep2, _ = _residual_for(refined, args.mode)
+        rep2 = _residual_for(refined, args.mode)
         factor = (refined.u_grid.size - 1) / (chart.u_grid.size - 1)
         order = convergence_order(rep.max_abs, rep2.max_abs, factor)
     elif args.refine:
@@ -394,11 +398,11 @@ def cmd_residual(args):
         fine = corpus_mod.reference_chart(
             src.entry.name, np.linspace(src.u_grid[0], src.u_grid[-1], nu),
             np.linspace(src.v_grid[0], src.v_grid[-1], nv), src.u0, src.v0)
-        rep2, _ = _residual_for(fine, args.mode)
+        rep2 = _residual_for(fine, args.mode)
         order = convergence_order(rep.max_abs, rep2.max_abs, float(args.refine))
 
     checks = [_check("residual", {"max_abs": rep.max_abs, "l2": rep.l2,
-                                  "scale": scale}, tol, rep.max_abs <= tol)]
+                                  "scale": rep.scale}, tol, rep.max_abs <= tol)]
     if order is not None:
         # A zero residual on either grid leaves the order undefined: recorded as
         # null, it passes only when the finer grid's residual is exactly zero.
@@ -423,13 +427,14 @@ def cmd_residual(args):
 
 # -- reconstruct ----------------------------------------------------------------
 
-def _load_seed(spec, F0):
+def _load_seed(spec):
+    """The seed file's frame, unchecked: reconstruct validates it against its chart."""
     if spec in (None, "standard"):
         return None
     try:
         with open(spec) as fh:
             doc = json.load(fh)
-        return initial_frame(F0, X=doc["X"], Y=doc["Y"], l=doc["l"], x=doc.get("x"))
+        return FrameState(X=doc["X"], Y=doc["Y"], l=doc["l"], x=doc.get("x"))
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ChartError(f"cannot load seed from {spec!r}: {exc}") from exc
 
@@ -462,6 +467,7 @@ def cmd_reconstruct(args):
     chart = _apply_eps_overrides(src.chart(), args)
     statuses = []
     warning = False
+    seed = _load_seed(args.seed)
     with _warnings.catch_warnings():
         _warnings.simplefilter("always")
         if args.pair:
@@ -471,11 +477,6 @@ def cmd_reconstruct(args):
             if H0 == 0.0:
                 raise ChartError("--pair requires a non-zero H: a minimal surface is fixed "
                                  "by K up to motion, so it has no pair")
-            # cmc_pair anchors its charts at the grid center; validate the seed there
-            ic = (chart.u_grid.size - 1) // 2
-            jc = (chart.v_grid.size - 1) // 2
-            seed = _load_seed(args.seed,
-                              1.0 / np.sqrt(abs(H0 * H0 - float(chart.K[ic, jc]))))
             res_p, res_m = cmc_pair(chart.K, H0, chart.u_grid, chart.v_grid,
                                     seed=seed, force=args.force)
             _export_mesh(res_p, args.mesh + "_p", f"cmc pair, eps=({res_p.eps1},{res_p.eps2})")
@@ -490,8 +491,6 @@ def cmd_reconstruct(args):
                 "tolerance": args.tol_congruence}))
             warning = res_p.natural_warning or res_m.natural_warning
         else:
-            F0 = float(chart.F[chart.u0_index, chart.v0_index])
-            seed = _load_seed(args.seed, F0)
             res = reconstruct(chart, seed=seed, transpose_probe=args.transpose_probe)
             _export_mesh(res, args.mesh, f"eps=({res.eps1},{res.eps2})")
             statuses.append(_result_status("reconstruction", res))
@@ -566,7 +565,7 @@ def build_parser():
     _add_source_args(p)
     p.add_argument("--tilde-u0", type=float, default=0.0, dest="tilde_u0")
     p.add_argument("--tilde-v0", type=float, default=0.0, dest="tilde_v0")
-    p.add_argument("--canon-nodes", type=int, default=None, dest="canon_nodes")
+    p.add_argument("--canon-nodes", type=_int_at_least_2, default=None, dest="canon_nodes")
     p.add_argument("--output", required=True, help="canonical chart output path")
     p.add_argument("--report", default=None)
     p.set_defaults(fn=cmd_canonicalize)
@@ -578,9 +577,9 @@ def build_parser():
                    help="override the chart's eps1 sign")
     p.add_argument("--eps2", type=int, choices=(-1, 1), default=None)
     p.add_argument("--tol", type=float, default=None,
-                   help="absolute residual tolerance (default: 1e-3 * field scale)")
+                   help=f"absolute residual tolerance (default: {REL_TOL:g} * field scale)")
     p.add_argument("--min-order", type=float, default=1.9, dest="min_order")
-    p.add_argument("--refine", type=int, default=None,
+    p.add_argument("--refine", type=_int_at_least_2, default=None,
                    help="refinement factor for a two-grid order estimate (corpus)")
     p.add_argument("--refined", default=None, help="refined chart file for the order estimate")
     p.add_argument("--report", default=None)

@@ -21,7 +21,6 @@ second order on smooth data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,15 +28,20 @@ from .errors import DegeneracyError, StencilError
 from .stencils import check_grid, cross_derivative, cumtrapz_from, gradient
 
 __all__ = [
+    "REL_TOL",
     "ResidualReport",
     "accumulate_LN",
     "natural_residual",
-    "natural_scale",
     "cmc_residual",
     "minimal_residual",
     "F_from_K_cmc",
     "convergence_order",
 ]
+
+# A residual max_abs above REL_TOL * scale violates the natural equation: the
+# default tolerance of `lorsurf residual`, the threshold of reconstruct's
+# warning and of the cmc_pair / minimal_from_K refusals.
+REL_TOL = 1e-3
 
 
 @dataclass
@@ -49,7 +53,7 @@ class ResidualReport:
     l2: float                  # area-weighted root mean square
     u_interior: np.ndarray
     v_interior: np.ndarray
-    h_order_estimate: Optional[float] = None
+    scale: float               # 1 + max|LN| + max M^2, or 1 + max|K| + H^2 for constant H
 
 
 def _trap_weights(t):
@@ -60,13 +64,13 @@ def _trap_weights(t):
     return w
 
 
-def _summarize(residual, u_int, v_int, **kw):
+def _summarize(residual, u_int, v_int, scale):
     wu = _trap_weights(u_int) if u_int.size > 1 else np.ones(1)
     wv = _trap_weights(v_int) if v_int.size > 1 else np.ones(1)
     area = np.outer(wu, wv)
     l2 = float(np.sqrt(np.sum(residual**2 * area) / np.sum(area)))
     return ResidualReport(residual=residual, max_abs=float(np.max(np.abs(residual))),
-                          l2=l2, u_interior=u_int, v_interior=v_int, **kw)
+                          l2=l2, u_interior=u_int, v_interior=v_int, scale=scale)
 
 
 def _require_3x3(nu, nv):
@@ -113,13 +117,8 @@ def natural_residual(chart, acc=None):
     # an overflow here yields a non-finite residual, which every verdict fails
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = acc.L[1:-1, 1:-1] * acc.N[1:-1, 1:-1] - acc.M[1:-1, 1:-1] ** 2
-    return _summarize(lhs - rhs, u[1:-1], v[1:-1])
-
-
-def natural_scale(acc):
-    """Scale 1 + max|LN| + max M^2 of the accumulate_LN result `acc`; inf on overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 1.0 + float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
+        scale = 1.0 + float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
+    return _summarize(lhs - rhs, u[1:-1], v[1:-1], scale)
 
 
 def _degeneracy_tol(K, H):
@@ -153,7 +152,7 @@ def cmc_residual(K, H, u_grid, v_grid):
     phi = 0.5 * np.log(np.abs(d))
     phi_uv = cross_derivative(phi, u, v)
     residual = np.sqrt(np.abs(d[1:-1, 1:-1])) * phi_uv - K[1:-1, 1:-1]
-    return _summarize(residual, u[1:-1], v[1:-1])
+    return _summarize(residual, u[1:-1], v[1:-1], 1.0 + float(np.max(np.abs(K))) + H * H)
 
 
 def minimal_residual(K, u_grid, v_grid):

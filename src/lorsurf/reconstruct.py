@@ -24,6 +24,7 @@ equation.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -35,8 +36,8 @@ from . import minkowski as mk
 from .chart import Chart
 from .errors import (DegenerateMetricError, InvalidFrameError, NaturalEquationError,
                      NotLorentzSurfaceError, ReconstructionAbort)
-from .natural import (F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
-                      natural_residual, natural_scale)
+from .natural import (REL_TOL, F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
+                      natural_residual)
 from .stencils import check_grid
 from .surfaces import SurfaceJet2, fundamental_forms, jets_from_mesh
 
@@ -83,6 +84,18 @@ def _frame_errors(X, Y, l, F):
     }
 
 
+def _seed_vector(name, value):
+    """`value` as a float array of shape (3,); InvalidFrameError unless 3 finite numbers."""
+    try:
+        a = np.asarray(value)
+        ok = a.dtype.kind in "iuf" and a.shape == (3,) and bool(np.all(np.isfinite(a)))
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise InvalidFrameError(f"seed {name} must be a vector of 3 finite numbers")
+    return a.astype(float)
+
+
 def initial_frame(F0, X=None, Y=None, l=None, x=None, tol=1e-10):
     """Initial frame for the march, defaulting to the standard null seed.
 
@@ -100,10 +113,8 @@ def initial_frame(F0, X=None, Y=None, l=None, x=None, tol=1e-10):
         l = np.array([0.0, 0.0, 1.0])
     elif X is None or Y is None or l is None:
         raise InvalidFrameError("custom seeds must supply X, Y and l together")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    l = np.asarray(l, dtype=float)
-    x = np.zeros(3) if x is None else np.asarray(x, dtype=float)
+    X, Y, l = _seed_vector("X", X), _seed_vector("Y", Y), _seed_vector("l", l)
+    x = np.zeros(3) if x is None else _seed_vector("x", x)
     allowed = tol * (1.0 + abs(F0))
     errors = _frame_errors(X, Y, l, F0)
     bad = {k: float(e) for k, e in errors.items() if e > allowed}
@@ -136,11 +147,11 @@ def _rhs_u(S, F, dF, P, Q):
 _SWAP_XY = (1, 0, 2, 3)
 
 
-def _rk4_step(S, h, rhs, c0, cm, c1):
-    k1 = rhs(S, *c0)
-    k2 = rhs(S + 0.5 * h * k1, *cm)
-    k3 = rhs(S + 0.5 * h * k2, *cm)
-    k4 = rhs(S + h * k3, *c1)
+def _rk4_step(S, h, c0, cm, c1):
+    k1 = _rhs_u(S, *c0)
+    k2 = _rhs_u(S + 0.5 * h * k1, *cm)
+    k3 = _rhs_u(S + 0.5 * h * k2, *cm)
+    k4 = _rhs_u(S + h * k3, *c1)
     return S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -160,79 +171,58 @@ def _spline_samples(t, F, P, Q):
 def _sample_coeffs(t, F, P, Q):
     """Coefficient samples (F, dF, P, Q) at nodes and interval midpoints.
 
-    F, P, Q are arrays with the marching direction along axis 0 (1-D for a
-    single line, 2-D (n, m) for m simultaneous lines).  dF is the exact
-    derivative of the interpolating spline, which keeps d<X,Y>/dt = (dF/F)
-    <X,Y> consistent with the sampled F.  The splines of different lines
-    are independent, so 2-D input is sampled in blocks of _BLOCK lines.
+    F, P, Q are (n, m) arrays holding m lines with the marching direction
+    along axis 0.  dF is the exact derivative of the interpolating spline,
+    which keeps d<X,Y>/dt = (dF/F) <X,Y> consistent with the sampled F.  The
+    splines of different lines are independent, so they are sampled in
+    blocks of _BLOCK lines.
     """
-    if F.ndim == 1:
-        nodes, smid = _spline_samples(t, F, P, Q)
-    else:
-        n, m = F.shape
-        nodes = tuple(np.empty((n, m)) for _ in range(4))
-        smid = tuple(np.empty((n - 1, m)) for _ in range(4))
-        for j in range(0, m, _BLOCK):
-            cols = slice(j, j + _BLOCK)
-            block = _spline_samples(t, F[:, cols], P[:, cols], Q[:, cols])
-            for out, part in zip(nodes + smid, block[0] + block[1]):
-                out[:, cols] = part
+    n, m = F.shape
+    nodes = tuple(np.empty((n, m)) for _ in range(4))
+    smid = tuple(np.empty((n - 1, m)) for _ in range(4))
+    for j in range(0, m, _BLOCK):
+        cols = slice(j, j + _BLOCK)
+        block = _spline_samples(t, F[:, cols], P[:, cols], Q[:, cols])
+        for out, part in zip(nodes + smid, block[0] + block[1]):
+            out[:, cols] = part
     for arr, label in ((nodes[0], "node"), (smid[0], "midpoint")):
         bad = arr <= 0.0
         if np.any(bad):
-            k = int(np.argwhere(bad.reshape(bad.shape[0], -1).any(axis=1))[0][0])
+            k = int(np.argwhere(bad.any(axis=1))[0][0])
             raise ReconstructionAbort(f"F <= 0 at marching {label} index {k}", node=k)
     return nodes, smid
 
 
-def _march(S0, t, i0, nodes, mids, rhs, out, write):
-    """March S0 from node i0 to both ends; write(out, k, S) stores states."""
-    write(out, i0, S0)
-    S = S0
-    for k in range(i0, t.size - 1):
-        h = t[k + 1] - t[k]
-        S = _rk4_step(S, h, rhs,
-                      tuple(c[k] for c in nodes), tuple(c[k] for c in mids),
-                      tuple(c[k + 1] for c in nodes))
+def _march(t, i0, F, P, Q, S0, out, rows):
+    """March m lines of states S0 (m, 4, 3) from node i0 to both ends of t.
+
+    F, P, Q are the lines' u-family coefficients, (n, m) with t along axis 0;
+    the state at node n is stored as out[n] = S[:, rows].
+    """
+    nodes, mids = _sample_coeffs(t, F, P, Q)
+    out[i0] = S0[:, rows]
+    forward = zip(range(i0, t.size - 1), range(i0 + 1, t.size))
+    backward = zip(range(i0, 0, -1), range(i0 - 1, -1, -1))
+    for k, n in itertools.chain(forward, backward):
+        if k == i0:
+            S = S0  # each direction starts from the base node
+        S = _rk4_step(S, t[n] - t[k], tuple(c[k] for c in nodes),
+                      tuple(c[min(k, n)] for c in mids), tuple(c[n] for c in nodes))
         if not np.all(np.isfinite(S)):
-            raise ReconstructionAbort(f"non-finite frame state at marching index {k + 1}",
-                                      node=k + 1)
-        write(out, k + 1, S)
-    S = S0
-    for k in range(i0, 0, -1):
-        h = t[k - 1] - t[k]
-        S = _rk4_step(S, h, rhs,
-                      tuple(c[k] for c in nodes), tuple(c[k - 1] for c in mids),
-                      tuple(c[k - 1] for c in nodes))
-        if not np.all(np.isfinite(S)):
-            raise ReconstructionAbort(f"non-finite frame state at marching index {k - 1}",
-                                      node=k - 1)
-        write(out, k - 1, S)
+            raise ReconstructionAbort(f"non-finite frame state at marching index {n}", node=n)
+        out[n] = S[:, rows]
 
 
-def _integrate_grid(u, v, F, L, M, N, i0, j0, seed, first="u"):
-    """Full grid of frame states (nu, nv, 4, 3) for a given marching order."""
-    if first == "v":
-        # Marching the v-family is the u-family march of the transposed chart
-        # with X and Y (and L and N) exchanged; swap, recurse, swap back.
-        swapped = FrameState(X=seed.Y, Y=seed.X, l=seed.l, x=seed.x)
-        states = _integrate_grid(v, u, F.T, N.T, M.T, L.T, j0, i0, swapped, first="u")
-        states = states.transpose(1, 0, 2, 3).copy()
-        return states[:, :, _SWAP_XY, :]
+def _integrate_grid(u, v, F, L, M, N, i0, j0, S0):
+    """Frame states (nu, nv, 4, 3) marched from S0 (4, 3) at node (i0, j0).
 
-    nu, nv = u.size, v.size
-    states = np.empty((nu, nv, 4, 3))
-
-    base_nodes, base_mids = _sample_coeffs(u, F[:, j0], L[:, j0], M[:, j0])
-    base = np.empty((nu, 4, 3))
-    _march(seed.as_array(), u, i0, base_nodes, base_mids, _rhs_u, base,
-           lambda out, k, S: out.__setitem__(k, S))
-
-    # column sweep: coefficient samples along v for every column at once; the
-    # u-family kernel marches the X/Y-swapped state, swapped back on write
-    col_nodes, col_mids = _sample_coeffs(v, F.T, N.T, M.T)
-    _march(base[:, _SWAP_XY], v, j0, col_nodes, col_mids, _rhs_u, states,
-           lambda out, k, S: out.__setitem__((slice(None), k), S[:, _SWAP_XY]))
+    The base line v = v0 is a block of one line; the columns then march
+    together from it on X/Y-swapped states (see _SWAP_XY).
+    """
+    states = np.empty((u.size, v.size, 4, 3))
+    line = slice(j0, j0 + 1)
+    _march(u, i0, F[:, line], L[:, line], M[:, line], S0[None], states[:, line], slice(None))
+    _march(v, j0, F.T, N.T, M.T, states[:, j0, _SWAP_XY], states.swapaxes(0, 1), _SWAP_XY)
     return states
 
 
@@ -321,13 +311,14 @@ def _interior_form_blocks(mesh, u, v):
     return blocks()
 
 
-def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
+def reconstruct(chart, seed=None, transpose_probe=False):
     """March the frame system over a chart and assemble all diagnostics.
 
     The chart should satisfy the natural equation; a residual above
-    `warn_rel` * scale only warns (the resulting diagnostics then exhibit
-    the inconsistency, which is the point of the probe).  The diagnostics
-    are computed in one pass over blocks of interior columns.
+    REL_TOL * scale only warns (the resulting diagnostics then exhibit the
+    inconsistency, which is the point of the probe).  The diagnostics are
+    computed in one pass over blocks of interior columns.  `transpose_probe`
+    marches the columns first as well and records the largest mesh distance.
     """
     chart.validate()
     acc = accumulate_LN(chart)
@@ -341,15 +332,15 @@ def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
         seed = initial_frame(F0, X=seed.X, Y=seed.Y, l=seed.l, x=seed.x)
 
     nat = natural_residual(chart, acc)
-    scale = natural_scale(acc)
-    warning = nat.max_abs > warn_rel * scale
+    warning = nat.max_abs > REL_TOL * nat.scale
     if warning:
         warnings.warn(
             f"chart violates the natural equation (max residual {nat.max_abs:.3g}, "
-            f"scale {scale:.3g}); reconstruction diagnostics will reflect this",
+            f"scale {nat.scale:.3g}); reconstruction diagnostics will reflect this",
             stacklevel=2)
 
-    states = _integrate_grid(u, v, chart.F, acc.L, acc.M, acc.N, i0, j0, seed, first="u")
+    S0 = seed.as_array()
+    states = _integrate_grid(u, v, chart.F, acc.L, acc.M, acc.N, i0, j0, S0)
     X, Y, l, mesh = (states[:, :, 0, :], states[:, :, 1, :],
                      states[:, :, 2, :], states[:, :, 3, :])
 
@@ -389,8 +380,9 @@ def reconstruct(chart, seed=None, transpose_probe=False, warn_rel=1e-3):
 
     transpose_diff = None
     if transpose_probe:
-        alt = _integrate_grid(u, v, chart.F, acc.L, acc.M, acc.N, i0, j0, seed, first="v")
-        transpose_diff = float(np.max(_euclid(alt[:, :, 3, :] - mesh)))
+        alt = _integrate_grid(v, u, chart.F.T, acc.N.T, acc.M.T, acc.L.T, j0, i0,
+                              S0[_SWAP_XY, :])
+        transpose_diff = float(np.max(_euclid(alt[:, :, 3, :] - mesh.swapaxes(0, 1))))
 
     return ReconstructionResult(
         u_grid=u.copy(), v_grid=v.copy(), mesh=mesh, X=X, Y=Y, l=l,
@@ -410,6 +402,14 @@ def _cmc_chart(F, H, u, v, eps1, eps2):
                  eps1=eps1, eps2=eps2).validate()
 
 
+def _refuse_violation(res, which, force):
+    """NaturalEquationError, unless `force`, when `res.max_abs` exceeds REL_TOL * scale."""
+    if res.max_abs > REL_TOL * res.scale and not force:
+        raise NaturalEquationError(
+            f"K violates the {which} natural equation (max residual {res.max_abs:.3g}); "
+            "pass force=True to reconstruct anyway")
+
+
 def cmc_pair(K, H, u_grid, v_grid, seed=None, force=False):
     """The two constant-mean-curvature surfaces sharing (K, H).
 
@@ -424,12 +424,7 @@ def cmc_pair(K, H, u_grid, v_grid, seed=None, force=False):
     u = check_grid(np.asarray(u_grid, dtype=float), "u_grid", 3)
     v = check_grid(np.asarray(v_grid, dtype=float), "v_grid", 3)
     K = np.asarray(K, dtype=float)
-    res = cmc_residual(K, H, u, v)
-    scale = 1.0 + H * H + float(np.max(np.abs(K)))
-    if res.max_abs > 1e-3 * scale and not force:
-        raise NaturalEquationError(
-            f"K violates the constant-H natural equation (max residual {res.max_abs:.3g}); "
-            "pass force=True to reconstruct anyway")
+    _refuse_violation(cmc_residual(K, H, u, v), "constant-H", force)
     F, eps_product = F_from_K_cmc(K, H)
     pairs = ((1, 1), (-1, -1)) if eps_product == 1 else ((1, -1), (-1, 1))
     results = []
@@ -449,12 +444,7 @@ def minimal_from_K(K, u_grid, v_grid, seed=None, force=False):
     u = check_grid(np.asarray(u_grid, dtype=float), "u_grid", 3)
     v = check_grid(np.asarray(v_grid, dtype=float), "v_grid", 3)
     K = np.asarray(K, dtype=float)
-    res = minimal_residual(K, u, v)
-    scale = 1.0 + float(np.max(np.abs(K)))
-    if res.max_abs > 1e-3 * scale and not force:
-        raise NaturalEquationError(
-            f"K violates the minimal natural equation (max residual {res.max_abs:.3g}); "
-            "pass force=True to reconstruct anyway")
+    _refuse_violation(minimal_residual(K, u, v), "minimal", force)
     F, eps_product = F_from_K_cmc(K, 0.0)
     chart = _cmc_chart(F, 0.0, u, v, 1, eps_product)
     return reconstruct(chart, seed=seed)

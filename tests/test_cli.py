@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lorsurf as ls
@@ -276,6 +276,17 @@ not_an_integer = st.one_of(
 )
 
 
+def assert_residual_refuses(path):
+    """`residual --mode general` exits 2 with one error line and no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["residual", str(path), "--mode", "general"])
+    lines = [ln for ln in err.getvalue().splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("lorsurf: error:")
+    assert "Traceback" not in err.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
 @given(key=st.sampled_from(["u0_index", "v0_index", "eps1", "eps2"]), value=not_an_integer)
 def test_cli_refuses_coerced_chart_integers(tmp_path_factory, key, value):
@@ -284,13 +295,54 @@ def test_cli_refuses_coerced_chart_integers(tmp_path_factory, key, value):
     doc = json.loads(path.read_text())
     doc[key] = value
     path.write_text(json.dumps(doc))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["residual", str(path), "--mode", "general"])
-    lines = [ln for ln in err.getvalue().splitlines() if "wall time" not in ln]
-    assert code == 2
-    assert len(lines) == 1 and lines[0].startswith("lorsurf: error:")
-    assert "Traceback" not in err.getvalue()
+    assert_residual_refuses(path)
+
+
+def json_type(x):
+    """The JSON type of x, with arrays of numbers and arrays of such arrays apart."""
+    if isinstance(x, bool):
+        return "boolean"
+    if isinstance(x, (int, float)):
+        return "number"
+    inner = {json_type(e) for e in x} if isinstance(x, list) else None
+    if inner == {"number"}:
+        return "numbers"
+    if inner == {"numbers"}:
+        return "matrix"
+    return type(x).__name__
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+DROP = "<drop the key>"
+OPTIONAL_KEYS = ("L", "M", "N", "K", "metadata")
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(["schema_version", "u_grid", "v_grid", "u0_index", "v0_index",
+                            "eps1", "eps2", "F", "H", *OPTIONAL_KEYS]),
+       value=st.just(DROP) | json_values)
+@example(key="u_grid", value=["0", True, 2]).via("numpy read it as the grid [0, 1, 2]")
+@example(key="schema_version", value=True).via("True == 1")
+def test_cli_refuses_a_dropped_or_mistyped_chart_key(tmp_path_factory, key, value):
+    g = np.linspace(0.0, 2.0, 3)
+    ones, zeros = np.ones((3, 3)), np.zeros((3, 3))
+    chart = small_chart().with_fields(u_grid=g, v_grid=g, L=ones, M=zeros, N=ones, K=zeros,
+                                      metadata={"source": "test"})
+    path = tmp_path_factory.mktemp("keys") / "c.json"
+    ls.write_chart(chart, str(path))
+    doc = json.loads(path.read_text())
+    if value == DROP:
+        assume(key not in OPTIONAL_KEYS)  # a chart without them is valid
+        del doc[key]
+    else:
+        assume(json_type(value) != json_type(doc[key]))
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+    assert_residual_refuses(path)
 
 
 # -- reconstruct -------------------------------------------------------------------
@@ -363,6 +415,34 @@ def test_reconstruct_seed_file(tmp_path):
                                     "l": [0.0, 0.0, 1.0]}))
     assert run("reconstruct", "cylinder", "--grid", "21x21", "--domain", "0:1,0:1",
                "--seed", str(bad_seed), "--mesh", str(tmp_path / "m2")) == 2
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+@pytest.mark.parametrize("X", [["a", 1, 0], [1.0, 1.0]], ids=["non_numeric", "two_components"])
+def test_reconstruct_refuses_malformed_seed_vectors(capsys, tmp_path, X, pair):
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"X": X, "Y": [-1.0, 1.0, 0.0], "l": [0.0, 0.0, 1.0]}))
+    code = run("reconstruct", "cylinder", "--grid", "21x21", "--domain", "0:1,0:1",
+               "--seed", str(seed), "--mesh", str(tmp_path / "m"),
+               *(["--pair"] if pair else []))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("lorsurf: error: seed X")
+
+
+@pytest.mark.parametrize("argv", [
+    ["canonicalize", "--canon-nodes", "1", "--output", "{tmp}/c.json"],  # ZeroDivisionError
+    ["canonicalize", "--canon-nodes", "0", "--output", "{tmp}/c.json"],  # meant the default
+    ["residual", "--mode", "minimal", "--refine", "-1"],  # ValueError from linspace
+    ["residual", "--mode", "minimal", "--refine", "1"],   # division by log(1)
+], ids=["canon_nodes_1", "canon_nodes_0", "refine_-1", "refine_1"])
+def test_integer_flags_below_2_are_refused(capsys, tmp_path, argv):
+    command, *flags = (a.format(tmp=tmp_path) for a in argv)
+    with pytest.raises(SystemExit) as exc:
+        run(command, "enneper1", "--grid", "21x21", *flags)
+    assert exc.value.code == 2
+    assert "expected an integer >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_reconstruct_eps_override_selects_pair_member(tmp_path):

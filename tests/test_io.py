@@ -3,6 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lorsurf as ls
 from lorsurf.chartio import report_json, write_mesh_csv, write_mesh_obj
@@ -71,6 +74,11 @@ def test_chart_file_optional_fields_absent(tmp_path):
     lambda d: d.update(eps2="-1"),        # int() parsed the string
     lambda d: d["F"][0].__setitem__(0, True),   # numpy read it as 1.0
     lambda d: d["H"][1].__setitem__(2, "1.5"),  # numpy parsed the string
+    lambda d: d["u_grid"].__setitem__(slice(2), ["0.1", True]),  # an increasing grid
+    lambda d: d["v_grid"].__setitem__(0, "-2"),         # numpy parsed the string
+    lambda d: d["metadata"].update(canonical="no"),     # bool() read it as canonical
+    lambda d: d.update(schema_version=True),            # True == 1 passed the check
+    lambda d: d["F"][0].__setitem__(0, 10**400),        # OverflowError, a traceback
 ])
 def test_malformed_chart_rejected(tmp_path, corrupt):
     chart = awkward_chart()
@@ -82,6 +90,38 @@ def test_malformed_chart_rejected(tmp_path, corrupt):
     bad.write_text(json.dumps(doc))
     with pytest.raises((ls.ChartError, ls.StencilError)):
         ls.read_chart(str(bad))
+
+
+@st.composite
+def charts(draw):
+    """Charts with non-uniform grids, optional L/M/N/K and any base node."""
+    nu, nv = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    def grid(n):
+        return np.sort(draw(hnp.arrays(float, n, elements=st.floats(-1e6, 1e6), unique=True)))
+
+    def field(elements=finite):
+        return draw(hnp.arrays(float, (nu, nv), elements=elements))
+
+    optional = {name: field() for name in "LMNK" if draw(st.booleans())}
+    return ls.Chart(
+        u_grid=grid(nu), v_grid=grid(nv),
+        F=field(st.floats(0.0, exclude_min=True, allow_infinity=False)), H=field(),
+        u0_index=draw(st.integers(0, nu - 1)), v0_index=draw(st.integers(0, nv - 1)),
+        eps1=draw(st.sampled_from((-1, 1))), eps2=draw(st.sampled_from((-1, 1))),
+        canonical=draw(st.booleans()),
+        metadata=draw(st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2)),
+        **optional).validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(chart=charts())
+def test_chart_write_read_write_is_byte_identical(tmp_path_factory, chart):
+    d = tmp_path_factory.mktemp("round_trip")
+    ls.write_chart(chart, str(d / "a.json"))
+    ls.write_chart(ls.read_chart(str(d / "a.json")), str(d / "b.json"))
+    assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
 
 
 def test_chart_integral_float_index_is_accepted(tmp_path):

@@ -90,6 +90,15 @@ def test_natural_residual_perturbed_cylinder():
     assert np.ptp(rep.residual) <= 1e-12
 
 
+def test_residual_reports_carry_their_scale():
+    # L = N = 1 and M = F H = 1.05: the general scale is 1 + max|LN| + max M^2
+    assert ls.natural_residual(constant_chart(2.1, 0.5)).scale == 1.0 + 1.0 + 1.05**2
+    g = np.linspace(0.0, 1.0, 11)
+    K = np.linspace(-0.5, -0.25, 121).reshape(11, 11)
+    assert ls.cmc_residual(K, 1.5, g, g).scale == 1.0 + 0.5 + 1.5**2
+    assert ls.minimal_residual(K, g, g).scale == 1.0 + 0.5
+
+
 def test_natural_residual_cone_converges_at_order_2():
     coarse = ls.natural_residual(cone_canonical_chart(101))
     fine = ls.natural_residual(cone_canonical_chart(201))

@@ -59,6 +59,13 @@ def test_custom_frame_validation():
     # negatively oriented frame rejected
     with pytest.raises(ls.InvalidFrameError):
         ls.initial_frame(2.0, X=st.Y, Y=st.X, l=st.l)
+    # every vector must be 3 finite numbers
+    for bad in (["a", 1.0, 0.0], [1.0, 1.0], [[1.0, 1.0], 0.0, 0.0], [True, True, False],
+                [1.0, np.inf, 0.0], "abc", {"x": 1.0}):
+        with pytest.raises(ls.InvalidFrameError):
+            ls.initial_frame(2.0, X=bad, Y=st.Y, l=st.l)
+        with pytest.raises(ls.InvalidFrameError):
+            ls.initial_frame(2.0, X=st.X, Y=st.Y, l=st.l, x=bad)
 
 
 # -- reconstruction of the corpus surfaces ----------------------------------------
@@ -409,17 +416,20 @@ def test_congruence_check_refuses_mismatched_meshes_and_short_grids():
         ls.congruence_check(mesh[:2], mesh[:2], g[:2], g)
 
 
-def test_reconstruct_peak_allocation_per_node():
+@pytest.mark.parametrize("probe, bound", [(False, 450.0), (True, 400.0)],
+                         ids=["no_probe", "probe"])
+def test_reconstruct_peak_allocation_per_node(probe, bound):
     # the diagnostics run over column blocks, so the peak is the frame states,
-    # the spline samples and the result arrays: a few hundred bytes per node
+    # the spline samples and the result arrays: a few hundred bytes per node;
+    # the transpose probe adds its second march and no copies of it
     n = 401
     u, v = np.linspace(1.0, 2.0, n), np.linspace(-1.0, 0.0, n)
     chart = ls.reference_chart("enneper1", u, v)
     ls.reconstruct(ls.reference_chart("enneper1", u[:11], v[:11]))  # imports done
     tracemalloc.start()
     try:
-        ls.reconstruct(chart)
+        ls.reconstruct(chart, transpose_probe=probe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (n * n) <= 450.0
+    assert peak / (n * n) <= bound
