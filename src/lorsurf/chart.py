@@ -13,13 +13,25 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ChartError, DomainError, NotGeneralTypeError
+from .errors import (ChartError, DegenerateMetricError, DomainError, NotGeneralTypeError,
+                     NotLorentzSurfaceError)
 from .stencils import check_grid
 from .surfaces import fundamental_forms
 
 __all__ = ["Chart", "grid_index", "chart_from_provider"]
 
 _OPTIONAL_FIELDS = ("L", "M", "N", "K")
+
+# Grid lines per block wherever a whole-grid stage is split to bound its
+# transient memory at O(_BLOCK * n) floats: the provider rows of
+# chart_from_provider, and the column splines and mesh diagnostics of
+# lorsurf.reconstruct.
+_BLOCK = 32
+
+
+def node_at(u_grid, v_grid, i, j):
+    """Name full-grid node (i, j) and its (u, v) for an error message."""
+    return f"({i}, {j}), (u, v) = ({float(u_grid[i])!r}, {float(v_grid[j])!r})"
 
 
 def grid_index(grid, value, name="grid"):
@@ -75,9 +87,8 @@ class Chart:
                 raise ChartError(f"field {name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 i, j = map(int, np.argwhere(~np.isfinite(arr))[0])
-                raise ChartError(
-                    f"field {name} is non-finite at node ({i}, {j}), (u, v) = "
-                    f"({float(self.u_grid[i])!r}, {float(self.v_grid[j])!r})")
+                raise ChartError(f"field {name} is non-finite at node "
+                                 f"{node_at(self.u_grid, self.v_grid, i, j)}")
             setattr(self, name, arr)
         bad = np.argwhere(self.F <= 0.0)
         if bad.size:
@@ -112,23 +123,35 @@ def chart_from_provider(provider, u_grid, v_grid, u0, v0, include_K=True):
     The grid must avoid the provider's singular set.  eps1, eps2 are read
     off as the signs of L and N at the base point; if either vanishes there
     the surface is not of general type at the base point and no chart with
-    well-defined signs exists.
+    well-defined signs exists.  The provider and the forms run on blocks of
+    _BLOCK grid rows, and an error inside a block names its full-grid node.
     """
     u_grid = check_grid(np.asarray(u_grid, dtype=float), "u_grid")
     v_grid = check_grid(np.asarray(v_grid, dtype=float), "v_grid")
     provider.refuse_singular_nodes(u_grid, v_grid)
     i0 = grid_index(u_grid, u0, "u_grid")
     j0 = grid_index(v_grid, v0, "v_grid")
-    U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
-    fd = fundamental_forms(provider(U, V))
-    scale = 1e-10 * (1.0 + np.abs(fd.L[i0, j0]) + np.abs(fd.N[i0, j0]))
-    if abs(fd.L[i0, j0]) <= scale or abs(fd.N[i0, j0]) <= scale:
+    names = ("F", "H", "L", "M", "N") + (("K",) if include_K else ())
+    fields = {name: np.empty((u_grid.size, v_grid.size)) for name in names}
+    for start in range(0, u_grid.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        U, V = np.meshgrid(u_grid[rows], v_grid, indexing="ij")
+        try:
+            fd = fundamental_forms(provider(U, V))
+        except (DomainError, DegenerateMetricError, NotLorentzSurfaceError) as exc:
+            a, j = exc.node
+            i = start + a
+            reason = str(exc).partition(" (first offender at ")[0].partition(" at index ")[0]
+            raise type(exc)(f"{reason} at grid node {node_at(u_grid, v_grid, i, j)}",
+                            node=(i, j)) from None
+        for name in names:
+            fields[name][rows] = getattr(fd, name)
+    L0, N0 = fields["L"][i0, j0], fields["N"][i0, j0]
+    scale = 1e-10 * (1.0 + np.abs(L0) + np.abs(N0))
+    if abs(L0) <= scale or abs(N0) <= scale:
         raise NotGeneralTypeError(
             f"L or N vanishes at the base point ({float(u_grid[i0])!r}, {float(v_grid[j0])!r})")
     chart = Chart(
-        u_grid=u_grid, v_grid=v_grid,
-        F=fd.F, H=fd.H, L=fd.L, M=fd.M, N=fd.N,
-        K=fd.K if include_K else None,
-        u0_index=i0, v0_index=j0,
-        eps1=int(np.sign(fd.L[i0, j0])), eps2=int(np.sign(fd.N[i0, j0])))
+        u_grid=u_grid, v_grid=v_grid, **fields,
+        u0_index=i0, v0_index=j0, eps1=int(np.sign(L0)), eps2=int(np.sign(N0)))
     return chart.validate()

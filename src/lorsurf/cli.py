@@ -434,9 +434,14 @@ def _load_seed(spec):
     try:
         with open(spec) as fh:
             doc = json.load(fh)
-        return FrameState(X=doc["X"], Y=doc["Y"], l=doc["l"], x=doc.get("x"))
+        seed = FrameState(X=doc["X"], Y=doc["Y"], l=doc["l"], x=doc.get("x"))
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ChartError(f"cannot load seed from {spec!r}: {exc}") from exc
+    if seed.X is None and seed.Y is None and seed.l is None:
+        # initial_frame would read three Nones as "the standard seed"
+        raise ChartError(f"seed file {spec!r} has null X, Y and l; "
+                         "use --seed standard for the standard frame")
+    return seed
 
 
 def _result_status(tag, res):

@@ -16,6 +16,13 @@ line; using the spline's own derivative for F_u/F keeps the frame
 invariants exact for the continuous system, so their drift measures pure
 integration error (order 4).
 
+The column march is a stream: each column's frames are stored only until
+the slab of columns around it has given its mesh column, invariant drift
+and compatibility residuals, so no whole-grid frame array exists and the
+results hold no frames.  The transpose probe streams its own march in the
+same way.  Errors of a march name its stage (base line, columns or probe),
+the full-grid node (i, j) and its (u, v).
+
 Frames are never re-orthonormalized during the march: invariant drift and
 the cross-derivative residual d_v X - d_u Y are diagnostics of input
 consistency, and projecting them away would mask violations of the natural
@@ -28,12 +35,12 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import minkowski as mk
-from .chart import Chart
+from .chart import _BLOCK, Chart, node_at
 from .errors import (DegenerateMetricError, InvalidFrameError, NaturalEquationError,
                      NotLorentzSurfaceError, ReconstructionAbort)
 from .natural import (REL_TOL, F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
@@ -53,11 +60,6 @@ __all__ = [
     "CongruenceReport",
     "congruence_check",
 ]
-
-# Columns per block of the column splines and of the mesh diagnostics; the
-# transient memory of both is O(nu * _BLOCK) instead of O(nu * nv).
-_BLOCK = 32
-
 
 @dataclass
 class FrameState:
@@ -155,52 +157,71 @@ def _rk4_step(S, h, c0, cm, c1):
     return S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+class _Place(NamedTuple):
+    """Where a march runs on the full grid, so that its errors name nodes there."""
+
+    stage: str
+    u: np.ndarray
+    v: np.ndarray
+    along_v: bool   # marching index n is j and line m is row first + m; else n is i
+    first: int = 0
+
+    def node(self, n, m):
+        m += self.first
+        return (m, n) if self.along_v else (n, m)
+
+
 def _spline_samples(t, F, P, Q):
-    """Unchecked coefficient samples (F, dF, P, Q) at nodes and interval midpoints."""
+    """Unchecked samples: dF at the nodes, and (F, dF, P, Q) at interval midpoints."""
     from scipy.interpolate import CubicSpline
 
     mids = 0.5 * (t[:-1] + t[1:])
     sF = CubicSpline(t, F, axis=0)
     dF = sF.derivative()
-    nodes = (F.copy(), dF(t), P.copy(), Q.copy())
     smid = (sF(mids), dF(mids),
             CubicSpline(t, P, axis=0)(mids), CubicSpline(t, Q, axis=0)(mids))
-    return nodes, smid
+    return dF(t), smid
 
 
-def _sample_coeffs(t, F, P, Q):
-    """Coefficient samples (F, dF, P, Q) at nodes and interval midpoints.
+def _sample_coeffs(t, F, P, Q, place):
+    """dF at the nodes and the coefficients (F, dF, P, Q) at interval midpoints.
 
     F, P, Q are (n, m) arrays holding m lines with the marching direction
-    along axis 0.  dF is the exact derivative of the interpolating spline,
-    which keeps d<X,Y>/dt = (dF/F) <X,Y> consistent with the sampled F.  The
-    splines of different lines are independent, so they are sampled in
-    blocks of _BLOCK lines.
+    along axis 0; at the nodes the march reads them as given.  dF is the
+    exact derivative of the interpolating spline, which keeps
+    d<X,Y>/dt = (dF/F) <X,Y> consistent with the sampled F.  The splines of
+    different lines are independent, so they are sampled in blocks of
+    _BLOCK lines.  A spline F <= 0 at a midpoint aborts, naming its place.
     """
     n, m = F.shape
-    nodes = tuple(np.empty((n, m)) for _ in range(4))
+    dF = np.empty((n, m))
     smid = tuple(np.empty((n - 1, m)) for _ in range(4))
     for j in range(0, m, _BLOCK):
         cols = slice(j, j + _BLOCK)
-        block = _spline_samples(t, F[:, cols], P[:, cols], Q[:, cols])
-        for out, part in zip(nodes + smid, block[0] + block[1]):
+        dF[:, cols], block = _spline_samples(t, F[:, cols], P[:, cols], Q[:, cols])
+        for out, part in zip(smid, block):
             out[:, cols] = part
-    for arr, label in ((nodes[0], "node"), (smid[0], "midpoint")):
-        bad = arr <= 0.0
-        if np.any(bad):
-            k = int(np.argwhere(bad.any(axis=1))[0][0])
-            raise ReconstructionAbort(f"F <= 0 at marching {label} index {k}", node=k)
-    return nodes, smid
+    bad = smid[0] <= 0.0
+    if np.any(bad):
+        k, line = map(int, np.argwhere(bad)[0])
+        (i, j), (i2, j2) = place.node(k, line), place.node(k + 1, line)
+        um, vm = 0.5 * (place.u[i] + place.u[i2]), 0.5 * (place.v[j] + place.v[j2])
+        raise ReconstructionAbort(
+            f"F <= 0 in the {place.stage} spline at (u, v) = ({float(um)!r}, {float(vm)!r}), "
+            f"between nodes ({i}, {j}) and ({i2}, {j2})", node=(i, j))
+    return dF, smid
 
 
-def _march(t, i0, F, P, Q, S0, out, rows):
-    """March m lines of states S0 (m, 4, 3) from node i0 to both ends of t.
+def _march(t, i0, F, P, Q, S0, place):
+    """Yield (n, S): the states S (m, 4, 3) of m lines marched from S0 at node i0.
 
-    F, P, Q are the lines' u-family coefficients, (n, m) with t along axis 0;
-    the state at node n is stored as out[n] = S[:, rows].
+    F, P, Q are the lines' u-family coefficients, (n, m) with t along axis 0.
+    (i0, S0) comes first, then the march runs forward to the last node and
+    backward from i0 to node 0.  `place` names the nodes in errors.
     """
-    nodes, mids = _sample_coeffs(t, F, P, Q)
-    out[i0] = S0[:, rows]
+    dF, mids = _sample_coeffs(t, F, P, Q, place)
+    nodes = (F, dF, P, Q)
+    yield i0, S0
     forward = zip(range(i0, t.size - 1), range(i0 + 1, t.size))
     backward = zip(range(i0, 0, -1), range(i0 - 1, -1, -1))
     for k, n in itertools.chain(forward, backward):
@@ -209,21 +230,53 @@ def _march(t, i0, F, P, Q, S0, out, rows):
         S = _rk4_step(S, t[n] - t[k], tuple(c[k] for c in nodes),
                       tuple(c[min(k, n)] for c in mids), tuple(c[n] for c in nodes))
         if not np.all(np.isfinite(S)):
-            raise ReconstructionAbort(f"non-finite frame state at marching index {n}", node=n)
-        out[n] = S[:, rows]
+            i, j = place.node(n, int(np.argwhere(~np.isfinite(S))[0][0]))
+            raise ReconstructionAbort(f"non-finite frame state in the {place.stage} march "
+                                      f"at node {node_at(place.u, place.v, i, j)}", node=(i, j))
+        yield n, S
 
 
-def _integrate_grid(u, v, F, L, M, N, i0, j0, S0):
-    """Frame states (nu, nv, 4, 3) marched from S0 (4, 3) at node (i0, j0).
+def _grid_march(u, v, F, L, M, N, i0, j0, S0, base, columns):
+    """Stream the frame states marched from S0 (4, 3) at node (i0, j0), column by column.
 
-    The base line v = v0 is a block of one line; the columns then march
-    together from it on X/Y-swapped states (see _SWAP_XY).
+    The base line v = v0 is marched first, as a block of one line; the
+    columns then march together from it on X/Y-swapped states (see
+    _SWAP_XY).  Yields (j, S) in the order of _march, S (nu, 4, 3) the
+    swapped states of column j.  `base` and `columns` place the two marches.
     """
-    states = np.empty((u.size, v.size, 4, 3))
     line = slice(j0, j0 + 1)
-    _march(u, i0, F[:, line], L[:, line], M[:, line], S0[None], states[:, line], slice(None))
-    _march(v, j0, F.T, N.T, M.T, states[:, j0, _SWAP_XY], states.swapaxes(0, 1), _SWAP_XY)
-    return states
+    states = np.empty((u.size, 4, 3))
+    for n, S in _march(u, i0, F[:, line], L[:, line], M[:, line], S0[None], base):
+        states[n] = S[0]
+    yield from _march(v, j0, F.T, N.T, M.T, states[:, _SWAP_XY], columns)
+
+
+def _slabs(columns, j0):
+    """Group a column stream into slabs of _BLOCK columns plus one neighbour each side.
+
+    Yields (cols, S, new): the slab's v-indices in march order, their
+    stacked states (k, nu, 4, 3) and the position of its first column not
+    in an earlier slab.  Consecutive slabs share two columns, so every
+    column except the two ends of a run is inside some slab with both of
+    its neighbours.  The forward run starts at column j0; the backward run
+    starts from columns j0 + 1 and j0, so its slabs run in decreasing v.
+    """
+    run, seeds, new = [], [], 0
+
+    def slab():
+        return np.array([j for j, _ in run]), np.stack([S for _, S in run]), new
+
+    for j, S in columns:
+        if j == j0 - 1:  # the forward run is done
+            yield slab()
+            run, new = seeds[::-1], len(seeds)
+        run.append((j, S))
+        if j0 <= j <= j0 + 1:
+            seeds.append((j, S))
+        if len(run) == _BLOCK + 2:
+            yield slab()
+            run, new = run[-2:], 2
+    yield slab()
 
 
 # -- results and diagnostics --------------------------------------------------
@@ -245,9 +298,6 @@ class ReconstructionResult:
     u_grid: np.ndarray
     v_grid: np.ndarray
     mesh: np.ndarray               # (nu, nv, 3)
-    X: np.ndarray
-    Y: np.ndarray
-    l: np.ndarray
     eps1: int
     eps2: int
     invariant_drift: np.ndarray    # (nu, nv)
@@ -304,8 +354,8 @@ def _interior_form_blocks(mesh, u, v):
                 a, b = exc.node
                 i, jj = a + 1, j + b
                 reason = str(exc).partition(" at index ")[0]
-                raise type(exc)(f"{reason} at mesh node ({i}, {jj}), (u, v) = "
-                                f"({float(u[i])!r}, {float(v[jj])!r})", node=(i, jj)) from None
+                raise type(exc)(f"{reason} at mesh node {node_at(u, v, i, jj)}",
+                                node=(i, jj)) from None
             yield slice(j, k), fd
 
     return blocks()
@@ -316,9 +366,12 @@ def reconstruct(chart, seed=None, transpose_probe=False):
 
     The chart should satisfy the natural equation; a residual above
     REL_TOL * scale only warns (the resulting diagnostics then exhibit the
-    inconsistency, which is the point of the probe).  The diagnostics are
-    computed in one pass over blocks of interior columns.  `transpose_probe`
-    marches the columns first as well and records the largest mesh distance.
+    inconsistency, which is the point of the probe).  The columns stream
+    from the march in slabs (see _slabs), and each slab's mesh columns,
+    invariant drift and compatibility residuals are stored before the next
+    is marched; no frame is kept beyond its slab.  The form mismatch then
+    runs over blocks of interior mesh columns.  `transpose_probe` marches
+    the columns first as well and records the largest mesh distance.
     """
     chart.validate()
     acc = accumulate_LN(chart)
@@ -339,38 +392,41 @@ def reconstruct(chart, seed=None, transpose_probe=False):
             f"scale {nat.scale:.3g}); reconstruction diagnostics will reflect this",
             stacklevel=2)
 
-    S0 = seed.as_array()
-    states = _integrate_grid(u, v, chart.F, acc.L, acc.M, acc.N, i0, j0, S0)
-    X, Y, l, mesh = (states[:, :, 0, :], states[:, :, 1, :],
-                     states[:, :, 2, :], states[:, :, 3, :])
-
     nu, nv = u.size, v.size
+    mesh = np.empty((nu, nv, 3))
     drift = np.empty((nu, nv))
     compat = np.empty((nu - 2, nv - 2))
     compat_l = np.empty((nu - 2, nv - 2))
+    S0 = seed.as_array()
+    columns = _grid_march(u, v, chart.F, acc.L, acc.M, acc.N, i0, j0, S0,
+                          _Place("base line", u, v, False, j0), _Place("columns", u, v, True))
+    for cols, S, new in _slabs(columns, j0):
+        # slab axes: (column, row, frame vector, component); the rows are X/Y-swapped
+        X, Y, l = S[:, :, 1], S[:, :, 0], S[:, :, 2]
+        fresh = cols[new:]
+        mesh[:, fresh] = S[new:, :, 3].swapaxes(0, 1)
+        drift[:, fresh] = np.stack(list(_frame_errors(
+            X[new:], Y[new:], l[new:], chart.F[:, fresh].T).values())).max(axis=0).T
+        if cols.size < 3:
+            continue
+        # a slab in decreasing v gives the same central differences bit for bit:
+        # IEEE a - b = -(b - a) and (-x) / (-y) = x / y exactly
+        mid = cols[1:-1]
+        D = _central(X[:, 1:-1], v[cols], axis=0) - _central(Y[1:-1], u, axis=1)
+        compat[:, mid - 1] = _euclid(D).T
+        Fi = chart.F[1:-1, mid].T[..., None]
+        Dl = _central(l[1:-1], u, axis=1) \
+            + (acc.M[1:-1, mid].T[..., None] / Fi) * X[1:-1, 1:-1] \
+            + (acc.L[1:-1, mid].T[..., None] / Fi) * Y[1:-1, 1:-1]
+        compat_l[:, mid - 1] = _euclid(Dl).T
+
     dF = np.empty((nu - 2, nv - 2))
     dH = np.empty((nu - 2, nv - 2))
     e_max, g_max = [], []
-    rows = slice(1, -1)
     for cols, fd in _interior_form_blocks(mesh, u, v):
-        # the first and last blocks also carry the border columns of the drift
-        outer = slice(0 if cols.start == 1 else cols.start,
-                      nv if cols.stop == nv - 1 else cols.stop)
-        drift[:, outer] = np.stack(list(_frame_errors(
-            X[:, outer], Y[:, outer], l[:, outer], chart.F[:, outer]).values())).max(axis=0)
-
-        wide = slice(cols.start - 1, cols.stop + 1)
         inner = slice(cols.start - 1, cols.stop - 1)
-        D = _central(X[rows, wide], v[wide], axis=1) - _central(Y[:, cols], u, axis=0)
-        compat[:, inner] = _euclid(D)
-        Fi = chart.F[rows, cols, None]
-        Dl = _central(l[:, cols], u, axis=0) \
-            + (acc.M[rows, cols, None] / Fi) * X[rows, cols] \
-            + (acc.L[rows, cols, None] / Fi) * Y[rows, cols]
-        compat_l[:, inner] = _euclid(Dl)
-
-        dF[:, inner] = np.abs(fd.F - chart.F[rows, cols])
-        dH[:, inner] = np.abs(fd.H - chart.H[rows, cols])
+        dF[:, inner] = np.abs(fd.F - chart.F[1:-1, cols])
+        dH[:, inner] = np.abs(fd.H - chart.H[1:-1, cols])
         e_max.append(np.max(np.abs(fd.E)))
         g_max.append(np.max(np.abs(fd.G)))
     mismatch = FormMismatch(
@@ -380,12 +436,13 @@ def reconstruct(chart, seed=None, transpose_probe=False):
 
     transpose_diff = None
     if transpose_probe:
-        alt = _integrate_grid(v, u, chart.F.T, acc.N.T, acc.M.T, acc.L.T, j0, i0,
-                              S0[_SWAP_XY, :])
-        transpose_diff = float(np.max(_euclid(alt[:, :, 3, :] - mesh.swapaxes(0, 1))))
+        rows = _grid_march(v, u, chart.F.T, acc.N.T, acc.M.T, acc.L.T, j0, i0, S0[_SWAP_XY, :],
+                           _Place("probe base line", u, v, True, i0),
+                           _Place("probe rows", u, v, False))
+        transpose_diff = float(max(np.max(_euclid(S[:, 3] - mesh[i])) for i, S in rows))
 
     return ReconstructionResult(
-        u_grid=u.copy(), v_grid=v.copy(), mesh=mesh, X=X, Y=Y, l=l,
+        u_grid=u.copy(), v_grid=v.copy(), mesh=mesh,
         eps1=chart.eps1, eps2=chart.eps2,
         invariant_drift=drift, max_invariant_drift=float(drift.max()),
         compat_residual=compat, max_compat=float(compat.max()),

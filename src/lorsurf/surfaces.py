@@ -84,10 +84,11 @@ class FundamentalData:
 
 
 def _offender(mask, u, v):
-    """Where the first True of `mask` lies: its (u, v) and its flat index."""
+    """Where the first True of `mask` lies: its (u, v) and flat index, and its index tuple."""
     mask, u, v = np.broadcast_arrays(mask, u, v)
     k = int(np.flatnonzero(mask)[0])
-    return f"(u, v) = ({float(u.flat[k])!r}, {float(v.flat[k])!r}), flat index {k}"
+    where = f"(u, v) = ({float(u.flat[k])!r}, {float(v.flat[k])!r}), flat index {k}"
+    return where, tuple(int(a) for a in np.unravel_index(k, mask.shape))
 
 
 @dataclass
@@ -111,13 +112,15 @@ class SurfaceProvider:
         m = self.stencil_margin
         bad = (u < u_min + m) | (u > u_max - m) | (v < v_min + m) | (v > v_max - m)
         if np.any(bad):
+            where, node = _offender(bad, u, v)
             raise DomainError(f"evaluation outside domain {self.domain} "
-                              f"(first offender at {_offender(bad, u, v)})")
+                              f"(first offender at {where})", node=node)
         if self.singular_set is not None:
             sing = np.asarray(self.singular_set(u, v))
             if np.any(sing):
-                raise DomainError(
-                    f"evaluation on singular set (first offender at {_offender(sing, u, v)})")
+                where, node = _offender(sing, u, v)
+                raise DomainError(f"evaluation on singular set (first offender at {where})",
+                                  node=node)
         return self.jet(u, v)
 
     def singular_nodes(self, u_grid, v_grid):

@@ -30,6 +30,12 @@ def interior_points(entry, rng, n, margin=0.05):
     return np.asarray(pts_u[:n]), np.asarray(pts_v[:n])
 
 
+def random_grid(rng, lo, hi, n):
+    """n strictly increasing nodes from lo to hi with steps varying by up to 3x."""
+    steps = rng.uniform(0.5, 1.5, n - 1)
+    return lo + (hi - lo) * np.concatenate([[0.0], np.cumsum(steps) / steps.sum()])
+
+
 def enneper1_chart(n=101, domain=(1.0, 2.0, -1.0, 0.0)):
     """The canonical Enneper chart (F = (u-v)^2/2, H = 0, eps = +1, +1)."""
     u = np.linspace(domain[0], domain[1], n)

@@ -417,6 +417,19 @@ def test_reconstruct_seed_file(tmp_path):
                "--seed", str(bad_seed), "--mesh", str(tmp_path / "m2")) == 2
 
 
+def test_reconstruct_refuses_seed_file_without_a_frame(capsys, tmp_path):
+    # all-null X, Y, l once marched the standard seed while the report named the file
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"X": None, "Y": None, "l": None, "x": [5, 0, 0]}))
+    code = run("reconstruct", "cylinder", "--grid", "11x11", "--seed", str(seed),
+               "--mesh", str(tmp_path / "m"), "--report", str(tmp_path / "r.json"))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("lorsurf: error: ")
+    assert "null" in lines[0]
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.obj").exists()
+
+
 @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
 @pytest.mark.parametrize("X", [["a", 1, 0], [1.0, 1.0]], ids=["non_numeric", "two_components"])
 def test_reconstruct_refuses_malformed_seed_vectors(capsys, tmp_path, X, pair):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 import lorsurf as ls
 import lorsurf.minkowski as mk
-from lorsurf.reconstruct import FormMismatch, _sample_coeffs, _spline_samples
+from lorsurf.reconstruct import (_SWAP_XY, FormMismatch, _Place, _rk4_step, _sample_coeffs,
+                                  _spline_samples)
 from lorsurf.surfaces import SurfaceJet2, fundamental_forms, jets_from_mesh
 
-from conftest import enneper1_chart
+from conftest import enneper1_chart, random_grid
 
 
 def interior_forms(mesh, u, v):
@@ -173,16 +174,54 @@ def test_transpose_probe():
     assert bad.transpose_diff >= 1e-3
 
 
-def test_abort_on_F_spline_undershoot():
-    u = np.linspace(0.0, 6.0, 7)
-    F = np.tile(np.array([1.0, 1.0, 1.0, 60.0, 1.0, 1.0, 1.0])[:, None], (1, 7))
-    chart = ls.Chart(u_grid=u, v_grid=u, F=F, H=np.zeros((7, 7)),
-                     u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
-    import warnings
+_G7 = np.linspace(0.0, 6.0, 7)
+_SPIKE = np.array([1.0, 1.0, 1.0, 60.0, 1.0, 1.0, 1.0])
+
+
+def _chart7(F, H=None):
+    return ls.Chart(u_grid=_G7, v_grid=_G7, F=F, H=np.zeros((7, 7)) if H is None else H,
+                    u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
+
+
+def _abort(chart, probe=False):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ls.ReconstructionAbort):
-            ls.reconstruct(chart)
+        warnings.simplefilter("ignore")  # natural-equation warning, overflow in the march
+        with pytest.raises(ls.ReconstructionAbort) as err:
+            ls.reconstruct(chart, transpose_probe=probe)
+    return err.value
+
+
+def test_abort_on_F_spline_undershoot():
+    # F spikes along u on every column: the base line's spline dips below 0
+    err = _abort(_chart7(np.tile(_SPIKE[:, None], (1, 7))))
+    assert str(err) == ("F <= 0 in the base line spline at (u, v) = (1.5, 0.0), "
+                        "between nodes (1, 0) and (2, 0)")
+    assert err.node == (1, 0)
+
+
+def _late_H():
+    H = np.zeros((7, 7))
+    H[:, 4:] = 1e100  # M = F H overflows the columns' states, not the base line's
+    return H
+
+
+@pytest.mark.parametrize("F, H, probe, message, node", [
+    (np.tile(_SPIKE[None, :], (7, 1)), None, False,
+     "F <= 0 in the columns spline at (u, v) = (0.0, 1.5), between nodes (0, 1) and (0, 2)",
+     (0, 1)),
+    # F spikes along u off the base column, with a v^2 profile that the column
+    # march's v-splines reproduce exactly: only the probe's u-splines dip
+    (1.0 + 2.0 * np.outer(_SPIKE - 1.0, (_G7 / 6.0) ** 2), None, True,
+     "F <= 0 in the probe rows spline at (u, v) = (1.5, 2.0), between nodes (1, 2) and (2, 2)",
+     (1, 2)),
+    (np.ones((7, 7)), _late_H(), False,
+     "non-finite frame state in the columns march at node (0, 2), (u, v) = (0.0, 2.0)",
+     (0, 2)),
+], ids=["columns", "probe", "non_finite"])
+def test_abort_names_stage_node_and_place(F, H, probe, message, node):
+    err = _abort(_chart7(F, H), probe)
+    assert str(err) == message and err.node == node
+    assert all(type(k) is int for k in err.node)
 
 
 # -- CMC pair and minimal reconstruction ---------------------------------------------
@@ -310,11 +349,35 @@ def _euclid(A):
     return np.sqrt(np.sum(A * A, axis=-1))
 
 
-def whole_grid_diagnostics(res, chart):
-    """The diagnostics of reconstruct computed on the whole grid at once."""
-    u, v, X, Y, l = chart.u_grid, chart.v_grid, res.X, res.Y, res.l
+def march_lines(t, i0, F, P, Q, S0):
+    """States (n, m, 4, 3) of m lines marched from S0 (m, 4, 3) at node i0, all kept."""
+    dF, mids = _spline_samples(t, F, P, Q)  # every line at once
+    nodes = (F, dF, P, Q)
+    out = np.empty((t.size,) + S0.shape)
+    out[i0] = S0
+    steps = list(zip(range(i0, t.size - 1), range(i0 + 1, t.size))) \
+        + list(zip(range(i0, 0, -1), range(i0 - 1, -1, -1)))
+    for k, n in steps:
+        out[n] = _rk4_step(out[k], t[n] - t[k], [c[k] for c in nodes],
+                           [c[min(k, n)] for c in mids], [c[n] for c in nodes])
+    return out
+
+
+def whole_grid_states(u, v, F, L, M, N, i0, j0, S0):
+    """Frame states (nu, nv, 4, 3) of the base line and then all columns."""
+    line = slice(j0, j0 + 1)
+    base = march_lines(u, i0, F[:, line], L[:, line], M[:, line], S0[None])[:, 0]
+    columns = march_lines(v, j0, F.T, N.T, M.T, base[:, _SWAP_XY])
+    return columns.swapaxes(0, 1)[:, :, _SWAP_XY]
+
+
+def whole_grid_diagnostics(chart, S0, probe):
+    """The mesh and the diagnostics of reconstruct computed on the whole grid at once."""
+    u, v, F = chart.u_grid, chart.v_grid, chart.F
+    i0, j0 = chart.u0_index, chart.v0_index
     acc = ls.accumulate_LN(chart)
-    F = chart.F
+    states = whole_grid_states(u, v, F, acc.L, acc.M, acc.N, i0, j0, S0)
+    X, Y, l, mesh = (states[:, :, k] for k in range(4))
     drift = np.stack([np.abs(mk.inner(X, X)), np.abs(mk.inner(Y, Y)),
                       np.abs(mk.inner(X, Y) - F), np.abs(mk.inner(l, l) - 1.0),
                       np.abs(mk.inner(X, l)), np.abs(mk.inner(Y, l))]).max(axis=0)
@@ -322,14 +385,18 @@ def whole_grid_diagnostics(res, chart):
     Fi = F[1:-1, 1:-1, None]
     Dl = _central(l, u, axis=0)[:, 1:-1] + (acc.M[1:-1, 1:-1, None] / Fi) * X[1:-1, 1:-1] \
         + (acc.L[1:-1, 1:-1, None] / Fi) * Y[1:-1, 1:-1]
-    fd = interior_forms(res.mesh, u, v)
+    fd = interior_forms(mesh, u, v)
     dF = np.abs(fd.F - F[1:-1, 1:-1])
     dH = np.abs(fd.H - chart.H[1:-1, 1:-1])
     mismatch = FormMismatch(
         f_max=float(dF.max()), f_l2=float(np.sqrt(np.mean(dF**2))),
         h_max=float(dH.max()), h_l2=float(np.sqrt(np.mean(dH**2))),
         e_max=float(np.max(np.abs(fd.E))), g_max=float(np.max(np.abs(fd.G))))
-    return drift, _euclid(D), _euclid(Dl), mismatch
+    transpose_diff = None
+    if probe:
+        alt = whole_grid_states(v, u, F.T, acc.N.T, acc.M.T, acc.L.T, j0, i0, S0[_SWAP_XY, :])
+        transpose_diff = float(np.max(_euclid(alt[:, :, 3] - mesh.swapaxes(0, 1))))
+    return mesh, drift, _euclid(D), _euclid(Dl), mismatch, transpose_diff
 
 
 def whole_grid_congruence(mesh_a, mesh_b, u, v):
@@ -349,35 +416,44 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def random_grid(rng, lo, hi, n):
-    steps = rng.uniform(0.5, 1.5, n - 1)
-    return lo + (hi - lo) * np.concatenate([[0.0], np.cumsum(steps) / steps.sum()])
-
-
-@settings(max_examples=25, deadline=None)
-@given(nu=st.integers(3, 90), nv=st.integers(3, 90), seed=st.integers(0, 2**32 - 1))
-@example(nu=5, nv=3, seed=0).via("one block of one column")
-@example(nu=40, nv=34, seed=1).via("nv - 2 is one block width")
-@example(nu=3, nv=66, seed=2).via("nv - 2 is two block widths")
-@example(nu=21, nv=67, seed=3).via("a one-column last block")
-def test_blocked_diagnostics_equal_whole_grid_bit_for_bit(nu, nv, seed):
+def check_streamed_reconstruction(nu, nv, i0, j0, probe, seed):
+    """Every result of reconstruct equals the whole-grid march and formulas bit for bit."""
     rng = np.random.default_rng(seed)
     u, v = random_grid(rng, 1.0, 2.0, nu), random_grid(rng, -1.0, 0.0, nv)
-    chart = ls.reference_chart("enneper1", u, v)
+    chart = ls.reference_chart("enneper1", u, v, u0=u[i0], v0=v[j0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        res = ls.reconstruct(chart)
-    acc = ls.accumulate_LN(chart)
-    columns = (v, chart.F.T, acc.N.T, acc.M.T)  # nu columns, sampled in blocks
-    assert bits(sum(_sample_coeffs(*columns), ())) == bits(sum(_spline_samples(*columns), ()))
-
-    drift, compat, compat_l, mismatch = whole_grid_diagnostics(res, chart)
+        res = ls.reconstruct(chart, transpose_probe=probe)
+    S0 = ls.initial_frame(chart.F[i0, j0]).as_array()
+    mesh, drift, compat, compat_l, mismatch, transpose_diff = \
+        whole_grid_diagnostics(chart, S0, probe)
+    assert bits(res.mesh) == bits(mesh)
     assert bits(res.invariant_drift) == bits(drift)
     assert bits(res.compat_residual) == bits(compat)
     assert bits(res.compat_residual_l) == bits(compat_l)
     assert bits(res.form_mismatch) == bits(mismatch)
     assert bits([res.max_invariant_drift, res.max_compat, res.max_compat_l]) == \
         bits([drift.max(), compat.max(), compat_l.max()])
+    assert (res.transpose_diff is None) == (not probe)
+    if probe:
+        assert bits(res.transpose_diff) == bits(transpose_diff)
+    return res, chart
+
+
+@settings(max_examples=25, deadline=None)
+@given(nu=st.integers(3, 90), nv=st.integers(3, 90), i0=st.integers(0, 89),
+       j0=st.integers(0, 89), probe=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(nu=5, nv=3, i0=2, j0=1, probe=False, seed=0).via("one block of one column")
+@example(nu=40, nv=34, i0=20, j0=16, probe=True, seed=1).via("nv - 2 is one block width")
+@example(nu=3, nv=66, i0=1, j0=32, probe=False, seed=2).via("nv - 2 is two block widths")
+@example(nu=21, nv=67, i0=10, j0=33, probe=True, seed=3).via("a one-column last block")
+def test_blocked_diagnostics_equal_whole_grid_bit_for_bit(nu, nv, i0, j0, probe, seed):
+    res, chart = check_streamed_reconstruction(nu, nv, i0 % nu, j0 % nv, probe, seed)
+    acc = ls.accumulate_LN(chart)
+    u, v = chart.u_grid, chart.v_grid
+    columns = (v, chart.F.T, acc.N.T, acc.M.T)  # nu columns, sampled in blocks
+    place = _Place("columns", u, v, True)
+    assert bits(_sample_coeffs(*columns, place)) == bits(_spline_samples(*columns))
 
     U, V = np.meshgrid(u, v, indexing="ij")
     closed = ls.get("enneper1").position(U, V)
@@ -385,6 +461,15 @@ def test_blocked_diagnostics_equal_whole_grid_bit_for_bit(nu, nv, seed):
     diff, flipped = whole_grid_congruence(res.mesh, closed, u, v)
     assert bits(rep.mismatch) == bits(diff)
     assert bits(rep.mismatch_flipped) == bits(flipped)
+
+
+@pytest.mark.parametrize("width", [32, 33, 64, 65], ids=lambda w: f"nv-2={w}")
+@pytest.mark.parametrize("base", [0, 1, -2, -1], ids=["j0=0", "j0=1", "j0=nv-2", "j0=nv-1"])
+def test_streamed_diagnostics_at_slab_edges(base, width):
+    # the forward and backward runs meet at j0; nv - 2 interior columns fill
+    # whole slabs or leave one column over; the probe rides on odd widths
+    nv = width + 2
+    check_streamed_reconstruction(7, nv, 3, base % nv, width % 2 == 1, width)
 
 
 def test_degenerate_node_in_a_late_block_is_named_on_the_full_grid():
@@ -416,12 +501,12 @@ def test_congruence_check_refuses_mismatched_meshes_and_short_grids():
         ls.congruence_check(mesh[:2], mesh[:2], g[:2], g)
 
 
-@pytest.mark.parametrize("probe, bound", [(False, 450.0), (True, 400.0)],
+@pytest.mark.parametrize("probe, bound", [(False, 170.0), (True, 180.0)],
                          ids=["no_probe", "probe"])
 def test_reconstruct_peak_allocation_per_node(probe, bound):
-    # the diagnostics run over column blocks, so the peak is the frame states,
-    # the spline samples and the result arrays: a few hundred bytes per node;
-    # the transpose probe adds its second march and no copies of it
+    # no frame outlives its slab of columns, so the peak is the mesh and the
+    # other result arrays, L, M, N and one march's spline samples (~150 B/node);
+    # the probe's march comes after the columns' splines are freed
     n = 401
     u, v = np.linspace(1.0, 2.0, n), np.linspace(-1.0, 0.0, n)
     chart = ls.reference_chart("enneper1", u, v)
