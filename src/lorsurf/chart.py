@@ -18,7 +18,7 @@ from .errors import (ChartError, DegenerateMetricError, DomainError, NotGeneralT
 from .stencils import check_grid
 from .surfaces import fundamental_forms
 
-__all__ = ["Chart", "grid_index", "chart_from_provider"]
+__all__ = ["Chart", "grid_index", "base_signs", "chart_from_provider"]
 
 _OPTIONAL_FIELDS = ("L", "M", "N", "K")
 
@@ -42,6 +42,16 @@ def grid_index(grid, value, name="grid"):
     if abs(grid[i] - value) > 1e-9 * max(span, 1.0):
         raise DomainError(f"{name}: base value {float(value)!r} is not a grid node")
     return i
+
+
+def base_signs(L0, N0):
+    """(eps1, eps2), the signs of L and N at a base point; None if either
+    is at most 1e-10 * (1 + |L0| + |N0|): the surface is then not of general
+    type there, and canonical coordinates based there do not exist."""
+    tiny = 1e-10 * (1.0 + abs(L0) + abs(N0))
+    if abs(L0) <= tiny or abs(N0) <= tiny:
+        return None
+    return int(np.sign(L0)), int(np.sign(N0))
 
 
 @dataclass
@@ -146,12 +156,10 @@ def chart_from_provider(provider, u_grid, v_grid, u0, v0, include_K=True):
                             node=(i, j)) from None
         for name in names:
             fields[name][rows] = getattr(fd, name)
-    L0, N0 = fields["L"][i0, j0], fields["N"][i0, j0]
-    scale = 1e-10 * (1.0 + np.abs(L0) + np.abs(N0))
-    if abs(L0) <= scale or abs(N0) <= scale:
+    signs = base_signs(fields["L"][i0, j0], fields["N"][i0, j0])
+    if signs is None:
         raise NotGeneralTypeError(
             f"L or N vanishes at the base point ({float(u_grid[i0])!r}, {float(v_grid[j0])!r})")
-    chart = Chart(
-        u_grid=u_grid, v_grid=v_grid, **fields,
-        u0_index=i0, v0_index=j0, eps1=int(np.sign(L0)), eps2=int(np.sign(N0)))
+    chart = Chart(u_grid=u_grid, v_grid=v_grid, **fields,
+                  u0_index=i0, v0_index=j0, eps1=signs[0], eps2=signs[1])
     return chart.validate()

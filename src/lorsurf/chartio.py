@@ -25,6 +25,7 @@ from .errors import ChartError
 __all__ = [
     "write_chart",
     "read_chart",
+    "parse_chart",
     "write_report",
     "report_json",
     "write_mesh_obj",
@@ -96,12 +97,21 @@ def _numbers(what, values):
 
 
 def read_chart(path):
-    """Parse and validate a chart file."""
+    """Read, parse and validate a chart file."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ChartError(f"cannot read chart file {path!r}: {exc}") from exc
+    return parse_chart(data, path)
+
+
+def parse_chart(data, path):
+    """Parse and validate the bytes of a chart file; `path` names it in errors."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ChartError(f"chart file {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ChartError(f"chart file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -26,16 +26,12 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import minkowski as mk
-from .canonical import (
-    canonical_maps,
-    canonical_maps_from_lines,
-    resample_to_canonical,
-    verify_canonical,
-)
-from .chart import chart_from_provider, grid_index
+from .canonical import canonical_maps_from_lines, resample_to_canonical, verify_canonical
+from .chart import base_signs, chart_from_provider, grid_index
 from .chartio import (
     digest_bytes,
     digest_text,
+    parse_chart,
     read_chart,
     report_json,
     write_chart,
@@ -123,7 +119,7 @@ def _grid_through(base, lo, hi, n):
 class _Source:
     """Resolved input: either a corpus entry sampled on a grid or a chart file."""
 
-    def __init__(self, args, need_grid=True):
+    def __init__(self, args):
         name = args.source
         self.is_corpus = name in corpus_mod.names()
         self.inputs = {"source": name}
@@ -150,7 +146,7 @@ class _Source:
             except OSError as exc:
                 raise ChartError(
                     f"{name!r} is neither a corpus surface nor a readable chart file: {exc}")
-            self.chart_data = read_chart(name)
+            self.chart_data = parse_chart(raw, name)
             self.inputs.update({"kind": "chart_file", "digest": digest_bytes(raw)})
 
     def chart(self):
@@ -162,26 +158,19 @@ class _Source:
 
 # -- analyze ------------------------------------------------------------------
 
-def _forms_on_grid(provider, u_grid, v_grid):
-    U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
-    if provider.singular_set is not None:
-        excluded = np.asarray(provider.singular_set(U, V), dtype=bool)
-    else:
-        excluded = np.zeros(U.shape, dtype=bool)
-    valid = ~excluded
-    if not np.any(valid):
-        raise DomainError("every grid node lies on the singular set")
-    fd = fundamental_forms(provider.jet(U[valid], V[valid]))
+def _kind_counts(K, H):
+    kinds = kind_field(SimpleNamespace(K=K, H=H))
+    return {"count_first_kind": int(np.sum(kinds == 1)),
+            "count_second_kind": int(np.sum(kinds == -1)),
+            "count_not_general_type": int(np.sum(kinds == 0))}
 
-    def scatter(flat):
-        out = np.full(U.shape, np.nan)
-        out[valid] = flat
-        return out
 
-    fields = {n: scatter(getattr(fd, n)) for n in ("E", "F", "G", "L", "M", "N", "K", "H")}
-    normal = np.full(U.shape + (3,), np.nan)
-    normal[valid] = fd.l
-    return fields, normal, valid, int(excluded.sum())
+def _canonical_status(chart, tol):
+    rep = verify_canonical(chart, tol=tol)
+    return _status("canonical", {
+        "status": "pass" if rep.passed else "fail",
+        "max_dev_L": rep.max_dev_L, "max_dev_N": rep.max_dev_N,
+        "eps1": rep.eps1, "eps2": rep.eps2, "tolerance": tol})
 
 
 def cmd_analyze(args):
@@ -194,23 +183,28 @@ def cmd_analyze(args):
         u_grid, v_grid = src.u_grid, src.v_grid
         i0 = grid_index(u_grid, src.u0, "u_grid")
         j0 = grid_index(v_grid, src.v0, "v_grid")
-        fields, normal, valid, excluded = _forms_on_grid(entry.provider, u_grid, v_grid)
-        E, F, G = fields["E"], fields["F"], fields["G"]
-        L, N, K, H = fields["L"], fields["N"], fields["K"], fields["H"]
+        U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
+        valid = np.ones(U.shape, dtype=bool)
+        valid[tuple(entry.provider.singular_nodes(u_grid, v_grid).T)] = False
+        if not np.any(valid):
+            raise DomainError("every grid node lies on the singular set")
+        # the forms live on the regular nodes only; at[i, j] is node (i, j)'s
+        # index there, read only where valid[i, j]
+        Uv, Vv = U[valid], V[valid]
+        at = np.cumsum(valid).reshape(valid.shape) - 1
+        jets = entry.provider.jet(Uv, Vv)
+        fd = fundamental_forms(jets)
 
-        e_max = float(np.max(np.abs(E[valid])))
-        g_max = float(np.max(np.abs(G[valid])))
-        f_min = float(np.min(F[valid]))
+        e_max = float(np.max(np.abs(fd.E)))
+        g_max = float(np.max(np.abs(fd.G)))
+        f_min = float(np.min(fd.F))
         checks.append(_check("isotropic", {"max_abs_E": e_max, "max_abs_G": g_max,
                                            "min_F": f_min}, tol_iso,
                              e_max <= tol_iso and g_max <= tol_iso and f_min > tol_iso))
 
-        U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
-        Uv, Vv, nrm = U[valid], V[valid], normal[valid]
-        jets = entry.provider.jet(Uv, Vv)
-        n_unit = float(np.max(np.abs(mk.inner(nrm, nrm) - 1.0)))
-        n_xu = float(np.max(np.abs(mk.inner(jets.x_u, nrm))))
-        n_xv = float(np.max(np.abs(mk.inner(jets.x_v, nrm))))
+        n_unit = float(np.max(np.abs(mk.inner(fd.l, fd.l) - 1.0)))
+        n_xu = float(np.max(np.abs(mk.inner(jets.x_u, fd.l))))
+        n_xv = float(np.max(np.abs(mk.inner(jets.x_v, fd.l))))
         checks.append(_check("normal_contract", {"max_abs_l2_minus_1": n_unit,
                                                  "max_abs_xu_l": n_xu,
                                                  "max_abs_xv_l": n_xv}, tol_normal,
@@ -220,43 +214,36 @@ def cmd_analyze(args):
         ref_devs = {}
         for name in ("F", "L", "M", "N", "K", "H"):
             want = getattr(entry.reference, name)(Uv, Vv)
-            ref_devs[name] = float(np.max(np.abs(fields[name][valid] - want))
+            ref_devs[name] = float(np.max(np.abs(getattr(fd, name) - want))
                                    / (1.0 + np.max(np.abs(want))))
         checks.append(_check("reference_match", ref_devs, tol_ref,
                              max(ref_devs.values()) <= tol_ref))
 
-        kinds = kind_field(SimpleNamespace(K=K[valid], H=H[valid]))
-        base_ok = bool(valid[i0, j0])  # a singular base node has no forms
+        base_ok, k0 = bool(valid[i0, j0]), at[i0, j0]  # a singular base node has no forms
+        K0, H0 = fd.K[k0], fd.H[k0]
         statuses.append(_status("classification", {
-            "kind_at_base": _KIND_NAMES[int(kind_field(
-                SimpleNamespace(K=K[i0, j0], H=H[i0, j0])))] if base_ok else "unavailable",
-            "count_first_kind": int(np.sum(kinds == 1)),
-            "count_second_kind": int(np.sum(kinds == -1)),
-            "count_not_general_type": int(np.sum(kinds == 0)),
-            "H_at_base": float(H[i0, j0]) if base_ok else None,
-            "K_at_base": float(K[i0, j0]) if base_ok else None,
-            "excluded_singular_nodes": excluded,
+            "kind_at_base": _KIND_NAMES[int(kind_field(SimpleNamespace(K=K0, H=H0)))]
+            if base_ok else "unavailable",
+            **_kind_counts(fd.K, fd.H),
+            "H_at_base": float(H0) if base_ok else None,
+            "K_at_base": float(K0) if base_ok else None,
+            "excluded_singular_nodes": int(np.sum(~valid)),
         }))
 
         line_ok = np.all(valid[:, j0]) and np.all(valid[i0, :])
-        L0, N0 = float(L[i0, j0]), float(N[i0, j0])
-        tiny = 1e-10 * (1.0 + abs(L0) + abs(N0))
+        signs = base_signs(fd.L[k0], fd.N[k0]) if line_ok else None
         if not line_ok:
             statuses.append(_status("canonical", {"status": "unavailable",
                                                   "reason": "singular nodes on base lines"}))
-        elif abs(L0) <= tiny or abs(N0) <= tiny:
+        elif signs is None:
             statuses.append(_status("canonical", {
                 "status": "unavailable",
                 "reason": "not of general type at the base point (L or N vanishes)"}))
         else:
-            eps1, eps2 = int(np.sign(L0)), int(np.sign(N0))
-            dev_L = float(np.max(np.abs(L[:, j0] - eps1)))
-            dev_N = float(np.max(np.abs(N[i0, :] - eps2)))
-            ok = dev_L <= args.tol_canonical and dev_N <= args.tol_canonical
-            statuses.append(_status("canonical", {
-                "status": "pass" if ok else "fail",
-                "max_dev_L": dev_L, "max_dev_N": dev_N,
-                "eps1": eps1, "eps2": eps2, "tolerance": args.tol_canonical}))
+            # verify_canonical reads only the base lines, which are regular here
+            forms = SimpleNamespace(L=fd.L[at], N=fd.N[at], u0_index=i0, v0_index=j0,
+                                    u0=src.u0, v0=src.v0, eps1=signs[0], eps2=signs[1])
+            statuses.append(_canonical_status(forms, args.tol_canonical))
 
         if args.mesh:
             mesh = entry.position(U, V)
@@ -270,16 +257,8 @@ def cmd_analyze(args):
         if chart.L is not None and chart.N is not None:
             # H^2 - K = LN/F^2 in null coordinates
             K = chart.K if chart.K is not None else chart.H**2 - chart.L * chart.N / chart.F**2
-            kinds = kind_field(SimpleNamespace(K=K, H=chart.H))
-            statuses.append(_status("classification", {
-                "count_first_kind": int(np.sum(kinds == 1)),
-                "count_second_kind": int(np.sum(kinds == -1)),
-                "count_not_general_type": int(np.sum(kinds == 0))}))
-            rep = verify_canonical(chart, tol=args.tol_canonical)
-            statuses.append(_status("canonical", {
-                "status": "pass" if rep.passed else "fail",
-                "max_dev_L": rep.max_dev_L, "max_dev_N": rep.max_dev_N,
-                "eps1": rep.eps1, "eps2": rep.eps2, "tolerance": args.tol_canonical}))
+            statuses.append(_status("classification", _kind_counts(K, chart.H)))
+            statuses.append(_canonical_status(chart, args.tol_canonical))
         nat = natural_residual(chart)
         statuses.append(_status("natural_residual", {"max_abs": nat.max_abs, "l2": nat.l2}))
 
@@ -303,20 +282,17 @@ def cmd_analyze(args):
 def cmd_canonicalize(args):
     src = _Source(args)
     if src.is_corpus:
-        provider = src.entry.provider
-        maps = canonical_maps(provider, src.u0, src.v0, src.u_grid, src.v_grid,
-                              tilde_u0=args.tilde_u0, tilde_v0=args.tilde_v0)
-        source_chart = chart_from_provider(provider, src.u_grid, src.v_grid,
+        source_chart = chart_from_provider(src.entry.provider, src.u_grid, src.v_grid,
                                            src.u0, src.v0)
     else:
         source_chart = src.chart_data
         if source_chart.L is None or source_chart.N is None:
             raise ChartError("canonicalize needs a chart carrying L and N fields")
-        maps = canonical_maps_from_lines(
-            source_chart.u_grid, source_chart.L[:, source_chart.v0_index],
-            source_chart.v_grid, source_chart.N[source_chart.u0_index, :],
-            source_chart.u0, source_chart.v0,
-            tilde_u0=args.tilde_u0, tilde_v0=args.tilde_v0)
+    # the maps need only L on the base line v = v0 and N on u = u0
+    maps = canonical_maps_from_lines(
+        source_chart.u_grid, source_chart.L[:, source_chart.v0_index],
+        source_chart.v_grid, source_chart.N[source_chart.u0_index, :],
+        source_chart.u0, source_chart.v0, tilde_u0=args.tilde_u0, tilde_v0=args.tilde_v0)
     umap, vmap = maps
     nu = args.canon_nodes if args.canon_nodes else source_chart.u_grid.size
     nv = args.canon_nodes if args.canon_nodes else source_chart.v_grid.size

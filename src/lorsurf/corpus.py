@@ -14,7 +14,7 @@ satisfy E = G = 0 identically on their domains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class CorpusEntry:
     provider: SurfaceProvider
     reference: ReferenceForms
     default_domain: tuple
-    singular_set: Optional[Callable]
     kind: SurfaceKind
     notes: str
 
@@ -190,8 +189,7 @@ _PROVIDER_BOX = (-50.0, 50.0, -50.0, 50.0)  # parametrizations are global; the
 def _entry(name, pos, jet, domain, reference, kind, notes, singular=None):
     provider = SurfaceProvider(jet=jet, domain=_PROVIDER_BOX, singular_set=singular)
     return CorpusEntry(name=name, position=pos, provider=provider,
-                       reference=reference, default_domain=domain,
-                       singular_set=singular, kind=kind, notes=notes)
+                       reference=reference, default_domain=domain, kind=kind, notes=notes)
 
 
 _SING_BAND = 1e-6  # guard band around lines where F vanishes

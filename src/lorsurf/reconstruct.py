@@ -227,8 +227,9 @@ def _march(t, i0, F, P, Q, S0, place):
     for k, n in itertools.chain(forward, backward):
         if k == i0:
             S = S0  # each direction starts from the base node
-        S = _rk4_step(S, t[n] - t[k], tuple(c[k] for c in nodes),
-                      tuple(c[min(k, n)] for c in mids), tuple(c[n] for c in nodes))
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite states abort below
+            S = _rk4_step(S, t[n] - t[k], tuple(c[k] for c in nodes),
+                          tuple(c[min(k, n)] for c in mids), tuple(c[n] for c in nodes))
         if not np.all(np.isfinite(S)):
             i, j = place.node(n, int(np.argwhere(~np.isfinite(S))[0][0]))
             raise ReconstructionAbort(f"non-finite frame state in the {place.stage} march "

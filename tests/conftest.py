@@ -17,8 +17,8 @@ def interior_points(entry, rng, n, margin=0.05):
     while len(pts_u) < n:
         u = rng.uniform(a + margin * du, b - margin * du, 2 * n)
         v = rng.uniform(c + margin * dv, d - margin * dv, 2 * n)
-        if entry.singular_set is not None:
-            keep = ~np.asarray(entry.singular_set(u, v), dtype=bool)
+        if entry.provider.singular_set is not None:
+            keep = ~np.asarray(entry.provider.singular_set(u, v), dtype=bool)
             # stay clear of the guard band so F is O(1)
             if entry.name == "enneper1":
                 keep &= np.abs(u - v) > 0.05

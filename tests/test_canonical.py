@@ -66,6 +66,24 @@ def test_map_monotonicity_and_inverse():
         umap.inverse(umap.range[1] + 1.0)
 
 
+@pytest.mark.parametrize("base", ["centre", "off_centre"])
+@pytest.mark.parametrize("name", ["enneper1", "enneper2", "cylinder", "hyperbolic_cylinder",
+                                  "hyperbolic_cone"])
+def test_provider_maps_equal_maps_from_the_chart_base_lines(name, base):
+    # canonicalize builds its maps from chart_from_provider's base lines
+    entry = ls.get(name)
+    a, b, c, d = entry.default_domain
+    u, v = np.linspace(a, b, 21), np.linspace(c, d, 25)
+    i0, j0 = (10, 12) if base == "centre" else (3, 19)
+    chart = ls.chart_from_provider(entry.provider, u, v, u[i0], v[j0])
+    from_lines = ls.canonical_maps_from_lines(u, chart.L[:, j0], v, chart.N[i0, :],
+                                              u[i0], v[j0], tilde_u0=0.5, tilde_v0=-1.0)
+    from_provider = ls.canonical_maps(entry.provider, u[i0], v[j0], u, v,
+                                      tilde_u0=0.5, tilde_v0=-1.0)
+    for m, n in zip(from_provider, from_lines):
+        assert np.array_equal(m.values, n.values) and np.array_equal(m.derivative, n.derivative)
+
+
 def test_maps_reject_degenerate_lines():
     g = np.linspace(-0.5, 0.5, 21)
     with pytest.raises(ls.NotGeneralTypeError):

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import dataclasses
 import inspect
@@ -14,7 +15,7 @@ import lorsurf as ls
 from lorsurf import errors
 from lorsurf.cli import main
 
-from conftest import CONE_TU0
+from conftest import CONE_TU0, enneper1_chart
 
 
 def run(*argv):
@@ -138,6 +139,19 @@ def test_analyze_beside_the_singular_set_passes_without_warnings(capsys):
     cls = status(doc, "classification")["values"]
     assert cls["kind_at_base"] == "unavailable" and cls["K_at_base"] is None
     assert cls["excluded_singular_nodes"] == 11
+
+
+def test_analyze_evaluates_the_corpus_jets_once(monkeypatch, tmp_path):
+    provider = ls.get("enneper1").provider
+    jet, sizes = provider.jet, []
+
+    def counting_jet(u, v):
+        sizes.append(np.size(u))
+        return jet(u, v)
+
+    monkeypatch.setattr(provider, "jet", counting_jet)
+    assert run("analyze", "enneper1", "--grid", "21x21", "--report", str(tmp_path / "r.json")) == 0
+    assert sizes == [21 * 21]
 
 
 def test_analyze_fails_a_wrong_reference_field(monkeypatch, tmp_path):
@@ -345,6 +359,34 @@ def test_cli_refuses_a_dropped_or_mistyped_chart_key(tmp_path_factory, key, valu
     assert_residual_refuses(path)
 
 
+def test_cli_refuses_a_chart_that_is_not_utf8(tmp_path):
+    path = tmp_path / "c.json"
+    ls.write_chart(small_chart(), str(path))
+    path.write_bytes(path.read_bytes().replace(b'"metadata"', b'"metadata\xff"'))
+    assert_residual_refuses(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--mode", "general"],
+    ["analyze"],
+    ["reconstruct", "--mesh", "{tmp}/m"],
+], ids=lambda argv: argv[0])
+def test_a_chart_file_source_is_opened_once(monkeypatch, capsys, tmp_path, argv):
+    path = tmp_path / "c.json"
+    ls.write_chart(enneper1_chart(11), str(path))
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    command, *flags = (a.format(tmp=tmp_path) for a in argv)
+    assert run(command, str(path), *flags) == 0
+    assert len(opened) == 1
+
+
 # -- reconstruct -------------------------------------------------------------------
 
 def test_reconstruct_cylinder(tmp_path):
@@ -428,6 +470,29 @@ def test_reconstruct_refuses_seed_file_without_a_frame(capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("lorsurf: error: ")
     assert "null" in lines[0]
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.obj").exists()
+
+
+def test_huge_finite_chart_fails_without_runtime_warnings(capsys, tmp_path):
+    # F = 1 and H = 1e100 on columns 4-6: residual**2 and the march overflow
+    g = np.linspace(0.0, 1.0, 7)
+    H = np.zeros((7, 7))
+    H[:, 4:] = 1e100
+    chart = ls.Chart(u_grid=g, v_grid=g, F=np.ones((7, 7)), H=H,
+                     u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
+    path = tmp_path / "huge.json"
+    ls.write_chart(chart, str(path))
+    rep = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("residual", str(path), "--mode", "general", "--report", str(rep)) == 1
+        assert run("reconstruct", str(path), "--mesh", str(tmp_path / "m")) == 1
+    assert [w.category for w in caught] == [UserWarning]  # reconstruct's natural warning
+    assert check(load_strict(str(rep)), "residual")["values"]["l2"] == "Infinity"
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if ln.startswith("lorsurf: ")
+            and "wall time" not in ln] == [
+        "lorsurf: reconstruction aborted: non-finite frame state in the columns march "
+        "at node (0, 2), (u, v) = (0.0, 0.3333333333333333)"]
 
 
 @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])

@@ -79,15 +79,16 @@ def test_chart_file_optional_fields_absent(tmp_path):
     lambda d: d["metadata"].update(canonical="no"),     # bool() read it as canonical
     lambda d: d.update(schema_version=True),            # True == 1 passed the check
     lambda d: d["F"][0].__setitem__(0, 10**400),        # OverflowError, a traceback
+    lambda d: json.dumps(d).encode()[:-1] + b" \xff}",   # UnicodeDecodeError, a traceback
 ])
 def test_malformed_chart_rejected(tmp_path, corrupt):
     chart = awkward_chart()
     path = tmp_path / "chart.json"
     ls.write_chart(chart, str(path))
     doc = json.loads(path.read_text())
-    corrupt(doc)
+    raw = corrupt(doc)  # the file's bytes, or None where doc was corrupted in place
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(raw if isinstance(raw, bytes) else json.dumps(doc).encode())
     with pytest.raises((ls.ChartError, ls.StencilError)):
         ls.read_chart(str(bad))
 
