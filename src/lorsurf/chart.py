@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ChartError, DegenerateMetricError, DomainError, NotGeneralTypeError,
-                     NotLorentzSurfaceError)
+                     NotLorentzSurfaceError, refuse)
 from .stencils import check_grid
 from .surfaces import fundamental_forms
 
@@ -27,11 +27,6 @@ _OPTIONAL_FIELDS = ("L", "M", "N", "K")
 # chart_from_provider, and the column splines and mesh diagnostics of
 # lorsurf.reconstruct.
 _BLOCK = 32
-
-
-def node_at(u_grid, v_grid, i, j):
-    """Name full-grid node (i, j) and its (u, v) for an error message."""
-    return f"({i}, {j}), (u, v) = ({float(u_grid[i])!r}, {float(v_grid[j])!r})"
 
 
 def grid_index(grid, value, name="grid"):
@@ -88,6 +83,7 @@ class Chart:
         self.u_grid = check_grid(self.u_grid, "u_grid")
         self.v_grid = check_grid(self.v_grid, "v_grid")
         shape = self.shape
+        u = self.u_grid[:, None]
         for name in ("F", "H") + _OPTIONAL_FIELDS:
             arr = getattr(self, name)
             if arr is None:
@@ -95,17 +91,9 @@ class Chart:
             arr = np.asarray(arr, dtype=float)
             if arr.shape != shape:
                 raise ChartError(f"field {name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                i, j = map(int, np.argwhere(~np.isfinite(arr))[0])
-                raise ChartError(f"field {name} is non-finite at node "
-                                 f"{node_at(self.u_grid, self.v_grid, i, j)}")
+            refuse(ChartError, ~np.isfinite(arr), f"field {name} is non-finite", u, self.v_grid)
             setattr(self, name, arr)
-        bad = np.argwhere(self.F <= 0.0)
-        if bad.size:
-            i, j = bad[0]
-            raise ChartError(
-                f"F must be positive everywhere; F[{i},{j}] = {float(self.F[i, j])!r} "
-                f"at (u, v) = ({float(self.u_grid[i])!r}, {float(self.v_grid[j])!r})")
+        refuse(ChartError, self.F <= 0.0, "F must be positive everywhere", u, self.v_grid)
         if not (0 <= self.u0_index < shape[0] and 0 <= self.v0_index < shape[1]):
             raise ChartError("base point indices outside the grid")
         if self.eps1 not in (-1, 1) or self.eps2 not in (-1, 1):
@@ -130,15 +118,15 @@ class Chart:
 def chart_from_provider(provider, u_grid, v_grid, u0, v0, include_K=True):
     """Sample a provider's fundamental forms into a chart.
 
-    The grid must avoid the provider's singular set.  eps1, eps2 are read
-    off as the signs of L and N at the base point; if either vanishes there
-    the surface is not of general type at the base point and no chart with
-    well-defined signs exists.  The provider and the forms run on blocks of
-    _BLOCK grid rows, and an error inside a block names its full-grid node.
+    The grid must avoid the provider's domain boundary and singular set.
+    eps1, eps2 are read off as the signs of L and N at the base point; if
+    either vanishes there the surface is not of general type at the base
+    point and no chart with well-defined signs exists.  The provider and the
+    forms run on blocks of _BLOCK grid rows, and an error inside a block
+    names its full-grid node, so the first failing block decides.
     """
     u_grid = check_grid(np.asarray(u_grid, dtype=float), "u_grid")
     v_grid = check_grid(np.asarray(v_grid, dtype=float), "v_grid")
-    provider.refuse_singular_nodes(u_grid, v_grid)
     i0 = grid_index(u_grid, u0, "u_grid")
     j0 = grid_index(v_grid, v0, "v_grid")
     names = ("F", "H", "L", "M", "N") + (("K",) if include_K else ())
@@ -149,11 +137,7 @@ def chart_from_provider(provider, u_grid, v_grid, u0, v0, include_K=True):
         try:
             fd = fundamental_forms(provider(U, V))
         except (DomainError, DegenerateMetricError, NotLorentzSurfaceError) as exc:
-            a, j = exc.node
-            i = start + a
-            reason = str(exc).partition(" (first offender at ")[0].partition(" at index ")[0]
-            raise type(exc)(f"{reason} at grid node {node_at(u_grid, v_grid, i, j)}",
-                            node=(i, j)) from None
+            raise exc.at(u_grid, v_grid, start, 0, "grid node") from None
         for name in names:
             fields[name][rows] = getattr(fd, name)
     signs = base_signs(fields["L"][i0, j0], fields["N"][i0, j0])

@@ -48,12 +48,10 @@ from .natural import (
     natural_residual,
 )
 from .reconstruct import FrameState, cmc_pair, congruence_check, reconstruct
-from .surfaces import fundamental_forms, kind_field
+from .surfaces import SurfaceKind, fundamental_forms, kind_field
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-
-_KIND_NAMES = {1: "general_first_kind", -1: "general_second_kind", 0: "not_general_type"}
 
 
 # -- argument helpers ---------------------------------------------------------
@@ -222,7 +220,7 @@ def cmd_analyze(args):
         base_ok, k0 = bool(valid[i0, j0]), at[i0, j0]  # a singular base node has no forms
         K0, H0 = fd.K[k0], fd.H[k0]
         statuses.append(_status("classification", {
-            "kind_at_base": _KIND_NAMES[int(kind_field(SimpleNamespace(K=K0, H=H0)))]
+            "kind_at_base": SurfaceKind.of(kind_field(SimpleNamespace(K=K0, H=H0))).value
             if base_ok else "unavailable",
             **_kind_counts(fd.K, fd.H),
             "H_at_base": float(H0) if base_ok else None,
@@ -513,15 +511,13 @@ def cmd_corpus(args):
 
 # -- driver ---------------------------------------------------------------------
 
-def _add_source_args(p, tol_canonical_default=1e-6):
+def _add_source_args(p):
     p.add_argument("source", help="corpus surface name or chart file path")
     p.add_argument("--grid", type=_parse_grid, default=None, metavar="NUxNV")
     p.add_argument("--domain", type=_parse_domain, default=None,
                    metavar="UMIN:UMAX,VMIN:VMAX")
     p.add_argument("--u0", type=float, default=None)
     p.add_argument("--v0", type=float, default=None)
-    p.add_argument("--tol-canonical", type=float, default=tol_canonical_default,
-                   dest="tol_canonical")
 
 
 def build_parser():
@@ -534,6 +530,7 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="fundamental forms, invariants, classification")
     _add_source_args(p)
+    p.add_argument("--tol-canonical", type=float, default=1e-6, dest="tol_canonical")
     p.add_argument("--report", default=None, help="report JSON path (default: stdout)")
     p.add_argument("--mesh", default=None, help="mesh export prefix (corpus sources)")
     p.add_argument("--tol-iso", type=float, default=1e-8, dest="tol_iso")
@@ -544,6 +541,7 @@ def build_parser():
 
     p = sub.add_parser("canonicalize", help="construct canonical coordinates")
     _add_source_args(p)
+    p.add_argument("--tol-canonical", type=float, default=1e-6, dest="tol_canonical")
     p.add_argument("--tilde-u0", type=float, default=0.0, dest="tilde_u0")
     p.add_argument("--tilde-v0", type=float, default=0.0, dest="tilde_v0")
     p.add_argument("--canon-nodes", type=_int_at_least_2, default=None, dest="canon_nodes")

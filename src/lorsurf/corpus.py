@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .chart import Chart, grid_index
-from .errors import NotGeneralTypeError, UnknownSurfaceError
+from .errors import DomainError, NotGeneralTypeError, UnknownSurfaceError, refuse
 from .minkowski import vec
 from .stencils import check_grid
 from .surfaces import SurfaceJet2, SurfaceKind, SurfaceProvider
@@ -290,10 +290,12 @@ def reference_chart(name, u_grid, v_grid, u0=None, v0=None):
     entry = get(name)
     u_grid = check_grid(np.asarray(u_grid, dtype=float), "u_grid")
     v_grid = check_grid(np.asarray(v_grid, dtype=float), "v_grid")
-    entry.provider.refuse_singular_nodes(u_grid, v_grid, f"the singular set of {name}")
+    U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
+    if entry.provider.singular_set is not None:
+        refuse(DomainError, entry.provider.singular_set(U, V),
+               f"grid touches the singular set of {name}", U, V)
     i0 = (u_grid.size - 1) // 2 if u0 is None else grid_index(u_grid, u0, "u_grid")
     j0 = (v_grid.size - 1) // 2 if v0 is None else grid_index(v_grid, v0, "v_grid")
-    U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
     ref = entry.reference
     L = ref.L(U, V)
     N = ref.N(U, V)

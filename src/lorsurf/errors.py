@@ -1,7 +1,36 @@
-"""Exception hierarchy shared by all lorsurf modules.
+"""Exception hierarchy shared by all lorsurf modules, and where errors happen.
 
 Each class carries the CLI's `exit_code` and the `label` of its message.
+Most errors say that a node breaks a precondition; `refuse` finds the first
+such node of a mask and names it, and `LorsurfError.at` moves an error found
+on a block of a grid to its node on the full grid.
 """
+
+import numpy as np
+
+
+def node_at(u_grid, v_grid, i, j):
+    """Name full-grid node (i, j) and its (u, v) for an error message."""
+    return f"({i}, {j}), (u, v) = ({float(u_grid[i])!r}, {float(v_grid[j])!r})"
+
+
+def refuse(cls, bad, reason, u=None, v=None):
+    """Raise `cls` at the first True node of the mask `bad`, if there is one.
+
+    The node is a tuple of plain ints.  It is named `at node (i, j), (u, v) =
+    (...)` when parameter values u, v that broadcast against `bad` are given,
+    and `at index (i, j)` otherwise.
+    """
+    bad = np.atleast_1d(bad)
+    if not bad.any():
+        return
+    node = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    if u is None:
+        where = f"index {node}"
+    else:
+        u, v = (np.broadcast_to(t, bad.shape)[node] for t in (u, v))
+        where = f"node {node}, (u, v) = ({float(u)!r}, {float(v)!r})"
+    raise cls(f"{reason} at {where}", node=node, reason=reason)
 
 
 class LorsurfError(Exception):
@@ -10,9 +39,16 @@ class LorsurfError(Exception):
     exit_code = 2
     label = "error"
 
-    def __init__(self, message="", node=None):
+    def __init__(self, message="", node=None, reason=None):
         super().__init__(message)
         self.node = node  # plain-int index of the first offending node, when known
+        self.reason = message if reason is None else reason  # the message without its place
+
+    def at(self, u_grid, v_grid, di=0, dj=0, what="node"):
+        """This error moved to full-grid node node + (di, dj) and named there as `what`."""
+        i, j = self.node[0] + di, self.node[1] + dj
+        return type(self)(f"{self.reason} at {what} {node_at(u_grid, v_grid, i, j)}",
+                          node=(i, j), reason=self.reason)
 
 
 class DomainError(LorsurfError):

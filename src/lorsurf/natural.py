@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, StencilError
+from .errors import DegeneracyError, StencilError, refuse
 from .stencils import check_grid, cross_derivative, cumtrapz_from, gradient
 
 __all__ = [
@@ -84,16 +84,20 @@ def accumulate_LN(chart):
 
     For constant H the integrands vanish identically and L = eps1, N = eps2
     exactly.  The integrals are signed about the base lines, so the base
-    point may sit anywhere in the grid.
+    point may sit anywhere in the grid.  Finite fields can still give
+    non-finite L, M, N (an overflow, or grid steps whose stencil denominators
+    underflow); that happens silently, since every verdict fails them and
+    reconstruct refuses them.
     """
     chart.validate()
     nu, nv = chart.shape
     _require_3x3(nu, nv)
-    H_u = gradient(chart.H, chart.u_grid, axis=0)
-    H_v = gradient(chart.H, chart.v_grid, axis=1)
-    L = chart.eps1 + cumtrapz_from(chart.F * H_u, chart.v_grid, chart.v0_index, axis=1)
-    N = chart.eps2 + cumtrapz_from(chart.F * H_v, chart.u_grid, chart.u0_index, axis=0)
-    M = chart.F * chart.H
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        H_u = gradient(chart.H, chart.u_grid, axis=0)
+        H_v = gradient(chart.H, chart.v_grid, axis=1)
+        L = chart.eps1 + cumtrapz_from(chart.F * H_u, chart.v_grid, chart.v0_index, axis=1)
+        N = chart.eps2 + cumtrapz_from(chart.F * H_v, chart.u_grid, chart.u0_index, axis=0)
+        M = chart.F * chart.H
     return chart.with_fields(L=L, M=M, N=N,
                              metadata=dict(chart.metadata, accumulated_LN=True))
 
@@ -110,29 +114,22 @@ def natural_residual(chart, acc=None):
         acc = accumulate_LN(chart)
     u, v = chart.u_grid, chart.v_grid
     F = chart.F
-    F_u = gradient(F, u, axis=0)[1:-1, 1:-1]
-    F_v = gradient(F, v, axis=1)[1:-1, 1:-1]
-    F_uv = cross_derivative(F, u, v)
-    Fi = F[1:-1, 1:-1]
-    lhs = (Fi * F_uv - F_u * F_v) / Fi
-    # an overflow here yields a non-finite residual, which every verdict fails
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow or underflowing stencil denominators here yield a non-finite
+    # residual, which every verdict fails
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        F_u = gradient(F, u, axis=0)[1:-1, 1:-1]
+        F_v = gradient(F, v, axis=1)[1:-1, 1:-1]
+        F_uv = cross_derivative(F, u, v)
+        Fi = F[1:-1, 1:-1]
+        lhs = (Fi * F_uv - F_u * F_v) / Fi
         rhs = acc.L[1:-1, 1:-1] * acc.N[1:-1, 1:-1] - acc.M[1:-1, 1:-1] ** 2
         scale = 1.0 + float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
-    return _summarize(lhs - rhs, u[1:-1], v[1:-1], scale)
+        residual = lhs - rhs
+    return _summarize(residual, u[1:-1], v[1:-1], scale)
 
 
 def _degeneracy_tol(K, H):
     return 1e-10 * (1.0 + H * H + np.abs(K))
-
-
-def _check_nondegenerate(d, tol, u, v, what):
-    bad = np.abs(d) <= tol
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise DegeneracyError(
-            f"{what} vanishes at node ({i}, {j}), (u, v) = ({float(u[i])!r}, {float(v[j])!r})",
-            node=(int(i), int(j)))
 
 
 def cmc_residual(K, H, u_grid, v_grid):
@@ -149,7 +146,8 @@ def cmc_residual(K, H, u_grid, v_grid):
         raise StencilError(f"K has shape {K.shape}, expected {(u.size, v.size)}")
     _require_3x3(*K.shape)
     d = H * H - K
-    _check_nondegenerate(d, _degeneracy_tol(K, H), u, v, "|H^2 - K|")
+    refuse(DegeneracyError, np.abs(d) <= _degeneracy_tol(K, H), "|H^2 - K| vanishes",
+           u[:, None], v)
     phi = 0.5 * np.log(np.abs(d))
     phi_uv = cross_derivative(phi, u, v)
     residual = np.sqrt(np.abs(d[1:-1, 1:-1])) * phi_uv - K[1:-1, 1:-1]
@@ -157,13 +155,11 @@ def cmc_residual(K, H, u_grid, v_grid):
 
 
 def minimal_residual(K, u_grid, v_grid):
-    """Residual of the minimal-surface natural equation (H = 0, |K| > 0)."""
-    K = np.asarray(K, dtype=float)
-    u = np.asarray(u_grid, dtype=float)
-    v = np.asarray(v_grid, dtype=float)
-    if K.shape == (u.size, v.size):
-        _check_nondegenerate(K, _degeneracy_tol(K, 0.0), u, v, "|K|")
-    return cmc_residual(K, 0.0, u, v)
+    """Residual of the minimal-surface natural equation (H = 0, |K| > 0).
+
+    This is cmc_residual at H = 0, whose |H^2 - K| test is the |K| test.
+    """
+    return cmc_residual(K, 0.0, u_grid, v_grid)
 
 
 def F_from_K_cmc(K, H):
@@ -176,17 +172,10 @@ def F_from_K_cmc(K, H):
     K = np.asarray(K, dtype=float)
     H = float(H)
     d = H * H - K
-    tol = _degeneracy_tol(K, H)
-    bad = np.abs(d) <= tol
-    if np.any(bad):
-        where = tuple(map(int, np.argwhere(np.atleast_1d(bad))[0]))
-        raise DegeneracyError(f"|H^2 - K| vanishes at index {where}", node=where)
+    refuse(DegeneracyError, np.abs(d) <= _degeneracy_tol(K, H), "|H^2 - K| vanishes")
     signs = np.sign(d)
     first = signs.flat[0]
-    if np.any(signs != first):
-        where = tuple(map(int, np.argwhere(signs != first)[0]))
-        raise DegeneracyError(
-            f"sign of H^2 - K is not constant (changes at index {where})", node=where)
+    refuse(DegeneracyError, signs != first, "sign of H^2 - K changes")
     return 1.0 / np.sqrt(np.abs(d)), int(first)
 
 

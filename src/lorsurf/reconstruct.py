@@ -40,9 +40,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import minkowski as mk
-from .chart import _BLOCK, Chart, node_at
+from .chart import _BLOCK, Chart
 from .errors import (DegenerateMetricError, InvalidFrameError, NaturalEquationError,
-                     NotLorentzSurfaceError, ReconstructionAbort)
+                     NotLorentzSurfaceError, ReconstructionAbort, node_at, refuse)
 from .natural import (REL_TOL, F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
                       natural_residual)
 from .stencils import check_grid
@@ -352,11 +352,7 @@ def _interior_form_blocks(mesh, u, v):
             try:
                 fd = fundamental_forms(interior)
             except (DegenerateMetricError, NotLorentzSurfaceError) as exc:
-                a, b = exc.node
-                i, jj = a + 1, j + b
-                reason = str(exc).partition(" at index ")[0]
-                raise type(exc)(f"{reason} at mesh node {node_at(u, v, i, jj)}",
-                                node=(i, jj)) from None
+                raise exc.at(u, v, 1, j, "mesh node") from None
             yield slice(j, k), fd
 
     return blocks()
@@ -367,7 +363,8 @@ def reconstruct(chart, seed=None, transpose_probe=False):
 
     The chart should satisfy the natural equation; a residual above
     REL_TOL * scale only warns (the resulting diagnostics then exhibit the
-    inconsistency, which is the point of the probe).  The columns stream
+    inconsistency, which is the point of the probe).  Non-finite accumulated
+    L, M or N abort before the march.  The columns stream
     from the march in slabs (see _slabs), and each slab's mesh columns,
     invariant drift and compatibility residuals are stored before the next
     is marched; no frame is kept beyond its slab.  The form mismatch then
@@ -377,6 +374,9 @@ def reconstruct(chart, seed=None, transpose_probe=False):
     chart.validate()
     acc = accumulate_LN(chart)
     u, v = chart.u_grid, chart.v_grid
+    for name in "LMN":  # the splines of the march need finite coefficients
+        refuse(ReconstructionAbort, ~np.isfinite(getattr(acc, name)),
+               f"non-finite accumulated {name}", u[:, None], v)
     i0, j0 = chart.u0_index, chart.v0_index
     F0 = float(chart.F[i0, j0])
     if seed is None:

@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     NotIsotropicError,
     NotLorentzSurfaceError,
+    refuse,
 )
 from .stencils import check_grid, gradient, second_derivative
 
@@ -83,14 +84,6 @@ class FundamentalData:
     l: np.ndarray
 
 
-def _offender(mask, u, v):
-    """Where the first True of `mask` lies: its (u, v) and flat index, and its index tuple."""
-    mask, u, v = np.broadcast_arrays(mask, u, v)
-    k = int(np.flatnonzero(mask)[0])
-    where = f"(u, v) = ({float(u.flat[k])!r}, {float(v.flat[k])!r}), flat index {k}"
-    return where, tuple(int(a) for a in np.unravel_index(k, mask.shape))
-
-
 @dataclass
 class SurfaceProvider:
     """Jet source on a rectangular parameter domain.
@@ -111,16 +104,9 @@ class SurfaceProvider:
         u_min, u_max, v_min, v_max = self.domain
         m = self.stencil_margin
         bad = (u < u_min + m) | (u > u_max - m) | (v < v_min + m) | (v > v_max - m)
-        if np.any(bad):
-            where, node = _offender(bad, u, v)
-            raise DomainError(f"evaluation outside domain {self.domain} "
-                              f"(first offender at {where})", node=node)
+        refuse(DomainError, bad, f"evaluation outside domain {self.domain}", u, v)
         if self.singular_set is not None:
-            sing = np.asarray(self.singular_set(u, v))
-            if np.any(sing):
-                where, node = _offender(sing, u, v)
-                raise DomainError(f"evaluation on singular set (first offender at {where})",
-                                  node=node)
+            refuse(DomainError, self.singular_set(u, v), "evaluation on singular set", u, v)
         return self.jet(u, v)
 
     def singular_nodes(self, u_grid, v_grid):
@@ -129,14 +115,6 @@ class SurfaceProvider:
             return np.empty((0, 2), dtype=int)
         U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
         return np.argwhere(np.asarray(self.singular_set(U, V)))
-
-    def refuse_singular_nodes(self, u_grid, v_grid, what="the singular set"):
-        """DomainError naming the first grid nodes that hit the singular set, if any."""
-        nodes = self.singular_nodes(u_grid, v_grid)
-        if nodes.size:
-            shown = ", ".join(f"({i},{j})" for i, j in nodes[:8])
-            more = "" if len(nodes) <= 8 else f" and {len(nodes) - 8} more"
-            raise DomainError(f"grid touches {what} at nodes {shown}{more}")
 
 
 def jet_from_position(f, domain, h=None, singular_set=None):
@@ -219,15 +197,8 @@ def fundamental_forms(jet, tol=1e-12):
     ww = mk.inner(w, w)  # equals F^2 - EG by the Lagrange identity
     scale = np.maximum(np.abs(E), np.maximum(np.abs(F), np.abs(G)))
     disc = E * G - F * F
-    degenerate = np.abs(disc) <= tol * scale**2
-    if np.any(degenerate):
-        where = tuple(map(int, np.argwhere(np.atleast_1d(degenerate))[0]))
-        raise DegenerateMetricError(f"EG - F^2 vanishes at index {where}", node=where)
-    nonlorentz = ww <= tol * scale**2
-    if np.any(nonlorentz):
-        where = tuple(map(int, np.argwhere(np.atleast_1d(nonlorentz))[0]))
-        raise NotLorentzSurfaceError(f"normal direction not spacelike at index {where}",
-                                     node=where)
+    refuse(DegenerateMetricError, np.abs(disc) <= tol * scale**2, "EG - F^2 vanishes")
+    refuse(NotLorentzSurfaceError, ww <= tol * scale**2, "normal direction not spacelike")
     l = w / np.sqrt(ww)[..., None]
     L = mk.inner(jet.x_uu, l)
     M = mk.inner(jet.x_uv, l)
@@ -241,6 +212,11 @@ class SurfaceKind(Enum):
     FIRST = "general_first_kind"
     SECOND = "general_second_kind"
     DEGENERATE = "not_general_type"
+
+    @classmethod
+    def of(cls, code):
+        """The kind that kind_field encodes as +1, -1 or 0."""
+        return {1: cls.FIRST, -1: cls.SECOND, 0: cls.DEGENERATE}[int(code)]
 
 
 @dataclass
@@ -275,13 +251,8 @@ def classify(fd, tol=None, iso_tol=1e-8):
     if abs(h2k - ln_f2) > allowed:
         raise ValueError(
             f"H^2 - K = {h2k:.6g} disagrees with LN/F^2 = {ln_f2:.6g} beyond tolerance {allowed:.3g}")
-    if h2k > tol:
-        kind = SurfaceKind.FIRST
-    elif h2k < -tol:
-        kind = SurfaceKind.SECOND
-    else:
-        kind = SurfaceKind.DEGENERATE
-    return KindReport(kind=kind, h2_minus_k=h2k, ln_over_f2=ln_f2, tol=tol)
+    return KindReport(kind=SurfaceKind.of(kind_field(fd, tol)), h2_minus_k=h2k,
+                      ln_over_f2=ln_f2, tol=tol)
 
 
 def kind_field(fd, tol=None):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lorsurf as ls
 
-from conftest import CONE_TU0, enneper1_chart
+from conftest import CONE_TU0, cone_canonical_chart, enneper1_chart
 
 
 def cone_maps(n=201, tilde0=CONE_TU0):
@@ -224,6 +226,21 @@ def test_gauge_requires_canonical_chart():
     raw_cone = ls.chart_from_provider(ls.get("hyperbolic_cone").provider, u, u, 0.0, 0.0)
     with pytest.raises(ls.ChartError):
         ls.canonical_gauge_transform(raw_cone, 1, 0.5, 0.5)
+
+
+_CONE_LN = ls.accumulate_LN(cone_canonical_chart(41))  # canonical: L = eps1 on v = v0
+
+
+@settings(max_examples=12, deadline=None)
+@given(delta=st.sampled_from([-1, 1]), c1=st.floats(-4.0, 4.0), c2=st.floats(-4.0, 4.0),
+       swap=st.booleans())
+def test_gauge_keeps_canonicity_and_the_natural_residual(delta, c1, c2, swap):
+    # the transform only moves indices; shifted grids change the stencils' steps
+    # in their last bits, and the residual with them
+    out = ls.canonical_gauge_transform(_CONE_LN, delta, c1, c2, swap=swap)
+    assert ls.verify_canonical(out).passed
+    before = ls.natural_residual(_CONE_LN).max_abs
+    assert ls.natural_residual(out).max_abs == pytest.approx(before, rel=1e-9, abs=0.0)
 
 
 def test_non_affine_reparametrization_fails_verification():

@@ -42,7 +42,7 @@ def test_chart_from_provider_equals_whole_grid_forms_bit_for_bit(name, nu, nv, i
     assert (chart.eps1, chart.eps2) == (int(np.sign(fd.L[i0, j0])), int(np.sign(fd.N[i0, j0])))
 
 
-def _plane_provider(tangent_u):
+def _plane_provider(tangent_u, singular_set=None):
     """A provider with x_u = tangent_u(u), x_v = (0, 0, 1) and every other partial 0."""
     def jet(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
@@ -50,7 +50,7 @@ def _plane_provider(tangent_u):
         x_v = np.broadcast_to([0.0, 0.0, 1.0], x_u.shape)
         zero = np.zeros_like(x_u)
         return SurfaceJet2(x=zero, x_u=x_u, x_v=x_v, x_uu=zero, x_uv=zero, x_vv=zero)
-    return SurfaceProvider(jet=jet, domain=(0.0, 1.0, 0.0, 1.0))
+    return SurfaceProvider(jet=jet, domain=(0.0, 1.0, 0.0, 1.0), singular_set=singular_set)
 
 
 def _late(u):
@@ -68,6 +68,12 @@ LATE_ERRORS = {
                     _plane_provider(lambda u: np.stack([1.0 - _late(u), _late(u),
                                                         np.zeros_like(u)], axis=-1)),
                     np.linspace(0.0, 1.0, 90), "normal direction not spacelike"),
+    # the singular set starts at u = 0.8; the row block that meets it names the node
+    "singular": (ls.DomainError,
+                 _plane_provider(lambda u: np.stack([np.ones_like(u), np.zeros_like(u),
+                                                     np.zeros_like(u)], axis=-1),
+                                 singular_set=lambda u, v: u + 0.0 * v >= 0.8),
+                 np.linspace(0.0, 1.0, 90), "evaluation on singular set"),
     # the grid runs past the domain from u = 1 on
     "domain": (ls.DomainError,
                _plane_provider(lambda u: np.stack([np.ones_like(u), np.zeros_like(u),

@@ -15,7 +15,7 @@ import lorsurf as ls
 from lorsurf import errors
 from lorsurf.cli import main
 
-from conftest import CONE_TU0, enneper1_chart
+from conftest import CONE_TU0, enneper1_chart, random_grid
 
 
 def run(*argv):
@@ -312,6 +312,33 @@ def test_cli_refuses_coerced_chart_integers(tmp_path_factory, key, value):
     assert_residual_refuses(path)
 
 
+@settings(max_examples=40, deadline=None)
+@given(nu=st.integers(3, 7), nv=st.integers(3, 7), data=st.data(),
+       bad=st.sampled_from([("F", "NaN"), ("H", "NaN"), ("F", "Infinity"), ("H", "-Infinity"),
+                            ("F", "0.0"), ("F", "-0.0"), ("F", "-2.5")]))
+def test_cli_names_the_node_of_a_planted_bad_value(tmp_path_factory, nu, nv, data, bad):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u, v = random_grid(rng, -1.0, 1.0, nu), random_grid(rng, 0.0, 2.0, nv)
+    i, j = data.draw(st.integers(0, nu - 1), label="i"), data.draw(st.integers(0, nv - 1),
+                                                                   label="j")
+    chart = ls.Chart(u_grid=u, v_grid=v, F=rng.uniform(0.5, 2.0, (nu, nv)),
+                     H=rng.uniform(-1.0, 1.0, (nu, nv)), u0_index=0, v0_index=0,
+                     eps1=1, eps2=1).validate()
+    path = tmp_path_factory.mktemp("planted") / "c.json"
+    ls.write_chart(chart, str(path))
+    doc = json.loads(path.read_text())
+    name, literal = bad
+    doc[name][j][i] = "PLANTED"  # the file stores row index = v
+    path.write_text(json.dumps(doc).replace('"PLANTED"', literal))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["residual", str(path), "--mode", "general"])
+    lines = [ln for ln in err.getvalue().splitlines() if "wall time" not in ln]
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("lorsurf: error: ")
+    assert lines[0].endswith(f" at node ({i}, {j}), (u, v) = "
+                             f"({float(u[i])!r}, {float(v[j])!r})")
+
+
 def json_type(x):
     """The JSON type of x, with arrays of numbers and arrays of such arrays apart."""
     if isinstance(x, bool):
@@ -495,6 +522,42 @@ def test_huge_finite_chart_fails_without_runtime_warnings(capsys, tmp_path):
         "at node (0, 2), (u, v) = (0.0, 0.3333333333333333)"]
 
 
+def _overflow_chart(which):
+    """Finite 7x7 charts with F = 1 whose stencils give non-finite L (and residuals)."""
+    if which == "overflow":  # H_u overflows between u-indices 4 and 6
+        g = np.linspace(0.0, 1.0, 7)
+        H = np.zeros((7, 7))
+        H[5], H[6] = 1.5e308, -1.5e308
+    else:  # the stencil denominators h^3 underflow to 0
+        g = np.arange(7) * 1e-156
+        H = np.full((7, 7), 1e155)
+    return ls.Chart(u_grid=g, v_grid=g, F=np.ones((7, 7)), H=H,
+                    u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
+
+
+@pytest.mark.parametrize("argv", [["residual", "--mode", "general"], ["analyze"],
+                                  ["reconstruct", "--mesh", "{tmp}/m"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("which", ["overflow", "underflow"])
+def test_non_finite_stencils_fail_in_one_line_without_warnings(tmp_path, which, argv):
+    path = tmp_path / "c.json"
+    ls.write_chart(_overflow_chart(which), str(path))
+    command, *flags = (a.format(tmp=tmp_path) for a in argv)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main([command, str(path), *flags])
+    assert code == 1 and caught == []
+    lines = [ln for ln in err.getvalue().splitlines() if "wall time" not in ln]
+    if command == "reconstruct":
+        assert len(lines) == 1 and lines[0].startswith(
+            "lorsurf: reconstruction aborted: non-finite accumulated L at node (")
+        assert not (tmp_path / "m.obj").exists()
+    else:
+        assert lines == []
+
+
 @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
 @pytest.mark.parametrize("X", [["a", 1, 0], [1.0, 1.0]], ids=["non_numeric", "two_components"])
 def test_reconstruct_refuses_malformed_seed_vectors(capsys, tmp_path, X, pair):
@@ -521,6 +584,18 @@ def test_integer_flags_below_2_are_refused(capsys, tmp_path, argv):
     assert exc.value.code == 2
     assert "expected an integer >= 2" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["residual", "--mode", "cmc"],
+                                  ["reconstruct", "--mesh", "{tmp}/m"]],
+                         ids=lambda argv: argv[0])
+def test_tol_canonical_is_refused_where_nothing_reads_it(capsys, tmp_path, argv):
+    command, *flags = (a.format(tmp=tmp_path) for a in argv)
+    with pytest.raises(SystemExit) as exc:
+        run(command, "cylinder", "--grid", "21x21", *flags, "--tol-canonical", "1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-canonical 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.obj").exists()
 
 
 def test_reconstruct_eps_override_selects_pair_member(tmp_path):

@@ -119,6 +119,16 @@ def test_classify_examples():
     assert rep3.kind is ls.SurfaceKind.DEGENERATE
 
 
+def test_classify_takes_its_kind_from_kind_field():
+    fd = forms_at(ls.get("enneper1"), 1.0, 0.0)
+    h2k = ls.classify(fd).h2_minus_k
+    tols = (0.5 * h2k, h2k, 2.0 * h2k)
+    kinds = [ls.classify(fd, tol=tol).kind for tol in tols]
+    assert kinds == [ls.SurfaceKind.FIRST] + 2 * [ls.SurfaceKind.DEGENERATE]
+    assert kinds == [ls.SurfaceKind.of(ls.kind_field(fd, tol)) for tol in tols]
+    assert [ls.SurfaceKind.of(code) for code in (1, -1, 0)] == list(ls.SurfaceKind)
+
+
 def test_classify_rejects_non_isotropic():
     jet = ls.SurfaceJet2(
         x=np.zeros(3), x_u=np.array([1.0, 0.0, 0.0]), x_v=np.array([0.0, 1.0, 0.0]),
@@ -309,6 +319,14 @@ def _nan_chart():
                     u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
 
 
+def _nonpositive_F_chart():
+    g = np.linspace(0.0, 1.0, 5)
+    F = np.ones((5, 5))
+    F[2, 3] = -2.0
+    return ls.Chart(u_grid=g, v_grid=g, F=F, H=np.zeros((5, 5)),
+                    u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
+
+
 _SPACELIKE_JET = ls.SurfaceJet2(
     x=np.zeros((2, 3)), x_u=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
     x_v=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
@@ -325,6 +343,11 @@ ERROR_SITES = {
         "index (1,)"),
     "not Lorentz": (lambda: ls.fundamental_forms(_SPACELIKE_JET), "index (1,)"),
     "non-finite chart field": (_nan_chart, "node (2, 1), (u, v) = "),
+    "F <= 0 in a chart": (_nonpositive_F_chart, "at node (2, 3), (u, v) = (0.5, 0.75)"),
+    "reference chart on the singular set": (
+        lambda: ls.reference_chart("enneper1", np.linspace(0.0, 1.0, 11),
+                                   np.linspace(0.0, 1.0, 11)),
+        "at node (0, 0), (u, v) = (0.0, 0.0)"),
     "|H^2 - K| vanishes": (lambda: ls.F_from_K_cmc(np.array([[0.0, 1.0]]), 1.0),
                            "index (0, 1)"),
     "H^2 - K changes sign": (lambda: ls.F_from_K_cmc(np.array([[0.0, 2.0]]), 1.0),
