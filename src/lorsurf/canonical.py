@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import Chart, grid_index
-from .errors import ChartError, MapRangeError, NotGeneralTypeError
+from .errors import ChartError, MapRangeError, NotGeneralTypeError, refuse, within
 from .stencils import check_grid, cumsimpson_from
 from .surfaces import SurfaceJet2, SurfaceProvider, fundamental_forms
 
@@ -51,6 +51,8 @@ class MonotoneMap:
         self.knots = check_grid(self.knots, "map knots")
         self.values = np.asarray(self.values, dtype=float)
         self.derivative = np.asarray(self.derivative, dtype=float)
+        refuse(ChartError, ~np.isfinite(self.values), "map value is non-finite")
+        refuse(ChartError, ~np.isfinite(self.derivative), "map derivative is non-finite")
         if np.any(np.diff(self.values) <= 0.0):
             raise ChartError("map values must be strictly increasing")
         if np.any(self.derivative <= 0.0):
@@ -217,7 +219,7 @@ def verify_canonical(chart, tol=1e-6):
     dev_N = float(np.max(np.abs(chart.N[chart.u0_index, :] - chart.eps2)))
     return CanonicalReport(
         max_dev_L=dev_L, max_dev_N=dev_N,
-        passed=dev_L <= tol and dev_N <= tol, tol=tol,
+        passed=within([dev_L, dev_N], tol), tol=tol,
         eps1=chart.eps1, eps2=chart.eps2, base=(chart.u0, chart.v0))
 
 

@@ -30,11 +30,11 @@ _BLOCK = 32
 
 
 def grid_index(grid, value, name="grid"):
-    """Index of `value` in a coordinate array; it must be a node."""
+    """Index of `value` in a coordinate array; it must be a node (so it is finite)."""
     grid = np.asarray(grid, dtype=float)
     i = int(np.argmin(np.abs(grid - value)))
     span = grid[-1] - grid[0]
-    if abs(grid[i] - value) > 1e-9 * max(span, 1.0):
+    if not abs(grid[i] - value) <= 1e-9 * max(span, 1.0):  # NaN fails this test
         raise DomainError(f"{name}: base value {float(value)!r} is not a grid node")
     return i
 
@@ -115,7 +115,7 @@ class Chart:
         return RectBivariateSpline(self.u_grid, self.v_grid, arr, kx=kx, ky=ky)
 
 
-def chart_from_provider(provider, u_grid, v_grid, u0, v0, include_K=True):
+def chart_from_provider(provider, u_grid, v_grid, u0, v0):
     """Sample a provider's fundamental forms into a chart.
 
     The grid must avoid the provider's domain boundary and singular set.
@@ -129,7 +129,7 @@ def chart_from_provider(provider, u_grid, v_grid, u0, v0, include_K=True):
     v_grid = check_grid(np.asarray(v_grid, dtype=float), "v_grid")
     i0 = grid_index(u_grid, u0, "u_grid")
     j0 = grid_index(v_grid, v0, "v_grid")
-    names = ("F", "H", "L", "M", "N") + (("K",) if include_K else ())
+    names = ("F", "H", "L", "M", "N", "K")
     fields = {name: np.empty((u_grid.size, v_grid.size)) for name in names}
     for start in range(0, u_grid.size, _BLOCK):
         rows = slice(start, start + _BLOCK)

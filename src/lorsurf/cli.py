@@ -6,8 +6,9 @@ aborted), 2 malformed input or violated precondition.  Reports are strict
 JSON documents (a non-finite number is written as the string "Infinity",
 "-Infinity" or "NaN") whose pass/fail verdicts are recomputable from the
 recorded numbers and tolerances; identical inputs and flags produce
-byte-identical files (timing goes to stderr, never into the report).  A
-verdict never passes on a non-finite value or tolerance.
+byte-identical files (timing goes to stderr, never into the report).  Every
+verdict is `errors.within`, and one writer, `_finish`, passes a report only
+when its checks pass and every number it records is finite.
 
 Only canonicalize and reconstruct load scipy (splines and Simpson
 quadrature); corpus, analyze and residual run on numpy alone.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from types import SimpleNamespace
@@ -39,7 +39,7 @@ from .chartio import (
     write_mesh_obj,
     write_report,
 )
-from .errors import ChartError, DomainError, LorsurfError
+from .errors import ChartError, DomainError, LorsurfError, finite, within
 from .natural import (
     REL_TOL,
     cmc_residual,
@@ -49,9 +49,6 @@ from .natural import (
 )
 from .reconstruct import FrameState, cmc_pair, congruence_check, reconstruct
 from .surfaces import SurfaceKind, fundamental_forms, kind_field
-
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
 
 
 # -- argument helpers ---------------------------------------------------------
@@ -87,23 +84,31 @@ def _parse_domain(text):
     return u_min, u_max, v_min, v_max
 
 
-def _all_finite(x):
-    """False if x holds a non-finite float anywhere in its dicts and lists."""
-    if isinstance(x, dict):
-        return all(_all_finite(v) for v in x.values())
-    if isinstance(x, (list, tuple)):
-        return all(_all_finite(v) for v in x)
-    return not isinstance(x, float) or math.isfinite(x)
-
-
 def _check(name, values, tolerance, passed):
     """A verdict; it fails whenever a recorded value or the tolerance is non-finite."""
-    passed = bool(passed) and _all_finite(values) and _all_finite(tolerance)
-    return {"name": name, "values": values, "tolerance": tolerance, "pass": passed}
+    return {"name": name, "values": values, "tolerance": tolerance,
+            "pass": bool(passed) and finite([values, tolerance])}
 
 
 def _status(name, values):
     return {"name": name, "values": values, "tolerance": None, "pass": None}
+
+
+def _finish(args, command, inputs, tolerances, checks, statuses, **summary):
+    """Write a command's report to --report (stdout without it); its exit code.
+
+    The report passes, and the command exits 0, when every check passes and
+    every number the report records is finite; otherwise the exit code is 1.
+    """
+    doc = {"schema_version": 1, "command": command, "inputs": inputs,
+           "effective_tolerances": tolerances, "checks": checks, "statuses": statuses}
+    passed = all(c["pass"] for c in checks) and finite(doc)
+    doc["summary"] = dict(passed=passed, **summary)
+    if args.report:
+        write_report(doc, args.report)
+    else:
+        print(report_json(doc))
+    return 0 if passed else 1
 
 
 def _grid_through(base, lo, hi, n):
@@ -198,7 +203,7 @@ def cmd_analyze(args):
         f_min = float(np.min(fd.F))
         checks.append(_check("isotropic", {"max_abs_E": e_max, "max_abs_G": g_max,
                                            "min_F": f_min}, tol_iso,
-                             e_max <= tol_iso and g_max <= tol_iso and f_min > tol_iso))
+                             within([e_max, g_max], tol_iso) and f_min > tol_iso))
 
         n_unit = float(np.max(np.abs(mk.inner(fd.l, fd.l) - 1.0)))
         n_xu = float(np.max(np.abs(mk.inner(jets.x_u, fd.l))))
@@ -206,7 +211,7 @@ def cmd_analyze(args):
         checks.append(_check("normal_contract", {"max_abs_l2_minus_1": n_unit,
                                                  "max_abs_xu_l": n_xu,
                                                  "max_abs_xv_l": n_xv}, tol_normal,
-                             max(n_unit, n_xu, n_xv) <= tol_normal))
+                             within([n_unit, n_xu, n_xv], tol_normal)))
 
         # deviations relative to 1 + max|reference field|, on the regular nodes
         ref_devs = {}
@@ -215,7 +220,7 @@ def cmd_analyze(args):
             ref_devs[name] = float(np.max(np.abs(getattr(fd, name) - want))
                                    / (1.0 + np.max(np.abs(want))))
         checks.append(_check("reference_match", ref_devs, tol_ref,
-                             max(ref_devs.values()) <= tol_ref))
+                             within(ref_devs.values(), tol_ref)))
 
         base_ok, k0 = bool(valid[i0, j0]), at[i0, j0]  # a singular base node has no forms
         K0, H0 = fd.K[k0], fd.H[k0]
@@ -260,19 +265,10 @@ def cmd_analyze(args):
         nat = natural_residual(chart)
         statuses.append(_status("natural_residual", {"max_abs": nat.max_abs, "l2": nat.l2}))
 
-    passed = all(c["pass"] for c in checks) and _all_finite([s["values"] for s in statuses])
-    doc = {
-        "schema_version": 1, "command": "analyze", "inputs": src.inputs,
-        "effective_tolerances": {"tol_iso": tol_iso, "tol_normal": tol_normal,
-                                 "tol_ref": tol_ref, "tol_canonical": args.tol_canonical},
-        "checks": checks, "statuses": statuses,
-        "summary": {"passed": passed},
-    }
-    if args.report:
-        write_report(doc, args.report)
-    else:
-        print(report_json(doc))
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return _finish(args, "analyze", src.inputs,
+                   {"tol_iso": tol_iso, "tol_normal": tol_normal,
+                    "tol_ref": tol_ref, "tol_canonical": args.tol_canonical},
+                   checks, statuses)
 
 
 # -- canonicalize --------------------------------------------------------------
@@ -299,34 +295,24 @@ def cmd_canonicalize(args):
     out = resample_to_canonical(source_chart, maps, cu, cv, tol=args.tol_canonical)
     rep = verify_canonical(out, tol=args.tol_canonical)
     write_chart(out, args.output)
-    doc = {
-        "schema_version": 1, "command": "canonicalize", "inputs": dict(
-            src.inputs, tilde_u0=args.tilde_u0, tilde_v0=args.tilde_v0),
-        "effective_tolerances": {"tol_canonical": args.tol_canonical},
-        "checks": [_check("canonical", {"max_dev_L": rep.max_dev_L,
-                                        "max_dev_N": rep.max_dev_N,
-                                        "eps1": rep.eps1, "eps2": rep.eps2,
-                                        "base": list(rep.base)},
-                          args.tol_canonical, rep.passed)],
-        "statuses": [_status("canonical_maps", {
-            "u_range": list(umap.range), "v_range": list(vmap.range),
-            "canonical_grid": [int(cu.size), int(cv.size)]})],
-        "summary": {"passed": rep.passed, "output_chart": args.output},
-    }
-    if args.report:
-        write_report(doc, args.report)
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    return _finish(
+        args, "canonicalize", dict(src.inputs, tilde_u0=args.tilde_u0, tilde_v0=args.tilde_v0),
+        {"tol_canonical": args.tol_canonical},
+        [_check("canonical", {"max_dev_L": rep.max_dev_L, "max_dev_N": rep.max_dev_N,
+                              "eps1": rep.eps1, "eps2": rep.eps2, "base": list(rep.base)},
+                args.tol_canonical, rep.passed)],
+        [_status("canonical_maps", {"u_range": list(umap.range), "v_range": list(vmap.range),
+                                    "canonical_grid": [int(cu.size), int(cv.size)]})],
+        output_chart=args.output)
 
 
 # -- residual -------------------------------------------------------------------
 
 def _apply_eps_overrides(chart, args):
-    eps1 = getattr(args, "eps1", None)
-    eps2 = getattr(args, "eps2", None)
-    if eps1 is None and eps2 is None:
+    if args.eps1 is None and args.eps2 is None:
         return chart
-    return chart.with_fields(eps1=eps1 if eps1 is not None else chart.eps1,
-                             eps2=eps2 if eps2 is not None else chart.eps2).validate()
+    return chart.with_fields(eps1=args.eps1 if args.eps1 is not None else chart.eps1,
+                             eps2=args.eps2 if args.eps2 is not None else chart.eps2).validate()
 
 
 def _constant_H(chart, what):
@@ -376,27 +362,17 @@ def cmd_residual(args):
         order = convergence_order(rep.max_abs, rep2.max_abs, float(args.refine))
 
     checks = [_check("residual", {"max_abs": rep.max_abs, "l2": rep.l2,
-                                  "scale": rep.scale}, tol, rep.max_abs <= tol)]
+                                  "scale": rep.scale}, tol, within([rep.max_abs], tol))]
     if order is not None:
         # A zero residual on either grid leaves the order undefined: recorded as
         # null, it passes only when the finer grid's residual is exactly zero.
-        defined = math.isfinite(order)
+        # A defined order passes when min_order <= order, both finite.
+        defined = finite(order)
         checks.append(_check("order", {"order_estimate": order if defined else None},
-                             args.min_order,
-                             order >= args.min_order if defined else rep2.max_abs == 0.0))
-    passed = all(c["pass"] for c in checks)
-    doc = {
-        "schema_version": 1, "command": "residual",
-        "inputs": dict(src.inputs, mode=args.mode),
-        "effective_tolerances": {"tol": tol, "min_order": args.min_order},
-        "checks": checks, "statuses": [],
-        "summary": {"passed": passed},
-    }
-    if args.report:
-        write_report(doc, args.report)
-    else:
-        print(report_json(doc))
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+                             args.min_order, within([args.min_order], order)
+                             if defined else rep2.max_abs == 0.0))
+    return _finish(args, "residual", dict(src.inputs, mode=args.mode),
+                   {"tol": tol, "min_order": args.min_order}, checks, [])
 
 
 # -- reconstruct ----------------------------------------------------------------
@@ -475,16 +451,10 @@ def cmd_reconstruct(args):
             statuses.append(_result_status("reconstruction", res))
             warning = res.natural_warning
 
-    doc = {
-        "schema_version": 1, "command": "reconstruct",
-        "inputs": dict(src.inputs, pair=bool(args.pair), seed=args.seed or "standard"),
-        "effective_tolerances": {"tol_congruence": args.tol_congruence},
-        "checks": [], "statuses": statuses,
-        "summary": {"passed": True, "warning": bool(warning), "mesh_prefix": args.mesh},
-    }
-    if args.report:
-        write_report(doc, args.report)
-    return EXIT_OK
+    return _finish(args, "reconstruct",
+                   dict(src.inputs, pair=bool(args.pair), seed=args.seed or "standard"),
+                   {"tol_congruence": args.tol_congruence}, [], statuses,
+                   warning=bool(warning), mesh_prefix=args.mesh)
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -493,7 +463,7 @@ def cmd_corpus(args):
     if args.action == "list":
         for name in corpus_mod.names():
             print(name)
-        return EXIT_OK
+        return 0
     entry = corpus_mod.get(args.name)
     dom = entry.default_domain
     uc, vc = 0.5 * (dom[0] + dom[1]), 0.5 * (dom[2] + dom[3])
@@ -506,7 +476,7 @@ def cmd_corpus(args):
     for label, fn in (("F", ref.F), ("L", ref.L), ("M", ref.M), ("N", ref.N),
                       ("K", ref.K), ("H", ref.H)):
         print(f"  {label} = {float(fn(uc, vc))!r}")
-    return EXIT_OK
+    return 0
 
 
 # -- driver ---------------------------------------------------------------------
@@ -518,6 +488,7 @@ def _add_source_args(p):
                    metavar="UMIN:UMAX,VMIN:VMAX")
     p.add_argument("--u0", type=float, default=None)
     p.add_argument("--v0", type=float, default=None)
+    p.add_argument("--report", default=None, help="report JSON path (default: stdout)")
 
 
 def build_parser():
@@ -531,7 +502,6 @@ def build_parser():
     p = sub.add_parser("analyze", help="fundamental forms, invariants, classification")
     _add_source_args(p)
     p.add_argument("--tol-canonical", type=float, default=1e-6, dest="tol_canonical")
-    p.add_argument("--report", default=None, help="report JSON path (default: stdout)")
     p.add_argument("--mesh", default=None, help="mesh export prefix (corpus sources)")
     p.add_argument("--tol-iso", type=float, default=1e-8, dest="tol_iso")
     p.add_argument("--tol-normal", type=float, default=1e-9, dest="tol_normal")
@@ -546,32 +516,23 @@ def build_parser():
     p.add_argument("--tilde-v0", type=float, default=0.0, dest="tilde_v0")
     p.add_argument("--canon-nodes", type=_int_at_least_2, default=None, dest="canon_nodes")
     p.add_argument("--output", required=True, help="canonical chart output path")
-    p.add_argument("--report", default=None)
     p.set_defaults(fn=cmd_canonicalize)
 
     p = sub.add_parser("residual", help="natural-equation residuals")
     _add_source_args(p)
     p.add_argument("--mode", choices=("general", "cmc", "minimal"), required=True)
-    p.add_argument("--eps1", type=int, choices=(-1, 1), default=None,
-                   help="override the chart's eps1 sign")
-    p.add_argument("--eps2", type=int, choices=(-1, 1), default=None)
     p.add_argument("--tol", type=float, default=None,
                    help=f"absolute residual tolerance (default: {REL_TOL:g} * field scale)")
     p.add_argument("--min-order", type=float, default=1.9, dest="min_order")
     p.add_argument("--refine", type=_int_at_least_2, default=None,
                    help="refinement factor for a two-grid order estimate (corpus)")
     p.add_argument("--refined", default=None, help="refined chart file for the order estimate")
-    p.add_argument("--report", default=None)
     p.set_defaults(fn=cmd_residual)
 
     p = sub.add_parser("reconstruct", help="frame-system surface reconstruction")
     _add_source_args(p)
     p.add_argument("--seed", default=None, help="standard | seed JSON file")
-    p.add_argument("--eps1", type=int, choices=(-1, 1), default=None,
-                   help="override the chart's eps1 sign")
-    p.add_argument("--eps2", type=int, choices=(-1, 1), default=None)
     p.add_argument("--mesh", required=True, help="mesh output prefix (.obj and .csv)")
-    p.add_argument("--report", default=None)
     p.add_argument("--pair", action="store_true",
                    help="reconstruct both members of the CMC pair from (K, H)")
     p.add_argument("--force", action="store_true",
@@ -579,6 +540,10 @@ def build_parser():
     p.add_argument("--transpose-probe", action="store_true", dest="transpose_probe")
     p.add_argument("--tol-congruence", type=float, default=1e-4, dest="tol_congruence")
     p.set_defaults(fn=cmd_reconstruct)
+    for name in ("residual", "reconstruct"):  # the commands that use the chart signs
+        for k in (1, 2):
+            sub.choices[name].add_argument(f"--eps{k}", type=int, choices=(-1, 1), default=None,
+                                           help=f"override the chart's eps{k} sign")
 
     p = sub.add_parser("corpus", help="list or show the reference surfaces")
     p.add_argument("action", choices=("list", "show"))

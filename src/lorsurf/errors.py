@@ -3,10 +3,27 @@
 Each class carries the CLI's `exit_code` and the `label` of its message.
 Most errors say that a node breaks a precondition; `refuse` finds the first
 such node of a mask and names it, and `LorsurfError.at` moves an error found
-on a block of a grid to its node on the full grid.
+on a block of a grid to its node on the full grid.  `within` is the one pass
+rule of every verdict, and `finite` the test that a report trusts its numbers.
 """
 
+import math
+
 import numpy as np
+
+
+def finite(x):
+    """False if x holds a non-finite float anywhere in its dicts, lists and tuples."""
+    if isinstance(x, dict):
+        return all(finite(v) for v in x.values())
+    if isinstance(x, (list, tuple)):
+        return all(finite(v) for v in x)
+    return not isinstance(x, float) or math.isfinite(x)
+
+
+def within(values, tol):
+    """The pass rule: every value is finite and <= tol, and tol is finite."""
+    return math.isfinite(tol) and all(math.isfinite(x) and x <= tol for x in values)
 
 
 def node_at(u_grid, v_grid, i, j):

@@ -42,7 +42,7 @@ import numpy as np
 from . import minkowski as mk
 from .chart import _BLOCK, Chart
 from .errors import (DegenerateMetricError, InvalidFrameError, NaturalEquationError,
-                     NotLorentzSurfaceError, ReconstructionAbort, node_at, refuse)
+                     NotLorentzSurfaceError, ReconstructionAbort, node_at, refuse, within)
 from .natural import (REL_TOL, F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
                       natural_residual)
 from .stencils import check_grid
@@ -102,27 +102,29 @@ def initial_frame(F0, X=None, Y=None, l=None, x=None, tol=1e-10):
     """Initial frame for the march, defaulting to the standard null seed.
 
     The standard seed is X = (1, 1, 0), Y = (F0/2)(-1, 1, 0), l = (0, 0, 1)
-    at the origin.  Custom seeds must satisfy X^2 = Y^2 = 0, <X, Y> = F0,
-    l^2 = 1, <X, l> = <Y, l> = 0 and det(X, Y, l) > 0 (positive
-    orientation); each condition is checked to `tol` * (1 + |F0|).
+    at x (the origin by default), exact for the conditions below.  Custom
+    seeds must satisfy X^2 = Y^2 = 0, <X, Y> = F0, l^2 = 1, <X, l> =
+    <Y, l> = 0 and det(X, Y, l) > 0 (positive orientation); each condition
+    is checked to `tol` * (1 + |F0|), and one that overflows fails.
     """
     F0 = float(F0)
     if not F0 > 0.0:
         raise InvalidFrameError(f"F0 must be positive, got {F0!r}")
+    x = np.zeros(3) if x is None else _seed_vector("x", x)
     if X is None and Y is None and l is None:
-        X = np.array([1.0, 1.0, 0.0])
-        Y = 0.5 * F0 * np.array([-1.0, 1.0, 0.0])
-        l = np.array([0.0, 0.0, 1.0])
-    elif X is None or Y is None or l is None:
+        return FrameState(X=np.array([1.0, 1.0, 0.0]), Y=0.5 * F0 * np.array([-1.0, 1.0, 0.0]),
+                          l=np.array([0.0, 0.0, 1.0]), x=x)
+    if X is None or Y is None or l is None:
         raise InvalidFrameError("custom seeds must supply X, Y and l together")
     X, Y, l = _seed_vector("X", X), _seed_vector("Y", Y), _seed_vector("l", l)
-    x = np.zeros(3) if x is None else _seed_vector("x", x)
     allowed = tol * (1.0 + abs(F0))
-    errors = _frame_errors(X, Y, l, F0)
-    bad = {k: float(e) for k, e in errors.items() if e > allowed}
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = _frame_errors(X, Y, l, F0)
+        det = float(mk.det3(X, Y, l))
+    bad = {k: float(e) for k, e in errors.items() if not within([e], allowed)}
     if bad:
         raise InvalidFrameError(f"seed violates frame conditions {bad} (tol {allowed:.3g})")
-    if not float(mk.det3(X, Y, l)) > 0.0:
+    if not det > 0.0:
         raise InvalidFrameError("seed frame is not positively oriented (det <= 0)")
     return FrameState(X=X, Y=Y, l=l, x=x)
 
@@ -386,7 +388,7 @@ def reconstruct(chart, seed=None, transpose_probe=False):
         seed = initial_frame(F0, X=seed.X, Y=seed.Y, l=seed.l, x=seed.x)
 
     nat = natural_residual(chart, acc)
-    warning = nat.max_abs > REL_TOL * nat.scale
+    warning = not within([nat.max_abs], REL_TOL * nat.scale)
     if warning:
         warnings.warn(
             f"chart violates the natural equation (max residual {nat.max_abs:.3g}, "
@@ -401,46 +403,48 @@ def reconstruct(chart, seed=None, transpose_probe=False):
     S0 = seed.as_array()
     columns = _grid_march(u, v, chart.F, acc.L, acc.M, acc.N, i0, j0, S0,
                           _Place("base line", u, v, False, j0), _Place("columns", u, v, True))
-    for cols, S, new in _slabs(columns, j0):
-        # slab axes: (column, row, frame vector, component); the rows are X/Y-swapped
-        X, Y, l = S[:, :, 1], S[:, :, 0], S[:, :, 2]
-        fresh = cols[new:]
-        mesh[:, fresh] = S[new:, :, 3].swapaxes(0, 1)
-        drift[:, fresh] = np.stack(list(_frame_errors(
-            X[new:], Y[new:], l[new:], chart.F[:, fresh].T).values())).max(axis=0).T
-        if cols.size < 3:
-            continue
-        # a slab in decreasing v gives the same central differences bit for bit:
-        # IEEE a - b = -(b - a) and (-x) / (-y) = x / y exactly
-        mid = cols[1:-1]
-        D = _central(X[:, 1:-1], v[cols], axis=0) - _central(Y[1:-1], u, axis=1)
-        compat[:, mid - 1] = _euclid(D).T
-        Fi = chart.F[1:-1, mid].T[..., None]
-        Dl = _central(l[1:-1], u, axis=1) \
-            + (acc.M[1:-1, mid].T[..., None] / Fi) * X[1:-1, 1:-1] \
-            + (acc.L[1:-1, mid].T[..., None] / Fi) * Y[1:-1, 1:-1]
-        compat_l[:, mid - 1] = _euclid(Dl).T
+    # diagnostics that overflow on huge finite states are recorded, and fail a report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cols, S, new in _slabs(columns, j0):
+            # slab axes: (column, row, frame vector, component); the rows are X/Y-swapped
+            X, Y, l = S[:, :, 1], S[:, :, 0], S[:, :, 2]
+            fresh = cols[new:]
+            mesh[:, fresh] = S[new:, :, 3].swapaxes(0, 1)
+            drift[:, fresh] = np.stack(list(_frame_errors(
+                X[new:], Y[new:], l[new:], chart.F[:, fresh].T).values())).max(axis=0).T
+            if cols.size < 3:
+                continue
+            # a slab in decreasing v gives the same central differences bit for bit:
+            # IEEE a - b = -(b - a) and (-x) / (-y) = x / y exactly
+            mid = cols[1:-1]
+            D = _central(X[:, 1:-1], v[cols], axis=0) - _central(Y[1:-1], u, axis=1)
+            compat[:, mid - 1] = _euclid(D).T
+            Fi = chart.F[1:-1, mid].T[..., None]
+            Dl = _central(l[1:-1], u, axis=1) \
+                + (acc.M[1:-1, mid].T[..., None] / Fi) * X[1:-1, 1:-1] \
+                + (acc.L[1:-1, mid].T[..., None] / Fi) * Y[1:-1, 1:-1]
+            compat_l[:, mid - 1] = _euclid(Dl).T
 
-    dF = np.empty((nu - 2, nv - 2))
-    dH = np.empty((nu - 2, nv - 2))
-    e_max, g_max = [], []
-    for cols, fd in _interior_form_blocks(mesh, u, v):
-        inner = slice(cols.start - 1, cols.stop - 1)
-        dF[:, inner] = np.abs(fd.F - chart.F[1:-1, cols])
-        dH[:, inner] = np.abs(fd.H - chart.H[1:-1, cols])
-        e_max.append(np.max(np.abs(fd.E)))
-        g_max.append(np.max(np.abs(fd.G)))
-    mismatch = FormMismatch(
-        f_max=float(dF.max()), f_l2=float(np.sqrt(np.mean(dF**2))),
-        h_max=float(dH.max()), h_l2=float(np.sqrt(np.mean(dH**2))),
-        e_max=float(np.max(e_max)), g_max=float(np.max(g_max)))
+        dF = np.empty((nu - 2, nv - 2))
+        dH = np.empty((nu - 2, nv - 2))
+        e_max, g_max = [], []
+        for cols, fd in _interior_form_blocks(mesh, u, v):
+            inner = slice(cols.start - 1, cols.stop - 1)
+            dF[:, inner] = np.abs(fd.F - chart.F[1:-1, cols])
+            dH[:, inner] = np.abs(fd.H - chart.H[1:-1, cols])
+            e_max.append(np.max(np.abs(fd.E)))
+            g_max.append(np.max(np.abs(fd.G)))
+        mismatch = FormMismatch(
+            f_max=float(dF.max()), f_l2=float(np.sqrt(np.mean(dF**2))),
+            h_max=float(dH.max()), h_l2=float(np.sqrt(np.mean(dH**2))),
+            e_max=float(np.max(e_max)), g_max=float(np.max(g_max)))
 
-    transpose_diff = None
-    if transpose_probe:
-        rows = _grid_march(v, u, chart.F.T, acc.N.T, acc.M.T, acc.L.T, j0, i0, S0[_SWAP_XY, :],
-                           _Place("probe base line", u, v, True, i0),
-                           _Place("probe rows", u, v, False))
-        transpose_diff = float(max(np.max(_euclid(S[:, 3] - mesh[i])) for i, S in rows))
+        transpose_diff = None
+        if transpose_probe:
+            rows = _grid_march(v, u, chart.F.T, acc.N.T, acc.M.T, acc.L.T, j0, i0,
+                               S0[_SWAP_XY, :], _Place("probe base line", u, v, True, i0),
+                               _Place("probe rows", u, v, False))
+            transpose_diff = float(max(np.max(_euclid(S[:, 3] - mesh[i])) for i, S in rows))
 
     return ReconstructionResult(
         u_grid=u.copy(), v_grid=v.copy(), mesh=mesh,
@@ -461,8 +465,8 @@ def _cmc_chart(F, H, u, v, eps1, eps2):
 
 
 def _refuse_violation(res, which, force):
-    """NaturalEquationError, unless `force`, when `res.max_abs` exceeds REL_TOL * scale."""
-    if res.max_abs > REL_TOL * res.scale and not force:
+    """NaturalEquationError, unless `force`, when `res.max_abs` is not within REL_TOL * scale."""
+    if not (force or within([res.max_abs], REL_TOL * res.scale)):
         raise NaturalEquationError(
             f"K violates the {which} natural equation (max residual {res.max_abs:.3g}); "
             "pass force=True to reconstruct anyway")
@@ -543,9 +547,9 @@ def congruence_check(mesh_a, mesh_b, u_grid, v_grid, tol=1e-6):
     mismatch = {name: float(m) for name, m in diff.items()}
     flipped = {"F": mismatch["F"]}
     flipped.update({name: float(m) for name, m in summ.items()})
-    if max(mismatch.values()) <= tol:
+    if within(mismatch.values(), tol):
         verdict = CongruenceVerdict.CONGRUENT
-    elif max(flipped.values()) <= tol:
+    elif within(flipped.values(), tol):
         verdict = CongruenceVerdict.NON_PROPER
     else:
         verdict = CongruenceVerdict.DISTINCT

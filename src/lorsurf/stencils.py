@@ -3,7 +3,9 @@
 Grids may be non-uniform; every routine takes the coordinate array.  All
 derivatives are second-order accurate in the interior (central stencils)
 and second-order one-sided at the borders, matching the trapezoid error of
-the running integrals.
+the running integrals.  The derivative stencils divide the steps by a power
+of two near the largest step and scale the result back, exactly: tiny or
+huge steps neither underflow nor overflow, and give the scaled bits.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ def check_grid(t, name="grid", min_len=2):
     return t
 
 
+def _unit_steps(h):
+    """(h / 2**e, e) with 2**e near max(h); order-k stencils scale back by 2**(-k * e)."""
+    e = int(np.frexp(np.max(h))[1])
+    return np.ldexp(h, -e), e
+
+
 def _diffs(f, t, axis):
+    """f with `axis` first, its node differences, and _unit_steps of its steps."""
     f = np.asarray(f, dtype=float)
     t = np.asarray(t, dtype=float)
     n = f.shape[axis]
@@ -42,7 +51,7 @@ def _diffs(f, t, axis):
         raise StencilError("derivative stencils need at least 3 nodes along the axis")
     fm = np.moveaxis(f, axis, 0)
     tt = t.reshape((n,) + (1,) * (fm.ndim - 1))
-    return fm, np.diff(fm, axis=0), np.diff(tt, axis=0)
+    return (fm, np.diff(fm, axis=0)) + _unit_steps(np.diff(tt, axis=0))
 
 
 def gradient(f, t, axis):
@@ -52,7 +61,7 @@ def gradient(f, t, axis):
     to exactly zero; second-order accurate everywhere, on non-uniform grids
     included.
     """
-    fm, d, h = _diffs(f, t, axis)
+    fm, d, h, e = _diffs(f, t, axis)
     out = np.empty_like(fm)
     hm, hp = h[:-1], h[1:]
     dm, dp = d[:-1], d[1:]
@@ -61,7 +70,7 @@ def gradient(f, t, axis):
     out[0] = d[0] / h[0] - 0.5 * h[0] * curv_l
     curv_r = 2.0 * (h[-2] * d[-1] - h[-1] * d[-2]) / (h[-2] * h[-1] * (h[-2] + h[-1]))
     out[-1] = d[-1] / h[-1] + 0.5 * h[-1] * curv_r
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(np.ldexp(out, -e, out=out), 0, axis)
 
 
 def second_derivative(f, t, axis):
@@ -71,14 +80,14 @@ def second_derivative(f, t, axis):
     the curvature of the adjacent triple (exact for quadratics, first order
     on non-uniform borders).  Constant fields map to exactly zero.
     """
-    fm, d, h = _diffs(f, t, axis)
+    fm, d, h, e = _diffs(f, t, axis)
     out = np.empty_like(fm)
     hm, hp = h[:-1], h[1:]
     dm, dp = d[:-1], d[1:]
     out[1:-1] = 2.0 * (hm * dp - hp * dm) / (hm * hp * (hm + hp))
     out[0] = out[1]
     out[-1] = out[-2]
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(np.ldexp(out, -2 * e, out=out), 0, axis)
 
 
 def cross_derivative(F, u, v):
@@ -90,10 +99,11 @@ def cross_derivative(F, u, v):
     F = np.asarray(F, dtype=float)
     if F.shape[0] < 3 or F.shape[1] < 3:
         raise StencilError("cross_derivative needs a grid of at least 3x3 nodes")
-    du = (u[2:] - u[:-2])[:, None]
-    dv = (v[2:] - v[:-2])[None, :]
+    du, eu = _unit_steps((u[2:] - u[:-2])[:, None])
+    dv, ev = _unit_steps((v[2:] - v[:-2])[None, :])
     num = F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]
-    return num / (du * dv)
+    num /= du * dv
+    return np.ldexp(num, -(eu + ev), out=num)
 
 
 def _cumtrapz(f, t, axis=-1):

@@ -26,6 +26,7 @@ from .errors import (
     NotIsotropicError,
     NotLorentzSurfaceError,
     refuse,
+    within,
 )
 from .stencils import check_grid, gradient, second_derivative
 
@@ -301,7 +302,7 @@ def pseudo_arc_check(provider, u0, v0, samples, tol=1e-8, v_samples=None):
     dev_v = float(np.max(np.abs(q_v - 1.0)))
     return PseudoArcReport(
         max_dev_u=dev_u, max_dev_v=dev_v,
-        passed=not (deg_u or deg_v) and dev_u <= tol and dev_v <= tol,
+        passed=not (deg_u or deg_v) and within([dev_u, dev_v], tol),
         degenerate_u=deg_u, degenerate_v=deg_v, tol=tol)
 
 

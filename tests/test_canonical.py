@@ -68,6 +68,15 @@ def test_map_monotonicity_and_inverse():
         umap.inverse(umap.range[1] + 1.0)
 
 
+def test_map_refuses_non_finite_values_and_slopes():
+    g = np.linspace(0.0, 1.0, 5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ls.ChartError, match=r"map value is non-finite at index \(2,\)"):
+            ls.MonotoneMap(knots=g, values=np.where(g == 0.5, bad, g), derivative=np.ones(5))
+        with pytest.raises(ls.ChartError, match="map derivative is non-finite"):
+            ls.MonotoneMap(knots=g, values=g, derivative=np.full(5, bad))
+
+
 @pytest.mark.parametrize("base", ["centre", "off_centre"])
 @pytest.mark.parametrize("name", ["enneper1", "enneper2", "cylinder", "hyperbolic_cylinder",
                                   "hyperbolic_cone"])
@@ -181,6 +190,13 @@ def test_verify_canonical_raw_cone_fails_with_known_deviation():
     assert not rep.passed
     expected = np.max(np.abs(0.5 * np.sqrt(3.0) * np.exp(u / 2.0) - 1.0))
     assert np.isclose(rep.max_dev_L, expected, rtol=1e-10)
+
+
+def test_verify_canonical_fails_a_non_finite_tolerance():
+    chart = ls.reference_chart("enneper1", np.linspace(1.0, 2.0, 11), np.linspace(-1.0, 0.0, 11))
+    assert ls.verify_canonical(chart, tol=0.0).passed
+    for tol in (np.inf, np.nan):
+        assert not ls.verify_canonical(chart, tol=tol).passed
 
 
 def test_verify_canonical_requires_fields():

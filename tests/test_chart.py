@@ -20,24 +20,23 @@ DOMAINS = {
 
 
 def bits(a):
-    return None if a is None else np.asarray(a, dtype=float).tobytes()
+    return np.asarray(a, dtype=float).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
 @given(name=st.sampled_from(sorted(DOMAINS)), nu=st.integers(3, 100), nv=st.integers(3, 30),
-       include_K=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_chart_from_provider_equals_whole_grid_forms_bit_for_bit(name, nu, nv, include_K, seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_chart_from_provider_equals_whole_grid_forms_bit_for_bit(name, nu, nv, seed):
     rng = np.random.default_rng(seed)
     a, b, c, d = DOMAINS[name]
     u, v = random_grid(rng, a, b, nu), random_grid(rng, c, d, nv)
     i0, j0 = int(rng.integers(nu)), int(rng.integers(nv))
     provider = ls.get(name).provider
-    chart = ls.chart_from_provider(provider, u, v, u[i0], v[j0], include_K=include_K)
+    chart = ls.chart_from_provider(provider, u, v, u[i0], v[j0])
     U, V = np.meshgrid(u, v, indexing="ij")
     fd = fundamental_forms(provider(U, V))
-    for field in "FHLMN":
+    for field in "FHLMNK":
         assert bits(getattr(chart, field)) == bits(getattr(fd, field)), field
-    assert bits(chart.K) == (bits(fd.K) if include_K else None)
     assert (chart.u0_index, chart.v0_index) == (i0, j0)
     assert (chart.eps1, chart.eps2) == (int(np.sign(fd.L[i0, j0])), int(np.sign(fd.N[i0, j0])))
 

@@ -271,6 +271,79 @@ def test_analyze_overflow_fails_instead_of_passing(tmp_path):
     assert doc["summary"]["passed"] is False
 
 
+# -- one pass rule, one report writer ---------------------------------------------
+
+def test_canonicalize_infinite_tolerance_fails(tmp_path):
+    # no verdict passes on a non-finite tolerance, and the summary follows the check
+    rep = tmp_path / "r.json"
+    assert run("canonicalize", "hyperbolic_cone", "--grid", "11x11", "--tol-canonical", "inf",
+               "--output", str(tmp_path / "c.json"), "--report", str(rep)) == 1
+    doc = load_strict(str(rep))
+    assert check(doc, "canonical")["pass"] is False and doc["summary"]["passed"] is False
+
+
+def huge_F_chart():
+    """A finite 9x9 chart, F = 1e300 (1 + u)(1 + v) / 4 and H = 0, whose
+    reconstruction diagnostics overflow."""
+    g = np.linspace(0.0, 1.0, 9)
+    U, V = np.meshgrid(g, g, indexing="ij")
+    return ls.Chart(u_grid=g, v_grid=g, F=1e300 * (1 + U) * (1 + V) / 4, H=np.zeros((9, 9)),
+                    u0_index=4, v0_index=4, eps1=1, eps2=1).validate()
+
+
+def test_reconstruct_non_finite_diagnostics_fail_without_runtime_warnings(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    ls.write_chart(huge_F_chart(), str(path))
+    rep = tmp_path / "r.json"
+    with pytest.warns(UserWarning, match="natural equation") as caught:
+        code = run("reconstruct", str(path), "--mesh", str(tmp_path / "m"),
+                   "--report", str(rep))
+    assert code == 1
+    assert [w.category for w in caught] == [UserWarning]
+    assert [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln] == []
+    doc = load_strict(str(rep))
+    vals = status(doc, "reconstruction")["values"]
+    assert vals["natural_warning"] is True
+    assert vals["natural_residual_max_abs"] == "NaN" and vals["max_invariant_drift"] == "NaN"
+    assert doc["summary"]["passed"] is False and doc["summary"]["warning"] is True
+
+
+@pytest.mark.parametrize("flag", [["--u0", "nan"], ["--v0", "inf"]], ids=["u0_nan", "v0_inf"])
+def test_non_finite_base_value_exits_2(capsys, flag):
+    code = run("residual", "hyperbolic_cone", "--grid", "11x11", "--mode", "general", *flag)
+    out, err = capsys.readouterr()
+    lines = [ln for ln in err.splitlines() if "wall time" not in ln]
+    assert code == 2 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("lorsurf: error: ")
+    assert "is not a grid node" in lines[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_canonicalize_non_finite_tilde_base_exits_2(capsys, tmp_path, value):
+    code = run("canonicalize", "hyperbolic_cone", "--grid", "11x11", "--tilde-u0", value,
+               "--output", str(tmp_path / "c.json"))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert lines == ["lorsurf: error: map value is non-finite at index (0,)"]
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "enneper1", "--grid", "11x11"],
+    ["canonicalize", "hyperbolic_cone", "--grid", "11x11", "--output", "{tmp}/c.json"],
+    ["residual", "cylinder", "--grid", "11x11", "--mode", "cmc"],
+    ["reconstruct", "cylinder", "--grid", "11x11", "--domain", "0:1,0:1", "--mesh", "{tmp}/m"],
+], ids=lambda argv: argv[0])
+def test_report_commands_print_the_report_without_a_report_path(capsys, tmp_path, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = run(*argv)
+    printed = capsys.readouterr().out
+    assert run(*argv, "--report", str(tmp_path / "r.json")) == code
+    assert capsys.readouterr().out == ""
+    assert printed == (tmp_path / "r.json").read_text()
+    assert json.loads(printed)["summary"]["passed"] is (code == 0)
+
+
 def test_residual_undefined_order_is_null_and_passes_on_exact_data(tmp_path):
     # the cylinder's cmc residual is exactly zero on both grids
     rep = tmp_path / "r.json"
@@ -528,9 +601,10 @@ def _overflow_chart(which):
         g = np.linspace(0.0, 1.0, 7)
         H = np.zeros((7, 7))
         H[5], H[6] = 1.5e308, -1.5e308
-    else:  # the stencil denominators h^3 underflow to 0
+    else:  # steps of 1e-156: H_u = 2e155 / 1e-156 overflows
         g = np.arange(7) * 1e-156
-        H = np.full((7, 7), 1e155)
+        H = np.zeros((7, 7))
+        H[5], H[6] = 1e155, -1e155
     return ls.Chart(u_grid=g, v_grid=g, F=np.ones((7, 7)), H=H,
                     u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
 
@@ -538,7 +612,7 @@ def _overflow_chart(which):
 @pytest.mark.parametrize("argv", [["residual", "--mode", "general"], ["analyze"],
                                   ["reconstruct", "--mesh", "{tmp}/m"]],
                          ids=lambda argv: argv[0])
-@pytest.mark.parametrize("which", ["overflow", "underflow"])
+@pytest.mark.parametrize("which", ["overflow", "tiny_steps"])
 def test_non_finite_stencils_fail_in_one_line_without_warnings(tmp_path, which, argv):
     path = tmp_path / "c.json"
     ls.write_chart(_overflow_chart(which), str(path))

@@ -1,14 +1,16 @@
-"""The one refusal path: `errors.refuse` and `LorsurfError.at`, and a source
-guard that keeps every module on it."""
+"""The one refusal path (`errors.refuse` and `LorsurfError.at`), the one pass
+rule (`errors.within`, `errors.finite`), and source guards that keep every
+module on them."""
 
 import ast
+import math
 import os
 
 import numpy as np
 import pytest
 
 import lorsurf as ls
-from lorsurf.errors import refuse
+from lorsurf.errors import finite, refuse, within
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "lorsurf")
 
@@ -45,6 +47,22 @@ def test_at_moves_a_block_error_to_the_full_grid():
     assert str(moved) == "timelike normal at grid node (8, 3), (u, v) = (0.8, 1.5)"
 
 
+def test_within_passes_finite_values_up_to_a_finite_tolerance():
+    assert within([0.5, 1.0], 1.0) and within([], 0.0) and within((-2.0,), -1.0)
+    assert not within([0.5, 1.5], 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not within([0.0, bad], 1.0)
+        assert not within([0.0], bad)
+    assert within(np.array([1e-3]), np.float64(1e-2))
+
+
+def test_finite_walks_dicts_lists_and_tuples():
+    assert finite({"a": [1.0, (2, "x", None, True)], "b": {"c": -1e308}})
+    assert not finite({"a": [{"b": (0.0, math.nan)}]})
+    assert not finite([math.inf]) and not finite(-math.inf)
+    assert finite(np.float64(2.0)) and not finite(np.float64(math.nan))
+
+
 def _modules():
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
@@ -75,3 +93,27 @@ def test_node_at_is_defined_only_in_errors():
     defined = [name for name, tree in _modules() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "node_at"]
     assert defined == ["errors.py"]
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def test_one_pass_rule_and_one_report_writer():
+    modules = dict(_modules())
+    # the pass rule and the finiteness walk live in errors.py alone
+    defined = sorted((name, f.name) for name, tree in modules.items()
+                     for f in _functions(tree) if f.name in ("finite", "within"))
+    assert defined == [("errors.py", "finite"), ("errors.py", "within")]
+    # one function of the CLI builds a report document
+    writers = [f.name for f in _functions(modules["cli.py"]) for node in ast.walk(f)
+               if isinstance(node, ast.Dict) and any(
+                   isinstance(k, ast.Constant) and k.value == "schema_version"
+                   for k in node.keys)]
+    assert writers == ["_finish"]
+    # the old per-command rules and exit-code names are gone
+    gone = {"_all_finite", "EXIT_OK", "EXIT_CHECK_FAILED"}
+    found = [f"{name}:{node.lineno}" for name, tree in modules.items() for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id in gone)
+             or (isinstance(node, ast.FunctionDef) and node.name in gone)]
+    assert found == []

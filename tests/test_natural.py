@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lorsurf as ls
-from lorsurf.stencils import cross_derivative, gradient
+from lorsurf.stencils import cross_derivative, gradient, second_derivative
 
-from conftest import CONE_TU0, cone_canonical_chart, enneper1_chart
+from conftest import CONE_TU0, cone_canonical_chart, enneper1_chart, random_grid
 
 
 def constant_chart(F0, H0, n=21, eps=(1, 1), lo=0.0, hi=1.0):
@@ -13,6 +15,38 @@ def constant_chart(F0, H0, n=21, eps=(1, 1), lo=0.0, hi=1.0):
     return ls.Chart(u_grid=g, v_grid=g, F=np.full(shape, F0), H=np.full(shape, H0),
                     u0_index=(n - 1) // 2, v0_index=(n - 1) // 2,
                     eps1=eps[0], eps2=eps[1]).validate()
+
+
+# -- stencils --------------------------------------------------------------------
+
+def test_stencils_of_a_constant_field_are_zero_on_tiny_grids():
+    # the products of steps of 1e-160 underflow unless the steps are scaled first
+    g = np.arange(7) * 1e-160
+    f = np.ones((7, 7))
+    for d in (gradient(f, g, 0), second_derivative(f, g, 1), cross_derivative(f, g, g)):
+        assert np.all(d == 0.0)
+    np.testing.assert_allclose(gradient(3.0 * np.arange(7) + 1.0, g, 0), 3e160, rtol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 12), k=st.integers(-400, 400), seed=st.integers(0, 2**32 - 1))
+def test_stencils_scale_exactly_with_a_power_of_two_grid(n, k, seed):
+    rng = np.random.default_rng(seed)
+    t = random_grid(rng, -1.0, 2.0, n)
+    f = rng.normal(size=(n, n))
+    s = np.ldexp(t, k)
+    for order, stencil in ((1, gradient), (2, second_derivative)):
+        assert np.array_equal(stencil(f, s, 0), np.ldexp(stencil(f, t, 0), -order * k))
+    assert np.array_equal(cross_derivative(f, s, t), np.ldexp(cross_derivative(f, t, t), -k))
+
+
+def test_natural_residual_on_a_tiny_grid_equals_the_unit_grid():
+    # F = 1 and H = 0.5 give L = N = 1 and M = 0.5, so LN - M^2 = 0.75 on any grid
+    unit, tiny = (ls.Chart(u_grid=g, v_grid=g, F=np.ones((7, 7)), H=np.full((7, 7), 0.5),
+                           u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
+                  for g in (np.arange(7.0), np.arange(7) * 1e-160))
+    assert ls.natural_residual(unit).max_abs == 0.75
+    assert ls.natural_residual(tiny).max_abs == 0.75
 
 
 # -- accumulate_LN ---------------------------------------------------------------

@@ -69,6 +69,15 @@ def test_custom_frame_validation():
             ls.initial_frame(2.0, X=st.X, Y=st.Y, l=st.l, x=bad)
 
 
+def test_standard_frame_on_a_huge_F0_and_a_custom_seed_that_overflows():
+    # the standard seed is exact by construction; a custom seed whose frame
+    # conditions overflow cannot be checked, so it is refused
+    st = ls.initial_frame(1e300)
+    assert st.Y[1] == 5e299 and mk.det3(st.X, st.Y, st.l) == 1e300
+    with pytest.raises(ls.InvalidFrameError, match="nan"):
+        ls.initial_frame(1e300, X=st.X, Y=st.Y, l=st.l)
+
+
 # -- reconstruction of the corpus surfaces ----------------------------------------
 
 def test_cylinder_reconstruction_matches_corpus():
@@ -317,6 +326,16 @@ def test_congruence_reflection_is_non_proper():
     reflected = mesh @ np.diag([-1.0, 1.0, 1.0])
     rep = ls.congruence_check(mesh, reflected, g, g, tol=1e-8)
     assert rep.verdict is ls.CongruenceVerdict.NON_PROPER
+
+
+def test_congruence_needs_a_finite_tolerance():
+    g = np.linspace(0.0, 1.0, 11)
+    U, V = np.meshgrid(g, g, indexing="ij")
+    mesh = ls.get("cylinder").position(U, V)
+    assert ls.congruence_check(mesh, mesh, g, g, tol=0.0).verdict is ls.CongruenceVerdict.CONGRUENT
+    for tol in (np.inf, np.nan):
+        rep = ls.congruence_check(mesh, mesh, g, g, tol=tol)
+        assert rep.verdict is ls.CongruenceVerdict.DISTINCT
 
 
 def test_congruence_pair_members_differ():
