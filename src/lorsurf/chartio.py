@@ -4,8 +4,13 @@ Charts and reports are JSON: human-readable key/value documents with
 nested arrays.  Floats are serialized with Python's shortest round-trip
 representation, so write-then-read reproduces every number bit-exactly.
 In chart files the 2-D arrays are stored with row index = v and column
-index = u (the in-memory layout is the transpose).  All writes are atomic
-(temporary file in the target directory, then rename).
+index = u (the in-memory layout is the transpose).  A chart file holds
+exactly the bytes of `json.dumps(doc, indent=1) + "\n"`.
+
+All writes are atomic and streamed: the text goes into a temporary file in
+the target directory one grid row at a time, then the file is renamed onto
+the target, so no writer holds a whole file in memory.  Files are UTF-8
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -38,12 +43,13 @@ SCHEMA_VERSION = 1
 _FIELDS = ("F", "H", "L", "M", "N", "K")
 
 
-def _atomic_write_text(path, text):
+def _atomic_write(path, chunks):
+    """Write the strings of `chunks` to `path`; on any error the target is untouched."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,7 +68,12 @@ def digest_text(text):
 def write_chart(chart, path):
     """Serialize a chart to JSON (arrays transposed to row index = v)."""
     chart.validate()
-    doc = {
+    _atomic_write(path, _chart_chunks(chart))
+
+
+def _chart_chunks(chart):
+    """The text of `json.dumps(doc, indent=1) + "\n"`, one file row at a time."""
+    head = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "u_grid": chart.u_grid.tolist(),
         "v_grid": chart.v_grid.tolist(),
@@ -70,13 +81,22 @@ def write_chart(chart, path):
         "v0_index": int(chart.v0_index),
         "eps1": int(chart.eps1),
         "eps2": int(chart.eps2),
-    }
+    }, indent=1)
+    yield head[:-2]  # without the closing "\n}"
+    inner, pad = "\n   ", "\n  "
     for name in _FIELDS:
         arr = getattr(chart, name)
-        if arr is not None:
-            doc[name] = arr.T.tolist()
-    doc["metadata"] = dict(chart.metadata, canonical=bool(chart.canonical))
-    _atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+        if arr is None:
+            continue
+        # validate() made every value finite, so float repr is what json writes
+        sep = f',\n "{name}": [{pad}'
+        for col in arr.T:
+            row = ("," + inner).join(map(float.__repr__, col.tolist()))
+            yield f"{sep}[{inner}{row}{pad}]"
+            sep = "," + pad
+        yield "\n ]"
+    metadata = json.dumps(dict(chart.metadata, canonical=bool(chart.canonical)), indent=1)
+    yield ',\n "metadata": ' + metadata.replace("\n", "\n ") + "\n}\n"
 
 
 def _integer(doc, key):
@@ -177,42 +197,39 @@ def report_json(doc):
 
 def write_report(doc, path):
     """Write a report document; content is fully deterministic for fixed inputs."""
-    _atomic_write_text(path, report_json(doc) + "\n")
+    _atomic_write(path, (report_json(doc) + "\n",))
 
 
 def write_mesh_obj(mesh, u_grid, v_grid, path, comments=()):
     """Wavefront OBJ export: grid quads split into two consistently wound
     triangles; vertex order is u-major (index = i * nv + j + 1)."""
     mesh = np.asarray(mesh, dtype=float)
+    _atomic_write(path, _obj_chunks(mesh, comments))
+
+
+def _obj_chunks(mesh, comments):
     nu, nv = mesh.shape[0], mesh.shape[1]
-    lines = [
-        "# lorsurf mesh export",
-        "# ambient coordinates (x1, x2, x3) in R^3_1 with <a,b> = -a1*b1 + a2*b2 + a3*b3",
-        f"# grid nu={nu} nv={nv}, vertex index = i*nv + j + 1 (u-major)",
-    ]
-    lines.extend(f"# {c}" for c in comments)
-    for i in range(nu):
-        for j in range(nv):
-            p = mesh[i, j]
-            lines.append(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
+    yield ("# lorsurf mesh export\n"
+           "# ambient coordinates (x1, x2, x3) in R^3_1 with <a,b> = -a1*b1 + a2*b2 + a3*b3\n"
+           f"# grid nu={nu} nv={nv}, vertex index = i*nv + j + 1 (u-major)\n")
+    yield "".join(f"# {c}\n" for c in comments)
+    for row in mesh[:, :, :3]:
+        yield "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in row.tolist())
     for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1
-            b = (i + 1) * nv + j + 1
-            c = (i + 1) * nv + j + 2
-            d = i * nv + j + 2
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+        # the quad at node (i, j) has corners a = i*nv + j + 1, a + nv, a + nv + 1, a + 1
+        yield "".join(f"f {a} {a + nv} {a + nv + 1}\nf {a} {a + nv + 1} {a + 1}\n"
+                      for a in range(i * nv + 1, (i + 1) * nv))
 
 
 def write_mesh_csv(mesh, u_grid, v_grid, path):
     """Flat CSV export (u, v, x1, x2, x3), one row per node, u-major."""
     mesh = np.asarray(mesh, dtype=float)
-    lines = ["u,v,x1,x2,x3"]
-    for i, uu in enumerate(u_grid):
-        for j, vv in enumerate(v_grid):
-            p = mesh[i, j]
-            lines.append(f"{float(uu)!r},{float(vv)!r},"
-                         f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv_chunks(mesh, u_grid, v_grid))
+
+
+def _csv_chunks(mesh, u_grid, v_grid):
+    yield "u,v,x1,x2,x3\n"
+    vs = [f"{float(vv)!r}," for vv in v_grid]
+    for uu, row in zip(u_grid, mesh[:, :, :3]):
+        u = f"{float(uu)!r},"
+        yield "".join(f"{u}{v}{x!r},{y!r},{z!r}\n" for v, (x, y, z) in zip(vs, row.tolist()))

@@ -418,6 +418,9 @@ def _export_mesh(res, prefix, note):
 def cmd_reconstruct(args):
     import warnings as _warnings
 
+    if args.pair and (args.eps1 is not None or args.eps2 is not None):
+        raise ChartError("--pair fixes the signs of both pair members itself; "
+                         "drop --eps1/--eps2")
     src = _Source(args)
     chart = _apply_eps_overrides(src.chart(), args)
     statuses = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, StencilError, refuse
-from .stencils import check_grid, cross_derivative, cumtrapz_from, gradient
+from .stencils import _unit_steps, check_grid, cross_derivative, cumtrapz_from, gradient
 
 __all__ = [
     "REL_TOL",
@@ -65,8 +65,10 @@ def _trap_weights(t):
 
 
 def _summarize(residual, u_int, v_int, scale):
-    wu = _trap_weights(u_int) if u_int.size > 1 else np.ones(1)
-    wv = _trap_weights(v_int) if v_int.size > 1 else np.ones(1)
+    # l2 is a ratio of weighted sums: scaling the weights by a power of two changes
+    # no bit of it, and keeps huge or tiny steps from overflowing or going subnormal
+    wu = _unit_steps(_trap_weights(u_int))[0] if u_int.size > 1 else np.ones(1)
+    wv = _unit_steps(_trap_weights(v_int))[0] if v_int.size > 1 else np.ones(1)
     area = np.outer(wu, wv)
     with np.errstate(over="ignore"):  # an overflow gives l2 = inf, which fails every check
         l2 = float(np.sqrt(np.sum(residual**2 * area) / np.sum(area)))

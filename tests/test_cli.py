@@ -525,6 +525,18 @@ def test_reconstruct_pair_refuses_zero_H(capsys, tmp_path):
     assert "fixed by K" in lines[0]
 
 
+def test_reconstruct_pair_refuses_sign_overrides(capsys, tmp_path):
+    # cmc_pair fixes the members' signs itself, so --eps1/--eps2 would be ignored
+    for flags in (["--eps1", "-1", "--eps2", "1"], ["--eps2", "-1"]):
+        code = run("reconstruct", "cylinder", "--grid", "11x11", "--pair", *flags,
+                   "--mesh", str(tmp_path / "pp"))
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+        assert code == 2
+        assert lines == ["lorsurf: error: --pair fixes the signs of both pair members "
+                         "itself; drop --eps1/--eps2"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reconstruct_defective_chart_warns_but_succeeds(tmp_path):
     g = np.linspace(0.0, 1.0, 31)
     chart = ls.Chart(u_grid=g, v_grid=g, F=np.full((31, 31), 2.1),
@@ -701,3 +713,38 @@ def test_report_verdicts_recomputable(tmp_path):
             assert c["pass"] == (c["values"]["max_abs"] <= c["tolerance"])
         if c["name"] == "order":
             assert c["pass"] == (c["values"]["order_estimate"] >= c["tolerance"])
+
+
+def _constant_chart_file(tmp_path, F, scale):
+    g = np.arange(7) * scale
+    chart = ls.Chart(u_grid=g, v_grid=g, F=np.full((7, 7), F), H=np.full((7, 7), 0.5),
+                     u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
+    path = tmp_path / f"c{F}_{scale}.json"
+    ls.write_chart(chart, str(path))
+    return str(path)
+
+
+def _general_residual(tmp_path, path):
+    rep = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("residual", path, "--mode", "general", "--report", str(rep))
+    assert caught == []
+    return code, check(load_strict(str(rep)), "residual")["values"]
+
+
+def test_residual_l2_on_huge_steps_is_exact(tmp_path):
+    # the cylinder's F = 2, H = 0.5 solve the natural equation exactly; steps of 1e160
+    # overflowed the area weights to an l2 of NaN
+    code, values = _general_residual(tmp_path, _constant_chart_file(tmp_path, 2.0, 1e160))
+    assert code == 0 and values["max_abs"] == 0.0 and values["l2"] == 0.0
+
+
+def test_residual_l2_on_tiny_steps_matches_the_unit_grid(tmp_path):
+    # F = 1, H = 0.5 leave the constant residual 0.75; steps of 1e-160 made subnormal
+    # area weights and an l2 of 0.749876.  The weights scaled to the unit range have
+    # mantissas that are not powers of two, so their sums may round by one ulp
+    _, unit = _general_residual(tmp_path, _constant_chart_file(tmp_path, 1.0, 1.0))
+    _, tiny = _general_residual(tmp_path, _constant_chart_file(tmp_path, 1.0, 1e-160))
+    assert unit["l2"] == 0.75 and tiny["max_abs"] == 0.75
+    assert abs(tiny["l2"] - 0.75) <= np.spacing(0.75)

@@ -1,14 +1,21 @@
+import ast
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lorsurf as ls
+from lorsurf import chartio
 from lorsurf.chartio import report_json, write_mesh_csv, write_mesh_obj
+
+# floats whose shortest repr takes each form: signed zero, the least subnormal,
+# exponent notation both ways, an inexact decimal and the largest double
+AWKWARD = (-0.0, 5e-324, 1e16, 1e-5, 0.1, 1.7976931348623157e308)
 
 
 def awkward_chart():
@@ -93,27 +100,70 @@ def test_malformed_chart_rejected(tmp_path, corrupt):
         ls.read_chart(str(bad))
 
 
+def awkward_or(elements):
+    return st.one_of(st.sampled_from(AWKWARD), elements)
+
+
+json_metadata = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=8)
+
+
 @st.composite
 def charts(draw):
-    """Charts with non-uniform grids, optional L/M/N/K and any base node."""
+    """Charts with non-uniform grids, optional L/M/N/K, any base node, floats of
+    every repr form and nested, non-ASCII metadata."""
     nu, nv = draw(st.integers(2, 6)), draw(st.integers(2, 6))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
+    finite = awkward_or(st.floats(allow_nan=False, allow_infinity=False))
 
     def grid(n):
-        return np.sort(draw(hnp.arrays(float, n, elements=st.floats(-1e6, 1e6), unique=True)))
+        elements = awkward_or(st.floats(-1e6, 1e6))
+        return np.sort(draw(hnp.arrays(float, n, elements=elements, unique=True)))
 
     def field(elements=finite):
         return draw(hnp.arrays(float, (nu, nv), elements=elements))
 
     optional = {name: field() for name in "LMNK" if draw(st.booleans())}
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
     return ls.Chart(
         u_grid=grid(nu), v_grid=grid(nv),
-        F=field(st.floats(0.0, exclude_min=True, allow_infinity=False)), H=field(),
+        F=field(awkward_or(positive).filter(lambda x: x > 0.0)), H=field(),
         u0_index=draw(st.integers(0, nu - 1)), v0_index=draw(st.integers(0, nv - 1)),
         eps1=draw(st.sampled_from((-1, 1))), eps2=draw(st.sampled_from((-1, 1))),
         canonical=draw(st.booleans()),
-        metadata=draw(st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2)),
+        metadata=draw(st.dictionaries(st.text(max_size=3), json_metadata, max_size=3)),
         **optional).validate()
+
+
+def reference_chart_text(chart):
+    """The chart file as one json.dumps of the whole document."""
+    doc = {
+        "schema_version": 1,
+        "u_grid": chart.u_grid.tolist(),
+        "v_grid": chart.v_grid.tolist(),
+        "u0_index": int(chart.u0_index),
+        "v0_index": int(chart.v0_index),
+        "eps1": int(chart.eps1),
+        "eps2": int(chart.eps2),
+    }
+    for name in ("F", "H", "L", "M", "N", "K"):
+        arr = getattr(chart, name)
+        if arr is not None:
+            doc[name] = arr.T.tolist()
+    doc["metadata"] = dict(chart.metadata, canonical=bool(chart.canonical))
+    return json.dumps(doc, indent=1) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(chart=charts())
+@example(chart=awkward_chart())
+def test_streamed_chart_equals_one_json_dumps(tmp_path_factory, chart):
+    path = tmp_path_factory.mktemp("chart") / "c.json"
+    ls.write_chart(chart, str(path))
+    assert path.read_bytes() == reference_chart_text(chart).encode("utf-8")
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,3 +236,137 @@ def test_report_json_is_strict_and_keeps_finite_reports_byte_identical():
                               "order": None, "pair": [1.5, 2]}
     finite = {"checks": [{"values": {"x": 0.1, "n": [1, 2.5e-300]}, "pass": True}]}
     assert report_json(finite) == json.dumps(finite, indent=1)
+
+
+def reference_obj_text(mesh, comments):
+    """The OBJ file from one f-string per node and per face."""
+    nu, nv = mesh.shape[0], mesh.shape[1]
+    lines = [
+        "# lorsurf mesh export",
+        "# ambient coordinates (x1, x2, x3) in R^3_1 with <a,b> = -a1*b1 + a2*b2 + a3*b3",
+        f"# grid nu={nu} nv={nv}, vertex index = i*nv + j + 1 (u-major)",
+    ]
+    lines.extend(f"# {c}" for c in comments)
+    for i in range(nu):
+        for j in range(nv):
+            p = mesh[i, j]
+            lines.append(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j + 1
+            b = (i + 1) * nv + j + 1
+            c = (i + 1) * nv + j + 2
+            d = i * nv + j + 2
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv_text(mesh, u_grid, v_grid):
+    """The CSV file from one f-string per node."""
+    lines = ["u,v,x1,x2,x3"]
+    for i, uu in enumerate(u_grid):
+        for j, vv in enumerate(v_grid):
+            p = mesh[i, j]
+            lines.append(f"{float(uu)!r},{float(vv)!r},"
+                         f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def meshes(draw):
+    """Meshes with nu != nv allowed, non-finite coordinates and any grid values."""
+    nu, nv = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    anything = awkward_or(st.floats())
+    mesh = draw(hnp.arrays(float, (nu, nv, 3), elements=anything))
+    u_grid = draw(hnp.arrays(float, nu, elements=anything))
+    v_grid = draw(hnp.arrays(float, nv, elements=anything))
+    return mesh, u_grid, v_grid
+
+
+NON_FINITE_2X2 = np.array([[[np.nan, -np.inf, 0.1], [np.inf, -0.0, 5e-324]],
+                           [[1e16, 1e-5, 1.7976931348623157e308], [1.0, 2.0, 3.0]]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=meshes(), comments=st.lists(st.text(max_size=5), max_size=3))
+@example(data=(NON_FINITE_2X2, np.array([0.0, 1.0]), np.array([-0.0, 0.1])), comments=["grüße"])
+def test_streamed_meshes_equal_per_node_formatting(tmp_path_factory, data, comments):
+    mesh, u_grid, v_grid = data
+    d = tmp_path_factory.mktemp("mesh")
+    write_mesh_obj(mesh, u_grid, v_grid, str(d / "m.obj"), comments=comments)
+    write_mesh_csv(mesh, u_grid, v_grid, str(d / "m.csv"))
+    assert (d / "m.obj").read_bytes() == reference_obj_text(mesh, comments).encode("utf-8")
+    assert (d / "m.csv").read_bytes() == reference_csv_text(mesh, u_grid, v_grid).encode()
+
+
+def _peak_bytes(write, *args, **kwargs):
+    """The tracemalloc peak of write(*args, **kwargs) above what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_hold_no_whole_file_in_memory(tmp_path):
+    # at 201^2 the files are 2.7-5.3 MB; one streamed grid row is ~20 kB
+    n = 201
+    g = np.linspace(0.5, 1.5, n)
+    U, V = np.meshgrid(g, g, indexing="ij")
+    F = np.exp(U - V)
+    chart = ls.Chart(u_grid=g, v_grid=g, F=F, H=np.sin(U * V), L=F / 3.0, M=np.cos(U),
+                     N=V / 7.0, K=U * V, u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
+    mesh = np.stack([np.sinh(U), np.cosh(V) / 3.0, U * V], axis=-1)
+    for path, write, args in (("c.json", ls.write_chart, (chart,)),
+                              ("m.obj", write_mesh_obj, (mesh, g, g)),
+                              ("m.csv", write_mesh_csv, (mesh, g, g))):
+        target = str(tmp_path / path)
+        peak = _peak_bytes(write, *args, target)
+        assert peak < os.path.getsize(target) / 4, (path, peak, os.path.getsize(target))
+
+
+def test_a_write_failing_mid_stream_leaves_the_target_untouched(tmp_path):
+    target = tmp_path / "c.json"
+    ls.write_chart(awkward_chart(), str(target))
+    before = target.read_bytes()
+
+    def chunks():
+        yield "partial text\n" * 1000
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        chartio._atomic_write(str(target), chunks())
+    assert target.read_bytes() == before
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp_")] == []
+
+
+WRITING_CALLS = {"mkstemp", "NamedTemporaryFile", "TemporaryFile", "write_text", "write_bytes"}
+
+
+def _opens_for_writing(call):
+    """Whether an ast.Call creates a file or opens one with a writing mode."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in WRITING_CALLS or (name == "open" and isinstance(func, ast.Attribute)
+                                 and getattr(func.value, "id", None) == "os"):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_only_atomic_write_opens_files_for_writing():
+    with open(chartio.__file__) as fh:
+        tree = ast.parse(fh.read())
+    writers = sorted({f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                      for node in ast.walk(f)
+                      if isinstance(node, ast.Call) and _opens_for_writing(node)})
+    assert writers == ["_atomic_write"]

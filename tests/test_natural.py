@@ -49,6 +49,21 @@ def test_natural_residual_on_a_tiny_grid_equals_the_unit_grid():
     assert ls.natural_residual(tiny).max_abs == 0.75
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 9), k=st.integers(-560, 560), seed=st.integers(0, 2**32 - 1))
+def test_l2_keeps_every_bit_on_a_power_of_two_grid(n, k, seed):
+    # constant F keeps K = 0 and L, N invariant, so the residual has the same bits on
+    # both grids; at |k| > 530 raw area weights would overflow or go subnormal
+    rng = np.random.default_rng(seed)
+    t = random_grid(rng, -1.0, 2.0, n)
+    H = rng.normal(size=(n, n))
+    unit, scaled = (ls.natural_residual(ls.Chart(
+        u_grid=g, v_grid=g, F=np.full((n, n), 1.5), H=H,
+        u0_index=0, v0_index=n - 1, eps1=1, eps2=-1).validate()) for g in (t, np.ldexp(t, k)))
+    assert np.array_equal(scaled.residual, unit.residual)
+    assert scaled.l2 == unit.l2 and scaled.max_abs == unit.max_abs
+
+
 # -- accumulate_LN ---------------------------------------------------------------
 
 def test_accumulate_cylinder_exact():
