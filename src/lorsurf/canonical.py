@@ -9,7 +9,11 @@ turn the coordinates into canonical ones (L = eps1 on the line v = v0 and
 N = eps2 on u = u0).  The maps are built by cumulative Simpson quadrature
 and inverted with cubic Hermite interpolation using the exact stored
 slopes, which keeps the inversion at quadrature accuracy while preserving
-monotonicity.
+monotonicity.  The interpolants are numpy ones (lorsurf.splines): the
+maps and their inverses are cubic Hermite pieces (PCHIP slopes where the
+stored ones could break monotonicity), the map slopes a not-a-knot cubic
+spline, and charts are resampled by the bicubic not-a-knot interpolant
+of Chart.interpolator.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import numpy as np
 
 from .chart import Chart, grid_index
 from .errors import ChartError, MapRangeError, NotGeneralTypeError, refuse, within
-from .stencils import check_grid, cumsimpson_from
+from .splines import CubicHermite, cumsimpson_from, notaknot_slopes, pchip_slopes
+from .stencils import check_grid
 from .surfaces import SurfaceJet2, SurfaceProvider, fundamental_forms
 
 __all__ = [
@@ -57,11 +62,10 @@ class MonotoneMap:
             raise ChartError("map values must be strictly increasing")
         if np.any(self.derivative <= 0.0):
             raise ChartError("map derivative must be positive at every knot")
-        from scipy.interpolate import CubicSpline
-
         self._forward = _monotone_hermite(self.knots, self.values, self.derivative)
         self._inverse = _monotone_hermite(self.values, self.knots, 1.0 / self.derivative)
-        self._slope = CubicSpline(self.knots, self.derivative)
+        self._slope = CubicHermite(self.knots, self.derivative,
+                                   notaknot_slopes(self.knots, self.derivative))
 
     @property
     def range(self):
@@ -88,13 +92,9 @@ class MonotoneMap:
 def _monotone_hermite(x, y, d):
     """Cubic Hermite interpolant, falling back to PCHIP if the given slopes
     could break monotonicity (Fritsch-Carlson bound d <= 3 * secant)."""
-    from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-
     secant = np.diff(y) / np.diff(x)
     ok = np.all(d[:-1] <= 3.0 * secant) and np.all(d[1:] <= 3.0 * secant)
-    if ok:
-        return CubicHermiteSpline(x, y, d)
-    return PchipInterpolator(x, y)
+    return CubicHermite(x, y, d if ok else pchip_slopes(x, y))
 
 
 def _line_tol(line):
@@ -279,13 +279,11 @@ def reparametrize_provider(provider, umap, vmap):
     """
     inv_u = umap._inverse
     inv_v = vmap._inverse
-    inv_u1, inv_u2 = inv_u.derivative(1), inv_u.derivative(2)
-    inv_v1, inv_v2 = inv_v.derivative(1), inv_v.derivative(2)
 
     def jet(tu, tv):
         u, v = inv_u(tu), inv_v(tv)
-        up, vp = inv_u1(tu), inv_v1(tv)
-        upp, vpp = inv_u2(tu), inv_v2(tv)
+        up, vp = inv_u(tu, 1), inv_v(tv, 1)
+        upp, vpp = inv_u(tu, 2), inv_v(tv, 2)
         j = provider(u, v)
         return SurfaceJet2(
             x=j.x,

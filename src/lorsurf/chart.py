@@ -4,6 +4,8 @@ A :class:`Chart` stores F and H (optionally L, M, N, K) on a rectangular
 grid together with the base point indices and the signs eps1, eps2.  Field
 arrays are indexed [i, j] with axis 0 <-> u and axis 1 <-> v; the on-disk
 layout (row index = v) is handled by :mod:`lorsurf.chartio`.
+:meth:`Chart.interpolator` resamples a field with the numpy bicubic
+not-a-knot interpolant of :mod:`lorsurf.splines`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .errors import (ChartError, DegenerateMetricError, DomainError, NotGeneralTypeError,
                      NotLorentzSurfaceError, refuse)
+from .splines import grid_interpolant
 from .stencils import check_grid
 from .surfaces import fundamental_forms
 
@@ -24,7 +27,7 @@ _OPTIONAL_FIELDS = ("L", "M", "N", "K")
 
 # Grid lines per block wherever a whole-grid stage is split to bound its
 # transient memory at O(_BLOCK * n) floats: the provider rows of
-# chart_from_provider, and the column splines and mesh diagnostics of
+# chart_from_provider, and the column slabs and mesh diagnostics of
 # lorsurf.reconstruct.
 _BLOCK = 32
 
@@ -104,15 +107,15 @@ class Chart:
         return replace(self, **kwargs)
 
     def interpolator(self, name):
-        """Bicubic spline of a stored field (degree capped by grid size)."""
-        from scipy.interpolate import RectBivariateSpline
+        """Bicubic not-a-knot interpolant of a stored field (lorsurf.splines.grid_interpolant).
 
+        It is a function of increasing u and v arrays returning the field on
+        their grid; with 2 or 3 nodes on an axis its degree there is 1 or 2.
+        """
         arr = getattr(self, name)
         if arr is None:
             raise ChartError(f"chart has no field {name}")
-        kx = min(3, self.u_grid.size - 1)
-        ky = min(3, self.v_grid.size - 1)
-        return RectBivariateSpline(self.u_grid, self.v_grid, arr, kx=kx, ky=ky)
+        return grid_interpolant(self.u_grid, self.v_grid, arr)
 
 
 def chart_from_provider(provider, u_grid, v_grid, u0, v0):

@@ -10,8 +10,9 @@ byte-identical files (timing goes to stderr, never into the report).  Every
 verdict is `errors.within`, and one writer, `_finish`, passes a report only
 when its checks pass and every number it records is finite.
 
-Only canonicalize and reconstruct load scipy (splines and Simpson
-quadrature); corpus, analyze and residual run on numpy alone.
+Every command runs on numpy alone: the splines and the Simpson quadrature
+of canonicalize and reconstruct are lorsurf.splines, and no command loads
+scipy.
 """
 
 from __future__ import annotations
@@ -53,22 +54,24 @@ from .surfaces import SurfaceKind, fundamental_forms, kind_field
 
 # -- argument helpers ---------------------------------------------------------
 
-def _int_at_least_2(text):
-    """An integer of at least 2: nodes per axis or a refinement factor."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {n}")
-    return n
+def _int_at_least(least):
+    """An argparse type: an integer of at least `least` (nodes per axis, a refinement factor)."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {n}")
+        return n
+    return parse
 
 
 def _parse_grid(text):
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"grid must look like 201x201, got {text!r}")
-    return _int_at_least_2(parts[0]), _int_at_least_2(parts[1])
+    return _int_at_least(2)(parts[0]), _int_at_least(2)(parts[1])
 
 
 def _parse_domain(text):
@@ -112,7 +115,11 @@ def _finish(args, command, inputs, tolerances, checks, statuses, **summary):
 
 
 def _grid_through(base, lo, hi, n):
-    """Uniform grid of about n nodes on [lo, hi] containing `base` as a node."""
+    """Uniform grid of about n nodes on [lo, hi] containing `base` as a node.
+
+    It has n - 1 or n nodes, so at least 2 for n >= 3; n = 2 gives one node
+    unless `base` is an end of the range.
+    """
     h = (hi - lo) / (n - 1)
     k1 = int(np.floor((base - lo) / h + 1e-12))
     k2 = int(np.floor((hi - base) / h + 1e-12))
@@ -517,7 +524,8 @@ def build_parser():
     p.add_argument("--tol-canonical", type=float, default=1e-6, dest="tol_canonical")
     p.add_argument("--tilde-u0", type=float, default=0.0, dest="tilde_u0")
     p.add_argument("--tilde-v0", type=float, default=0.0, dest="tilde_v0")
-    p.add_argument("--canon-nodes", type=_int_at_least_2, default=None, dest="canon_nodes")
+    p.add_argument("--canon-nodes", type=_int_at_least(3), default=None, dest="canon_nodes",
+                   help="about this many nodes per canonical axis (default: the source grid's)")
     p.add_argument("--output", required=True, help="canonical chart output path")
     p.set_defaults(fn=cmd_canonicalize)
 
@@ -527,7 +535,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=None,
                    help=f"absolute residual tolerance (default: {REL_TOL:g} * field scale)")
     p.add_argument("--min-order", type=float, default=1.9, dest="min_order")
-    p.add_argument("--refine", type=_int_at_least_2, default=None,
+    p.add_argument("--refine", type=_int_at_least(2), default=None,
                    help="refinement factor for a two-grid order estimate (corpus)")
     p.add_argument("--refined", default=None, help="refined chart file for the order estimate")
     p.set_defaults(fn=cmd_residual)

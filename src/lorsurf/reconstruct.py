@@ -45,6 +45,7 @@ from .errors import (DegenerateMetricError, InvalidFrameError, NaturalEquationEr
                      NotLorentzSurfaceError, ReconstructionAbort, node_at, refuse, within)
 from .natural import (REL_TOL, F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
                       natural_residual)
+from .splines import hermite_midpoints, notaknot_slopes
 from .stencils import check_grid
 from .surfaces import SurfaceJet2, fundamental_forms, jets_from_mesh
 
@@ -174,15 +175,16 @@ class _Place(NamedTuple):
 
 
 def _spline_samples(t, F, P, Q):
-    """Unchecked samples: dF at the nodes, and (F, dF, P, Q) at interval midpoints."""
-    from scipy.interpolate import CubicSpline
+    """Unchecked samples: dF at the nodes, and (F, dF, P, Q) at interval midpoints.
 
-    mids = 0.5 * (t[:-1] + t[1:])
-    sF = CubicSpline(t, F, axis=0)
-    dF = sF.derivative()
-    smid = (sF(mids), dF(mids),
-            CubicSpline(t, P, axis=0)(mids), CubicSpline(t, Q, axis=0)(mids))
-    return dF(t), smid
+    The not-a-knot splines of all lines are fitted together, one field at
+    a time, and sampled in closed form from their knot values and slopes.
+    """
+    dF = notaknot_slopes(t, F)
+    smid = (hermite_midpoints(t, F, dF), hermite_midpoints(t, F, dF, nu=1),
+            hermite_midpoints(t, P, notaknot_slopes(t, P)),
+            hermite_midpoints(t, Q, notaknot_slopes(t, Q)))
+    return dF, smid
 
 
 def _sample_coeffs(t, F, P, Q, place):
@@ -191,18 +193,10 @@ def _sample_coeffs(t, F, P, Q, place):
     F, P, Q are (n, m) arrays holding m lines with the marching direction
     along axis 0; at the nodes the march reads them as given.  dF is the
     exact derivative of the interpolating spline, which keeps
-    d<X,Y>/dt = (dF/F) <X,Y> consistent with the sampled F.  The splines of
-    different lines are independent, so they are sampled in blocks of
-    _BLOCK lines.  A spline F <= 0 at a midpoint aborts, naming its place.
+    d<X,Y>/dt = (dF/F) <X,Y> consistent with the sampled F.  A spline
+    F <= 0 at a midpoint aborts, naming its place.
     """
-    n, m = F.shape
-    dF = np.empty((n, m))
-    smid = tuple(np.empty((n - 1, m)) for _ in range(4))
-    for j in range(0, m, _BLOCK):
-        cols = slice(j, j + _BLOCK)
-        dF[:, cols], block = _spline_samples(t, F[:, cols], P[:, cols], Q[:, cols])
-        for out, part in zip(smid, block):
-            out[:, cols] = part
+    dF, smid = _spline_samples(t, F, P, Q)
     bad = smid[0] <= 0.0
     if np.any(bad):
         k, line = map(int, np.argwhere(bad)[0])

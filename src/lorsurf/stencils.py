@@ -20,7 +20,6 @@ __all__ = [
     "second_derivative",
     "cross_derivative",
     "cumtrapz_from",
-    "cumsimpson_from",
 ]
 
 
@@ -135,23 +134,3 @@ def cumtrapz_from(f, t, i0, axis=0):
     anchor = np.take(g, [i0], axis=axis)
     return g - anchor
 
-
-def cumsimpson_from(f, t, i0):
-    """Signed 1-D cumulative Simpson integral anchored at node i0.
-
-    Order 4 on smooth integrands; used for the canonical coordinate maps.
-    Falls back to the trapezoid rule on 2-point grids.
-    """
-    f = np.asarray(f, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if f.size != t.size:
-        raise StencilError("integrand and grid lengths differ")
-    if t.size < 2:
-        raise StencilError("quadrature needs at least 2 nodes")
-    if t.size == 2:
-        g = _cumtrapz(f, t)
-    else:
-        from scipy.integrate import cumulative_simpson
-
-        g = cumulative_simpson(f, x=t, initial=0.0)
-    return g - g[i0]

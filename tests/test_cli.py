@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import lorsurf as ls
 from lorsurf import errors
-from lorsurf.cli import main
+from lorsurf.cli import _grid_through, main
 
 from conftest import CONE_TU0, enneper1_chart, random_grid
 
@@ -657,19 +657,54 @@ def test_reconstruct_refuses_malformed_seed_vectors(capsys, tmp_path, X, pair):
     assert len(lines) == 1 and lines[0].startswith("lorsurf: error: seed X")
 
 
-@pytest.mark.parametrize("argv", [
-    ["canonicalize", "--canon-nodes", "1", "--output", "{tmp}/c.json"],  # ZeroDivisionError
-    ["canonicalize", "--canon-nodes", "0", "--output", "{tmp}/c.json"],  # meant the default
-    ["residual", "--mode", "minimal", "--refine", "-1"],  # ValueError from linspace
-    ["residual", "--mode", "minimal", "--refine", "1"],   # division by log(1)
+@pytest.mark.parametrize("argv, least", [
+    (["canonicalize", "--canon-nodes", "1", "--output", "{tmp}/c.json"], 3),  # ZeroDivisionError
+    (["canonicalize", "--canon-nodes", "0", "--output", "{tmp}/c.json"], 3),  # meant the default
+    (["residual", "--mode", "minimal", "--refine", "-1"], 2),  # ValueError from linspace
+    (["residual", "--mode", "minimal", "--refine", "1"], 2),   # division by log(1)
 ], ids=["canon_nodes_1", "canon_nodes_0", "refine_-1", "refine_1"])
-def test_integer_flags_below_2_are_refused(capsys, tmp_path, argv):
+def test_integer_flags_below_2_are_refused(capsys, tmp_path, argv, least):
     command, *flags = (a.format(tmp=tmp_path) for a in argv)
     with pytest.raises(SystemExit) as exc:
         run(command, "enneper1", "--grid", "21x21", *flags)
     assert exc.value.code == 2
-    assert "expected an integer >= 2" in capsys.readouterr().err
+    assert f"expected an integer >= {least}" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
+
+
+def test_canon_nodes_2_is_refused_before_any_work(monkeypatch, capsys, tmp_path):
+    # 2 nodes would give a one-node canonical axis unless the base image is a range end
+    monkeypatch.setattr("lorsurf.cli.chart_from_provider",
+                        lambda *a: pytest.fail("the source chart was built"))
+    with pytest.raises(SystemExit) as exc:
+        run("canonicalize", "hyperbolic_cone", "--grid", "21x21", "--canon-nodes", "2",
+            "--output", str(tmp_path / "c.json"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == ("lorsurf canonicalize: error: argument --canon-nodes: "
+                                    "expected an integer >= 3, got 2")
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_canon_nodes_3_gives_a_two_node_canonical_chart(tmp_path):
+    out = tmp_path / "c.json"
+    code = run("canonicalize", "hyperbolic_cone", "--grid", "21x21", "--canon-nodes", "3",
+               "--output", str(out), "--report", str(tmp_path / "r.json"))
+    assert code == 0
+    assert ls.read_chart(str(out)).shape == (2, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3), at=st.floats(0.0, 1.0),
+       n=st.integers(3, 400))
+def test_grid_through_keeps_two_nodes_from_three(lo, width, at, n):
+    hi = lo + width
+    assume(hi > lo)
+    base = min(lo + at * (hi - lo), hi)
+    grid = _grid_through(base, lo, hi, n)
+    assert n - 1 <= grid.size <= n
+    assert base in grid
 
 
 @pytest.mark.parametrize("argv", [["residual", "--mode", "cmc"],
