@@ -38,9 +38,7 @@ from .errors import (
     UnknownSurfaceError,
 )
 from .minkowski import (
-    CausalCharacter,
     boost,
-    causal_character,
     cross,
     det3,
     inner,
@@ -82,7 +80,6 @@ from .surfaces import (
     jets_from_mesh,
     kind_field,
     pseudo_arc_check,
-    renumber_if_needed,
     swap_parameters,
 )
 

@@ -10,7 +10,8 @@ exactly the bytes of `json.dumps(doc, indent=1) + "\n"`.
 All writes are atomic and streamed: the text goes into a temporary file in
 the target directory one grid row at a time, then the file is renamed onto
 the target, so no writer holds a whole file in memory.  Files are UTF-8
-whatever the locale.
+whatever the locale.  The reader reads a chart file once, drops its bytes
+once hashed and decoded, and decodes the text one field at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import ChartError
 __all__ = [
     "write_chart",
     "read_chart",
-    "parse_chart",
+    "load_chart",
     "write_report",
     "report_json",
     "write_mesh_obj",
@@ -108,30 +109,109 @@ def _integer(doc, key):
     return int(value)
 
 
+def _non_numbers(values):
+    """The types in `values` other than int and float (JSON's numbers; bool is not one)."""
+    return set(map(type, values)) - {int, float}
+
+
 def _numbers(what, values):
     """Refuse anything but JSON numbers in `values`; numpy would read true and "1.5"."""
-    others = set(map(type, values)) - {int, float}
+    others = _non_numbers(values)
     if others:
         raise ChartError(f"{what} must hold only numbers, found "
                          + ", ".join(sorted(t.__name__ for t in others)))
 
 
+def _is_rows(value):
+    """Whether `value` is a non-empty list of lists, the shape of a field member."""
+    return isinstance(value, list) and bool(value) and all(isinstance(r, list) for r in value)
+
+
+def _field_array(rows):
+    """A field member as its float64 array in memory layout [i, j], if it is a
+    non-empty list of lists of numbers that numpy reads as a 2-D array;
+    otherwise `rows` itself, for the schema checks to name what is wrong."""
+    if not _is_rows(rows) or _non_numbers(itertools.chain.from_iterable(rows)):
+        return rows
+    try:
+        return np.asarray(rows, dtype=float).T  # file stores row index = v
+    except (ValueError, OverflowError):  # ragged, or an int beyond float range
+        return rows
+
+
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _decode(text):
+    """The chart document in `text`, decoded one top-level member at a time.
+
+    Each field member becomes its array (see _field_array) as soon as it is
+    read, so a single field's tree of boxed floats is alive at a time, not
+    the whole file's.  The walk accepts exactly the JSON objects that
+    json.loads accepts, with the same last-wins duplicate keys and NaN and
+    Infinity tokens; anything else (a syntax error anywhere, or a top level
+    that is not an object) is handed to json.loads, which then raises the
+    same error or returns the same document.
+    """
+    scan, pos = _DECODER.scan_once, _SPACE(text, 0).end()
+    doc = {}
+    try:
+        if text[pos:pos + 1] != "{":
+            raise ValueError("not an object")
+        pos = _SPACE(text, pos + 1).end()
+        closed = text[pos:pos + 1] == "}"
+        while not closed:
+            if text[pos:pos + 1] != '"':
+                raise ValueError("no key")
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _SPACE(text, pos).end()
+            if text[pos:pos + 1] != ":":
+                raise ValueError("no colon")
+            value, pos = scan(text, _SPACE(text, pos + 1).end())
+            doc[key] = _field_array(value) if key in _FIELDS else value
+            del value  # or the next member's tree is built beside this one
+            pos = _SPACE(text, pos).end()
+            closed = text[pos:pos + 1] == "}"
+            if not closed:
+                if text[pos:pos + 1] != ",":
+                    raise ValueError("no delimiter")
+                pos = _SPACE(text, pos + 1).end()
+        if _SPACE(text, pos + 1).end() != len(text):
+            raise ValueError("extra data")
+    except (ValueError, StopIteration):  # json.JSONDecodeError is a ValueError
+        return json.loads(text)
+    return doc
+
+
 def read_chart(path):
     """Read, parse and validate a chart file."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        return load_chart(path)[0]
     except OSError as exc:
         raise ChartError(f"cannot read chart file {path!r}: {exc}") from exc
-    return parse_chart(data, path)
 
 
-def parse_chart(data, path):
-    """Parse and validate the bytes of a chart file; `path` names it in errors."""
+def load_chart(path):
+    """(chart, digest) of a chart file: the parsed, validated chart and the
+    sha256 of the file's bytes.  The file is read once; its bytes are
+    dropped once hashed and decoded, so the parse holds the text and one
+    field at a time.  OSError from reading is left to the caller to name."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = digest_bytes(data)
     try:
-        doc = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ChartError(f"chart file {path!r} is not UTF-8 text: {exc}") from exc
+    del data
+    return _parse_chart(text, path), digest
+
+
+def _parse_chart(text, path):
+    """Parse and validate the text of a chart file; `path` names it in errors."""
+    try:
+        doc = _decode(text)
     except json.JSONDecodeError as exc:
         raise ChartError(f"chart file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -154,7 +234,9 @@ def parse_chart(data, path):
         if name not in doc:
             return None
         rows = doc[name]
-        if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
+        if isinstance(rows, np.ndarray):  # converted by _decode
+            return rows
+        if not _is_rows(rows):
             raise ChartError(f"field {name} must be a 2-D array")
         _numbers(f"field {name}", itertools.chain.from_iterable(rows))
         return np.asarray(rows, dtype=float).T  # file stores row index = v

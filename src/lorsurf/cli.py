@@ -30,9 +30,8 @@ from . import minkowski as mk
 from .canonical import canonical_maps_from_lines, resample_to_canonical, verify_canonical
 from .chart import base_signs, chart_from_provider, grid_index
 from .chartio import (
-    digest_bytes,
     digest_text,
-    parse_chart,
+    load_chart,
     read_chart,
     report_json,
     write_chart,
@@ -151,13 +150,11 @@ class _Source:
             if args.grid or args.domain or args.u0 is not None or args.v0 is not None:
                 raise ChartError("--grid/--domain/--u0/--v0 apply to corpus sources only")
             try:
-                with open(name, "rb") as fh:
-                    raw = fh.read()
+                self.chart_data, digest = load_chart(name)
             except OSError as exc:
                 raise ChartError(
                     f"{name!r} is neither a corpus surface nor a readable chart file: {exc}")
-            self.chart_data = parse_chart(raw, name)
-            self.inputs.update({"kind": "chart_file", "digest": digest_bytes(raw)})
+            self.inputs.update({"kind": "chart_file", "digest": digest})
 
     def chart(self):
         if self.is_corpus:

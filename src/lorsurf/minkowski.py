@@ -11,8 +11,6 @@ and the cross product is defined by the determinant identity
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 __all__ = [
@@ -20,8 +18,6 @@ __all__ = [
     "inner",
     "cross",
     "det3",
-    "CausalCharacter",
-    "causal_character",
     "boost",
     "spatial_rotation",
 ]
@@ -60,30 +56,6 @@ def cross(a, b):
 def det3(a, b, c):
     """Determinant of the 3x3 matrix with rows a, b, c (broadcasts)."""
     return inner(cross(a, b), c)
-
-
-class CausalCharacter(Enum):
-    TIMELIKE = "timelike"
-    NULL = "null"
-    SPACELIKE = "spacelike"
-
-
-def causal_character(a, tol=None):
-    """Classify a single vector by the sign of its Minkowski square.
-
-    tol defaults to 1e-10 * (1 + |<a,a>|).  The square is timelike when
-    below -tol, null within +-tol, spacelike above tol.
-    """
-    q = float(inner(a, a))
-    if tol is None:
-        tol = 1e-10 * (1.0 + abs(q))
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    if q < -tol:
-        return CausalCharacter.TIMELIKE
-    if q > tol:
-        return CausalCharacter.SPACELIKE
-    return CausalCharacter.NULL
 
 
 def boost(rapidity):

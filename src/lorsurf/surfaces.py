@@ -45,7 +45,6 @@ __all__ = [
     "PseudoArcReport",
     "pseudo_arc_check",
     "swap_parameters",
-    "renumber_if_needed",
 ]
 
 
@@ -318,40 +317,3 @@ def swap_parameters(provider):
         domain=(v_min, v_max, u_min, u_max),
         singular_set=swapped_singular,
         stencil_margin=provider.stencil_margin)
-
-
-def reverse_u(provider):
-    """Provider for the direction-reversed parametrization (u, v) -> (-u, v).
-
-    This flips the sign of F (and of L, N, H via the orientation flip of the
-    normal), so it restores the F > 0 convention where F < 0.
-    """
-    u_min, u_max, v_min, v_max = provider.domain
-    reversed_singular = None
-    if provider.singular_set is not None:
-        inner_singular = provider.singular_set
-        reversed_singular = lambda u, v: inner_singular(-u, v)
-
-    def jet(u, v):
-        j = provider.jet(-np.asarray(u, dtype=float), v)
-        return SurfaceJet2(x=j.x, x_u=-j.x_u, x_v=j.x_v,
-                           x_uu=j.x_uu, x_uv=-j.x_uv, x_vv=j.x_vv)
-
-    return SurfaceProvider(jet=jet, domain=(-u_max, -u_min, v_min, v_max),
-                           singular_set=reversed_singular,
-                           stencil_margin=provider.stencil_margin)
-
-
-def renumber_if_needed(provider, u0, v0):
-    """Enforce the F > 0 convention at the base point.
-
-    Returns (provider, reversed).  F is symmetric in (x_u, x_v), so a
-    numeration swap cannot change its sign; when F(u0, v0) < 0 the u
-    direction is reversed instead (an isotropic change with u'v' < 0, which
-    maps F to -F), and the caller must use the base point (-u0, v0)
-    afterwards.
-    """
-    fd = fundamental_forms(provider(u0, v0))
-    if float(fd.F) < 0.0:
-        return reverse_u(provider), True
-    return provider, False

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import tracemalloc
@@ -138,8 +139,8 @@ def charts(draw):
         **optional).validate()
 
 
-def reference_chart_text(chart):
-    """The chart file as one json.dumps of the whole document."""
+def chart_doc(chart):
+    """The document of a chart file, fields as nested lists with row index = v."""
     doc = {
         "schema_version": 1,
         "u_grid": chart.u_grid.tolist(),
@@ -154,7 +155,12 @@ def reference_chart_text(chart):
         if arr is not None:
             doc[name] = arr.T.tolist()
     doc["metadata"] = dict(chart.metadata, canonical=bool(chart.canonical))
-    return json.dumps(doc, indent=1) + "\n"
+    return doc
+
+
+def reference_chart_text(chart):
+    """The chart file as one json.dumps of the whole document."""
+    return json.dumps(chart_doc(chart), indent=1) + "\n"
 
 
 @settings(max_examples=80, deadline=None)
@@ -173,6 +179,144 @@ def test_chart_write_read_write_is_byte_identical(tmp_path_factory, chart):
     ls.write_chart(chart, str(d / "a.json"))
     ls.write_chart(ls.read_chart(str(d / "a.json")), str(d / "b.json"))
     assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
+
+
+def reference_read_chart(path):
+    """The chart reader as one json.loads of the whole file.
+
+    This is the oracle of chartio's reader, which decodes one top-level
+    member at a time: on any file both give the same chart or the same error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ls.ChartError(f"chart file {path!r} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ls.ChartError(f"chart file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ls.ChartError("chart file must contain a JSON object")
+    version = doc.get("schema_version")
+    if version != 1 or isinstance(version, bool):
+        raise ls.ChartError(f"unsupported chart schema_version {version!r}")
+    missing = [k for k in ("u_grid", "v_grid", "F", "H", "u0_index", "v0_index",
+                           "eps1", "eps2") if k not in doc]
+    if missing:
+        raise ls.ChartError(f"chart file misses required keys: {', '.join(missing)}")
+
+    def grid(key):
+        if not isinstance(doc[key], list):
+            raise ls.ChartError(f"{key} must be a 1-D array")
+        chartio._numbers(key, doc[key])
+        return np.asarray(doc[key], dtype=float)
+
+    def field(name):
+        if name not in doc:
+            return None
+        rows = doc[name]
+        if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
+            raise ls.ChartError(f"field {name} must be a 2-D array")
+        chartio._numbers(f"field {name}", itertools.chain.from_iterable(rows))
+        return np.asarray(rows, dtype=float).T
+
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ls.ChartError("metadata must be a JSON object")
+    metadata = dict(metadata)
+    canonical = metadata.pop("canonical", False)
+    if not isinstance(canonical, bool):
+        raise ls.ChartError("metadata.canonical must be true or false")
+    try:
+        chart = ls.Chart(
+            u_grid=grid("u_grid"), v_grid=grid("v_grid"),
+            F=field("F"), H=field("H"),
+            L=field("L"), M=field("M"), N=field("N"), K=field("K"),
+            u0_index=chartio._integer(doc, "u0_index"),
+            v0_index=chartio._integer(doc, "v0_index"),
+            eps1=chartio._integer(doc, "eps1"), eps2=chartio._integer(doc, "eps2"),
+            canonical=canonical, metadata=metadata)
+        return chart.validate()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ls.ChartError(f"malformed chart file {path!r}: {exc}") from exc
+
+
+MUTATIONS = ("none", "truncate", "delete", "insert", "trailing", "duplicate", "shuffle",
+             "non_finite", "bom", "top_level")
+
+
+@st.composite
+def chart_files(draw):
+    """The bytes of a file of charts(), changed in one of the ways a chart file
+    can differ from what write_chart makes."""
+    doc = chart_doc(draw(charts()))
+    kind = draw(st.sampled_from(MUTATIONS))
+    members = list(doc.items())
+    if kind == "duplicate":  # last wins, also for a field given twice in two shapes
+        values = [v for _, v in members] + [np.asarray(doc["F"]).T.tolist(), doc["F"][:1]]
+        members.insert(draw(st.integers(0, len(members))),
+                       (draw(st.sampled_from(list(doc))), draw(st.sampled_from(values))))
+    elif kind == "shuffle":
+        members = draw(st.permutations(members))
+    elif kind == "non_finite":  # json writes NaN, Infinity and -Infinity as bare tokens
+        row = draw(st.sampled_from(doc[draw(st.sampled_from([k for k in "FHLMNK" if k in doc]))]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    if kind in ("duplicate", "shuffle", "non_finite"):
+        space = draw(st.sampled_from(("", " ", "\n ", " \t\r\n")))
+        text = ("{" + space + ("," + space).join(f"{json.dumps(k)}:{space}{json.dumps(v)}"
+                                                  for k, v in members) + space + "}")
+    else:
+        text = json.dumps(doc, indent=1) + "\n"
+    data = text.encode()
+    if kind == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif kind == "delete":
+        i = draw(st.integers(0, len(data) - 1))
+        data = data[:i] + data[i + 1:]
+    elif kind == "insert":
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + bytes([draw(st.integers(0, 255))]) + data[i:]
+    elif kind == "trailing":
+        data += draw(st.sampled_from((b" x", b"{}", b",", b"]", b" 1", b"\x00", b" \n\t")))
+    elif kind == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif kind == "top_level":
+        data = draw(st.sampled_from((b"[" + data + b"]", b"[]", b"{}", b" { \n} ", b"",
+                                     b" \n\t", b"null")))
+    return data
+
+
+def read_outcome(read, path):
+    """The chart `read` returns, as the dtype, shape and bytes of each array and
+    the repr of every other attribute, or the class and message of its error."""
+    try:
+        chart = read(path)
+    except ls.LorsurfError as exc:
+        return type(exc).__name__, str(exc)
+    return {k: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+            for k, v in vars(chart).items()}
+
+
+AWKWARD_TEXT = reference_chart_text(awkward_chart())
+AWKWARD_OPEN = AWKWARD_TEXT[:-len("\n}\n")]
+DOUBLED_F = json.dumps((2.0 * awkward_chart().F).T.tolist())
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=chart_files())
+@example(data=(AWKWARD_OPEN + ',\n "F": [[1.0, 2.0]]\n}\n').encode())  # F again, 1x2
+@example(data=(AWKWARD_OPEN + f',\n "F": {DOUBLED_F}\n}}\n').encode())  # F again, valid
+@example(data=('{"F": "no field", ' + AWKWARD_TEXT[1:]).encode())  # a bad F overwritten
+@example(data=(AWKWARD_OPEN + ',\n "eps1": -1, "eps1": 3}').encode())
+@example(data=(AWKWARD_OPEN + ",\n}\n").encode())  # a trailing comma
+@example(data=(AWKWARD_TEXT + "x").encode())
+@example(data=(AWKWARD_TEXT + "{}").encode())
+@example(data=(AWKWARD_TEXT + " \r\n").encode())
+def test_streamed_reader_equals_one_json_loads(tmp_path_factory, data):
+    path = str(tmp_path_factory.mktemp("read") / "c.json")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    assert read_outcome(ls.read_chart, path) == read_outcome(reference_read_chart, path)
 
 
 def test_chart_integral_float_index_is_accepted(tmp_path):
@@ -300,32 +444,50 @@ def test_streamed_meshes_equal_per_node_formatting(tmp_path_factory, data, comme
     assert (d / "m.csv").read_bytes() == reference_csv_text(mesh, u_grid, v_grid).encode()
 
 
-def _peak_bytes(write, *args, **kwargs):
-    """The tracemalloc peak of write(*args, **kwargs) above what was allocated before."""
+def _peak_bytes(call, *args, **kwargs):
+    """The tracemalloc peak of call(*args, **kwargs) above what was allocated before."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        write(*args, **kwargs)
+        call(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
 
 
-def test_writers_hold_no_whole_file_in_memory(tmp_path):
-    # at 201^2 the files are 2.7-5.3 MB; one streamed grid row is ~20 kB
-    n = 201
-    g = np.linspace(0.5, 1.5, n)
+@pytest.fixture(scope="module")
+def grid_201():
+    """A six-field chart and a mesh on one 201^2 grid; their files are 2.7-5.3 MB."""
+    g = np.linspace(0.5, 1.5, 201)
     U, V = np.meshgrid(g, g, indexing="ij")
     F = np.exp(U - V)
     chart = ls.Chart(u_grid=g, v_grid=g, F=F, H=np.sin(U * V), L=F / 3.0, M=np.cos(U),
                      N=V / 7.0, K=U * V, u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
     mesh = np.stack([np.sinh(U), np.cosh(V) / 3.0, U * V], axis=-1)
+    return g, chart, mesh
+
+
+def test_writers_hold_no_whole_file_in_memory(tmp_path, grid_201):
+    # one streamed grid row is ~20 kB
+    g, chart, mesh = grid_201
     for path, write, args in (("c.json", ls.write_chart, (chart,)),
                               ("m.obj", write_mesh_obj, (mesh, g, g)),
                               ("m.csv", write_mesh_csv, (mesh, g, g))):
         target = str(tmp_path / path)
         peak = _peak_bytes(write, *args, target)
         assert peak < os.path.getsize(target) / 4, (path, peak, os.path.getsize(target))
+
+
+def test_reader_holds_one_copy_of_the_file(tmp_path, grid_201):
+    # The bytes and their decoded text (ASCII, one byte a character) meet
+    # only while decoding: 2x the file.  A reader holding the bytes, the text
+    # and json.loads's whole tree peaks at ~3.5x, and one that walks the
+    # fields but keeps the bytes at ~2.6x.
+    _, chart, _ = grid_201
+    path = str(tmp_path / "c.json")
+    ls.write_chart(chart, path)
+    peak = _peak_bytes(ls.read_chart, path)
+    assert peak < 2.25 * os.path.getsize(path), (peak, os.path.getsize(path))
 
 
 def test_a_write_failing_mid_stream_leaves_the_target_untouched(tmp_path):

@@ -81,25 +81,6 @@ def test_lagrange_identity(a, b):
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("v,expected", [
-    ((1, 0, 0), mk.CausalCharacter.TIMELIKE),
-    ((1, 1, 0), mk.CausalCharacter.NULL),
-    ((0, 3, 4), mk.CausalCharacter.SPACELIKE),
-])
-def test_causal_character(v, expected):
-    assert mk.causal_character(mk.vec(*v), tol=0.0) is expected
-
-
-def test_causal_character_default_tol():
-    almost_null = mk.vec(1.0, 1.0 + 1e-14, 0.0)
-    assert mk.causal_character(almost_null) is mk.CausalCharacter.NULL
-
-
-def test_causal_character_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        mk.causal_character(mk.vec(1, 0, 0), tol=-1.0)
-
-
 @pytest.mark.parametrize("A", [mk.boost(0.8), mk.spatial_rotation(1.1),
                                mk.boost(-0.3) @ mk.spatial_rotation(2.0)])
 def test_motions_preserve_inner_and_orientation(A, rng):

@@ -327,6 +327,27 @@ def test_congruence_reflection_is_non_proper():
     assert rep.verdict is ls.CongruenceVerdict.NON_PROPER
 
 
+REFLECTIONS = [np.diag(d) for d in ((-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(ls.names()), rapidity=st.floats(-2.0, 2.0),
+       angle=st.floats(0.0, 2.0 * np.pi), shift=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+       reflection=st.sampled_from(REFLECTIONS))
+def test_congruence_of_a_drawn_motion(name, rapidity, angle, shift, reflection):
+    # the Bonnet-type theorem: a proper motion keeps F, L, M and N, an
+    # improper one (det -1) keeps F and flips the sign of L, M and N
+    entry = ls.get(name)
+    a, b, c, d = entry.default_domain
+    u, v = np.linspace(a, b, 41), np.linspace(c, d, 41)
+    mesh = entry.position(*np.meshgrid(u, v, indexing="ij"))
+    A = ls.boost(rapidity) @ ls.spatial_rotation(angle)
+    moved = ls.congruence_check(mesh, mesh @ A.T + shift, u, v)
+    assert moved.verdict is ls.CongruenceVerdict.CONGRUENT, moved
+    mirrored = ls.congruence_check(mesh, mesh @ (A @ reflection).T + shift, u, v)
+    assert mirrored.verdict is ls.CongruenceVerdict.NON_PROPER, mirrored
+
+
 def test_congruence_needs_a_finite_tolerance():
     g = np.linspace(0.0, 1.0, 11)
     U, V = np.meshgrid(g, g, indexing="ij")

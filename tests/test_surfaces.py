@@ -259,19 +259,6 @@ def test_swap_keeps_F_invariant():
     assert np.isclose(fd_s.F, fd.F)
 
 
-def test_renumber_restores_positive_F():
-    from lorsurf.surfaces import reverse_u
-    entry = ls.get("enneper1")
-    flipped = reverse_u(entry.provider)   # F < 0 parametrization of the same surface
-    fd = ls.fundamental_forms(flipped(-1.5, -0.5))
-    assert fd.F < 0
-    provider, reversed_ = ls.renumber_if_needed(flipped, -1.5, -0.5)
-    assert reversed_
-    assert ls.fundamental_forms(provider(1.5, -0.5)).F > 0
-    provider2, reversed2 = ls.renumber_if_needed(entry.provider, 1.5, -0.5)
-    assert not reversed2
-
-
 # -- error paths -----------------------------------------------------------------
 
 def test_degenerate_metric_error():
