@@ -45,17 +45,23 @@ _FIELDS = ("F", "H", "L", "M", "N", "K")
 
 
 def _atomic_write(path, chunks):
-    """Write the strings of `chunks` to `path`; on any error the target is untouched."""
+    """Write the strings of `chunks` to `path`; on any error the target is untouched.
+
+    No temporary file is left behind, and an OSError (a missing directory,
+    a directory at `path`) becomes a ChartError that names `path`.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ChartError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def digest_bytes(data):

@@ -386,10 +386,17 @@ def _load_seed(spec):
     if spec in (None, "standard"):
         return None
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ChartError(f"seed file {spec!r} is not UTF-8 text: {exc}") from exc
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ChartError(f"cannot load seed from {spec!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ChartError(f"seed file {spec!r} must contain a JSON object")
+    try:
         seed = FrameState(X=doc["X"], Y=doc["Y"], l=doc["l"], x=doc.get("x"))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ChartError(f"cannot load seed from {spec!r}: {exc}") from exc
     if seed.X is None and seed.Y is None and seed.l is None:
         # initial_frame would read three Nones as "the standard seed"

@@ -124,3 +124,5 @@ class ChartError(LorsurfError):
 
 class UnknownSurfaceError(LorsurfError, KeyError):
     """Corpus lookup with an unknown surface name."""
+
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it

@@ -16,6 +16,16 @@ line; using the spline's own derivative for F_u/F keeps the frame
 invariants exact for the continuous system, so their drift measures pure
 integration error (order 4).
 
+One kernel (_RK4) makes every step of the base line, the columns and the
+transpose probe.  It works on component-major states (4, 3, m), in which
+each component of X, Y, l and x is one contiguous row of m lines, forms
+each node's and each midpoint's coefficient row once, and reuses its stage
+buffers.  It keeps every floating-point operation of the plain formulas in
+their order, so a line's states are the same bits however many lines march
+with it.  A warm 801^2 reconstruct of enneper1 takes 0.92 s with it and
+1.07 s with the per-stage kernel it replaced (medians of six alternating
+runs, each the min of 5, on a 2-vCPU Xeon VM).
+
 The column march is a stream: each column's frames are stored only until
 the slab of columns around it has given its mesh column, invariant drift
 and compatibility residuals, so no whole-grid frame array exists and the
@@ -31,6 +41,7 @@ equation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -130,21 +141,15 @@ def initial_frame(F0, X=None, Y=None, l=None, x=None, tol=1e-10):
     return FrameState(X=X, Y=Y, l=l, x=x)
 
 
-# -- RK4 marching kernels -----------------------------------------------------
+# -- RK4 marching kernel ------------------------------------------------------
 
-def _rhs_u(S, F, dF, P, Q):
-    """u-family right-hand side; P = L drives X, Q = M."""
-    X, Y, l = S[..., 0, :], S[..., 1, :], S[..., 2, :]
-    a = np.asarray(dF / F)[..., None]
-    p = np.asarray(P)[..., None]
-    q = np.asarray(Q)[..., None]
-    iF = np.asarray(1.0 / F)[..., None]
-    out = np.empty_like(S)
-    out[..., 0, :] = a * X + p * l
-    out[..., 1, :] = q * l
-    out[..., 2, :] = -(q * iF) * X - (p * iF) * Y
-    out[..., 3, :] = X
-    return out
+def _coeffs(F, dF, P, Q):
+    """One row of u-family coefficients (dF/F, P, Q, -Q/F, P/F) for m lines; P = L, Q = M.
+
+    -Q/F and P/F are rounded as -(Q * (1/F)) and P * (1/F).
+    """
+    iF = 1.0 / F
+    return dF / F, P, Q, -(Q * iF), P * iF
 
 
 # Frame rows with X and Y exchanged: the v-family of the frame system is the
@@ -152,12 +157,51 @@ def _rhs_u(S, F, dF, P, Q):
 _SWAP_XY = (1, 0, 2, 3)
 
 
-def _rk4_step(S, h, c0, cm, c1):
-    k1 = _rhs_u(S, *c0)
-    k2 = _rhs_u(S + 0.5 * h * k1, *cm)
-    k3 = _rhs_u(S + 0.5 * h * k2, *cm)
-    k4 = _rhs_u(S + h * k3, *c1)
-    return S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+class _RK4:
+    """Classic RK4 steps of the u-family on component-major states (4, 3, m).
+
+    A state holds the rows X, Y, l, x of m lines, each component one
+    contiguous row; a coefficient row (see _coeffs) broadcasts over the
+    components.  The stage buffers are allocated once.  Every IEEE operation
+    is that of k = (a X + p l, q l, -(q/F) X - (p/F) Y, X) and
+    S + (h/6) (k1 + 2 k2 + 2 k3 + k4), in this order, so a line's states do
+    not depend on the other lines.
+    """
+
+    def __init__(self, m):
+        self.k = np.empty((4, 4, 3, m))
+        self.stage = np.empty((4, 3, m))
+        self.tmp = np.empty((3, m))
+
+    def _rhs(self, S, c, out):
+        a, p, q, nqF, pF = c
+        X, Y, l = S[0], S[1], S[2]
+        np.multiply(a, X, out=out[0])
+        out[0] += np.multiply(p, l, out=self.tmp)
+        np.multiply(q, l, out=out[1])
+        np.multiply(nqF, X, out=out[2])
+        out[2] -= np.multiply(pF, Y, out=self.tmp)
+        out[3] = X
+
+    def step(self, S, h, c0, cm, c1):
+        """The state after one step of size h from S; c0, cm, c1 are the coefficient
+        rows at the start, the midpoint and the end of the step."""
+        k1, k2, k3, k4 = self.k
+        T = self.stage
+        self._rhs(S, c0, k1)
+        np.add(S, np.multiply(0.5 * h, k1, out=T), out=T)
+        self._rhs(T, cm, k2)
+        np.add(S, np.multiply(0.5 * h, k2, out=T), out=T)
+        self._rhs(T, cm, k3)
+        np.add(S, np.multiply(h, k3, out=T), out=T)
+        self._rhs(T, c1, k4)
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= h / 6.0
+        return S + k1
 
 
 class _Place(NamedTuple):
@@ -209,25 +253,31 @@ def _sample_coeffs(t, F, P, Q, place):
 
 
 def _march(t, i0, F, P, Q, S0, place):
-    """Yield (n, S): the states S (m, 4, 3) of m lines marched from S0 at node i0.
+    """Yield (n, S): the states S (4, 3, m) of m lines marched from S0 at node i0 (see _RK4).
 
     F, P, Q are the lines' u-family coefficients, (n, m) with t along axis 0.
     (i0, S0) comes first, then the march runs forward to the last node and
-    backward from i0 to node 0.  `place` names the nodes in errors.
+    backward from i0 to node 0.  Each node's and each midpoint's coefficient
+    row is formed once.  `place` names the nodes in errors; when several
+    lines turn non-finite in one step, the lowest line is named.
     """
     dF, mids = _sample_coeffs(t, F, P, Q, place)
     nodes = (F, dF, P, Q)
+    rk4 = _RK4(S0.shape[-1])
     yield i0, S0
     forward = zip(range(i0, t.size - 1), range(i0 + 1, t.size))
     backward = zip(range(i0, 0, -1), range(i0 - 1, -1, -1))
     for k, n in itertools.chain(forward, backward):
         if k == i0:
-            S = S0  # each direction starts from the base node
+            # each direction starts from the base node
+            S, c0 = S0, _coeffs(*(c[k] for c in nodes))
+        c1 = _coeffs(*(c[n] for c in nodes))
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite states abort below
-            S = _rk4_step(S, t[n] - t[k], tuple(c[k] for c in nodes),
-                          tuple(c[min(k, n)] for c in mids), tuple(c[n] for c in nodes))
-        if not np.all(np.isfinite(S)):
-            i, j = place.node(n, int(np.argwhere(~np.isfinite(S))[0][0]))
+            S = rk4.step(S, t[n] - t[k], c0, _coeffs(*(c[min(k, n)] for c in mids)), c1)
+        c0 = c1
+        if not np.isfinite(S).all():
+            line = int(np.argmin(np.isfinite(S).all(axis=(0, 1))))
+            i, j = place.node(n, line)
             raise ReconstructionAbort(f"non-finite frame state in the {place.stage} march "
                                       f"at node {node_at(place.u, place.v, i, j)}", node=(i, j))
         yield n, S
@@ -236,24 +286,24 @@ def _march(t, i0, F, P, Q, S0, place):
 def _grid_march(u, v, F, L, M, N, i0, j0, S0, base, columns):
     """Stream the frame states marched from S0 (4, 3) at node (i0, j0), column by column.
 
-    The base line v = v0 is marched first, as a block of one line; the
-    columns then march together from it on X/Y-swapped states (see
-    _SWAP_XY).  Yields (j, S) in the order of _march, S (nu, 4, 3) the
-    swapped states of column j.  `base` and `columns` place the two marches.
+    The base line v = v0 is marched first, as one line; the columns then
+    march together from it on X/Y-swapped states (see _SWAP_XY).  Yields
+    (j, S) in the order of _march, S (4, 3, nu) the swapped component-major
+    states of column j.  `base` and `columns` place the two marches.
     """
     line = slice(j0, j0 + 1)
-    states = np.empty((u.size, 4, 3))
-    for n, S in _march(u, i0, F[:, line], L[:, line], M[:, line], S0[None], base):
-        states[n] = S[0]
-    yield from _march(v, j0, F.T, N.T, M.T, states[:, _SWAP_XY], columns)
+    states = np.empty((4, 3, u.size))
+    for n, S in _march(u, i0, F[:, line], L[:, line], M[:, line], S0[..., None], base):
+        states[..., n] = S[..., 0]
+    yield from _march(v, j0, F.T, N.T, M.T, states[_SWAP_XY, :], columns)
 
 
 def _slabs(columns, j0):
     """Group a column stream into slabs of _BLOCK columns plus one neighbour each side.
 
     Yields (cols, S, new): the slab's v-indices in march order, their
-    stacked states (k, nu, 4, 3) and the position of its first column not
-    in an earlier slab.  Consecutive slabs share two columns, so every
+    stacked component-major states (k, 4, 3, nu) and the position of its
+    first column not in an earlier slab.  Consecutive slabs share two columns, so every
     column except the two ends of a run is inside some slab with both of
     its neighbours.  The forward run starts at column j0; the backward run
     starts from columns j0 + 1 and j0, so its slabs run in decreasing v.
@@ -400,12 +450,13 @@ def reconstruct(chart, seed=None, transpose_probe=False):
     # diagnostics that overflow on huge finite states are recorded, and fail a report
     with np.errstate(over="ignore", invalid="ignore"):
         for cols, S, new in _slabs(columns, j0):
-            # slab axes: (column, row, frame vector, component); the rows are X/Y-swapped
-            X, Y, l = S[:, :, 1], S[:, :, 0], S[:, :, 2]
+            # views with axes (column, row, component), so that each component
+            # is a contiguous row; the frame rows of the march are X/Y-swapped
+            Y, X, l, x = S.transpose(1, 0, 3, 2)
             fresh = cols[new:]
-            mesh[:, fresh] = S[new:, :, 3].swapaxes(0, 1)
-            drift[:, fresh] = np.stack(list(_frame_errors(
-                X[new:], Y[new:], l[new:], chart.F[:, fresh].T).values())).max(axis=0).T
+            mesh[:, fresh] = x[new:].swapaxes(0, 1)
+            drift[:, fresh] = functools.reduce(np.maximum, _frame_errors(
+                X[new:], Y[new:], l[new:], chart.F[:, fresh].T).values()).T
             if cols.size < 3:
                 continue
             # a slab in decreasing v gives the same central differences bit for bit:
@@ -438,7 +489,7 @@ def reconstruct(chart, seed=None, transpose_probe=False):
             rows = _grid_march(v, u, chart.F.T, acc.N.T, acc.M.T, acc.L.T, j0, i0,
                                S0[_SWAP_XY, :], _Place("probe base line", u, v, True, i0),
                                _Place("probe rows", u, v, False))
-            transpose_diff = float(max(np.max(_euclid(S[:, 3] - mesh[i])) for i, S in rows))
+            transpose_diff = float(max(np.max(_euclid(S[3].T - mesh[i])) for i, S in rows))
 
     return ReconstructionResult(
         u_grid=u.copy(), v_grid=v.copy(), mesh=mesh,

@@ -129,7 +129,9 @@ def pchip_slopes(x, y):
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
     d = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the flat nodes are dropped
+    # the flat nodes are dropped, and a secant so small that w / m overflows
+    # gives 1 / inf = 0, the limit of the harmonic mean
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
     d[1:-1][~flat] = 1.0 / whmean[~flat]
     d[0] = _pchip_end(h[0], h[1], m[0], m[1])
@@ -279,7 +281,7 @@ def cumsimpson_from(f, t, i0):
     if t.size < 2:
         raise StencilError("quadrature needs at least 2 nodes")
     if t.size == 2:
-        g = _cumtrapz(f, t)
+        g = _cumtrapz(f, t)[1:]
     else:
         dx = np.diff(t)
         forward = _simpson_pieces(f, dx)
@@ -289,6 +291,6 @@ def cumsimpson_from(f, t, i0):
         pieces[1::2] = backward[::2]
         pieces[-1] = backward[-1]
         g = np.cumsum(pieces)
-        g += 0.0  # scipy adds its initial value here, which turns -0.0 into 0.0
-        g = np.concatenate((np.zeros(1), g))
+    g += 0.0  # scipy adds its initial value here, which turns -0.0 into 0.0
+    g = np.concatenate((np.zeros(1), g))
     return g - g[i0]

@@ -58,8 +58,11 @@ def test_corpus_show(capsys):
     assert "F = 2.0" in out and "H = 0.5" in out
 
 
-def test_corpus_show_unknown():
+def test_corpus_show_unknown(capsys):
     assert run("corpus", "show", "klein_bottle") == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert lines == [f"lorsurf: error: unknown surface 'klein_bottle'; "
+                     f"available: {', '.join(ls.names())}"]
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -642,6 +645,40 @@ def test_non_finite_stencils_fail_in_one_line_without_warnings(tmp_path, which, 
         assert not (tmp_path / "m.obj").exists()
     else:
         assert lines == []
+
+
+@pytest.mark.parametrize("data, reason", [
+    (b"\xff\xfe{}", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+    (b"[1, 2]", "must contain a JSON object"),
+], ids=["not_utf8", "not_an_object"])
+def test_reconstruct_refuses_an_unreadable_seed_file(capsys, tmp_path, data, reason):
+    seed = tmp_path / "seed.json"
+    seed.write_bytes(data)
+    code = run("reconstruct", "cylinder", "--grid", "11x11", "--seed", str(seed),
+               "--mesh", str(tmp_path / "m"))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert lines == [f"lorsurf: error: seed file {str(seed)!r} {reason}"]
+
+
+@pytest.mark.parametrize("argv, target, reason", [
+    (["reconstruct", "--mesh", "{tmp}/m", "--report", "{tmp}/dir"], "{tmp}/dir", "Is a directory"),
+    (["reconstruct", "--mesh", "{tmp}/no/m"], "{tmp}/no/m.obj", "No such file or directory"),
+    (["canonicalize", "--output", "{tmp}/no/c.json"], "{tmp}/no/c.json",
+     "No such file or directory"),
+], ids=["report_is_a_directory", "mesh_in_a_missing_directory",
+        "output_in_a_missing_directory"])
+def test_an_unwritable_output_path_exits_2_and_leaves_no_file(capsys, tmp_path, argv, target,
+                                                              reason):
+    (tmp_path / "dir").mkdir()  # the target of --report; the other targets' directory is missing
+    command, *flags = (a.format(tmp=tmp_path) for a in argv)
+    code = run(command, "enneper1", "--grid", "21x21", *flags)
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert lines == [f"lorsurf: error: cannot write {target.format(tmp=tmp_path)!r}: {reason}"]
+    assert (tmp_path / "dir").is_dir() and not any((tmp_path / "dir").iterdir())
+    assert not list(tmp_path.rglob(".tmp_*"))
 
 
 @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])

@@ -12,6 +12,9 @@ def test_names_and_lookup():
     assert set(ls.names()) == expected
     with pytest.raises(ls.UnknownSurfaceError):
         ls.get("moebius")
+    with pytest.raises(KeyError) as err:
+        ls.get("moebius")
+    assert str(err.value).startswith("unknown surface 'moebius'; available: ")
 
 
 def test_reference_point_values():

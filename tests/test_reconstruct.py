@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import lorsurf as ls
 import lorsurf.minkowski as mk
-from lorsurf.reconstruct import _SWAP_XY, FormMismatch, _rk4_step, _spline_samples
+from lorsurf.errors import node_at
+from lorsurf.reconstruct import _SWAP_XY, FormMismatch, _march, _Place, _spline_samples
 from lorsurf.surfaces import SurfaceJet2, fundamental_forms, jets_from_mesh
 
 from conftest import enneper1_chart, random_grid
@@ -225,7 +226,10 @@ def _late_H():
     (np.ones((7, 7)), _late_H(), False,
      "non-finite frame state in the columns march at node (0, 2), (u, v) = (0.0, 2.0)",
      (0, 2)),
-], ids=["columns", "probe", "non_finite"])
+    (np.ones((7, 7)), np.full((7, 7), 1e100), False,
+     "non-finite frame state in the base line march at node (2, 0), (u, v) = (2.0, 0.0)",
+     (2, 0)),
+], ids=["columns", "probe", "non_finite", "non_finite_base_line"])
 def test_abort_names_stage_node_and_place(F, H, probe, message, node):
     err = _abort(_chart7(F, H), probe)
     assert str(err) == message and err.node == node
@@ -388,17 +392,51 @@ def _euclid(A):
     return np.sqrt(np.sum(A * A, axis=-1))
 
 
-def march_lines(t, i0, F, P, Q, S0):
-    """States (n, m, 4, 3) of m lines marched from S0 (m, 4, 3) at node i0, all kept."""
+def _rhs_u(S, F, dF, P, Q):
+    """Reference u-family right-hand side on states S (..., 4, 3); P = L drives X, Q = M."""
+    X, Y, l = S[..., 0, :], S[..., 1, :], S[..., 2, :]
+    a = np.asarray(dF / F)[..., None]
+    p = np.asarray(P)[..., None]
+    q = np.asarray(Q)[..., None]
+    iF = np.asarray(1.0 / F)[..., None]
+    out = np.empty_like(S)
+    out[..., 0, :] = a * X + p * l
+    out[..., 1, :] = q * l
+    out[..., 2, :] = -(q * iF) * X - (p * iF) * Y
+    out[..., 3, :] = X
+    return out
+
+
+def _rk4_step(S, h, c0, cm, c1):
+    """Reference RK4 step: the march's oracle, kept apart from the library's kernel."""
+    k1 = _rhs_u(S, *c0)
+    k2 = _rhs_u(S + 0.5 * h * k1, *cm)
+    k3 = _rhs_u(S + 0.5 * h * k2, *cm)
+    k4 = _rhs_u(S + h * k3, *c1)
+    return S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_march(t, i0, F, P, Q, S0):
+    """Yield (n, S): states S (m, 4, 3) of m lines marched from S0 at node i0, in march order."""
     dF, mids = _spline_samples(t, F, P, Q)  # every line at once
     nodes = (F, dF, P, Q)
-    out = np.empty((t.size,) + S0.shape)
-    out[i0] = S0
+    yield i0, S0
     steps = list(zip(range(i0, t.size - 1), range(i0 + 1, t.size))) \
         + list(zip(range(i0, 0, -1), range(i0 - 1, -1, -1)))
     for k, n in steps:
-        out[n] = _rk4_step(out[k], t[n] - t[k], [c[k] for c in nodes],
-                           [c[min(k, n)] for c in mids], [c[n] for c in nodes])
+        if k == i0:
+            S = S0
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = _rk4_step(S, t[n] - t[k], [c[k] for c in nodes],
+                          [c[min(k, n)] for c in mids], [c[n] for c in nodes])
+        yield n, S
+
+
+def march_lines(t, i0, F, P, Q, S0):
+    """States (n, m, 4, 3) of m lines marched from S0 (m, 4, 3) at node i0, all kept."""
+    out = np.empty((t.size,) + S0.shape)
+    for n, S in reference_march(t, i0, F, P, Q, S0):
+        out[n] = S
     return out
 
 
@@ -503,6 +541,50 @@ def test_blocked_diagnostics_equal_whole_grid_bit_for_bit(nu, nv, i0, j0, probe,
     diff, flipped = whole_grid_congruence(res.mesh, closed, u, v)
     assert bits(rep.mismatch) == bits(diff)
     assert bits(rep.mismatch_flipped) == bits(flipped)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 41), m=st.integers(1, 41), i0=st.integers(0, 40),
+       columns=st.booleans(), top=st.sampled_from([0.0, 200.0, 306.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=41, m=1, i0=20, columns=False, top=306.0, seed=0).via("one line aborts at node 31")
+@example(n=9, m=41, i0=4, columns=True, top=306.0, seed=51).via("lines 16 and 21 abort at once")
+def test_march_equals_the_reference_kernel_bit_for_bit(n, m, i0, columns, top, seed):
+    # per-line magnitudes up to 1e306 and coefficients up to 1e3: states near
+    # overflow, and lines that turn non-finite at different or equal steps
+    rng = np.random.default_rng(seed)
+    i0 %= n
+    t = random_grid(rng, 0.0, 1.0, n)
+    F = 1.0 + 0.1 * rng.random((n, m))
+    P, Q = rng.standard_normal((2, n, m)) * 10.0 ** rng.uniform(0.0, 3.0)
+    S0 = rng.standard_normal((m, 4, 3)) * 10.0 ** rng.uniform(0.0, top, (m, 1, 1))
+    first = int(rng.integers(0, 5))
+    lines = random_grid(rng, -1.0, 0.0, first + m)
+    place = _Place("columns", lines, t, True) if columns else \
+        _Place("base line", t, lines, False, first)
+
+    expected, abort = [], None
+    for k, S in reference_march(t, i0, F, P, Q, S0):
+        if not np.all(np.isfinite(S)):
+            abort = place.node(k, int(np.argwhere(~np.isfinite(S))[0][0]))
+            break
+        expected.append((k, S))
+    got = []
+
+    def drain():
+        for k, S in _march(t, i0, F, P, Q, S0.transpose(1, 2, 0), place):
+            got.append((k, S.transpose(2, 0, 1)))
+
+    if abort is None:
+        drain()
+    else:
+        with pytest.raises(ls.ReconstructionAbort) as err:
+            drain()
+        assert str(err.value) == (f"non-finite frame state in the {place.stage} march "
+                                  f"at node {node_at(place.u, place.v, *abort)}")
+        assert err.value.node == abort
+    assert [k for k, _ in got] == [k for k, _ in expected]
+    assert bits(tuple(S for _, S in got)) == bits(tuple(S for _, S in expected))
 
 
 @pytest.mark.parametrize("width", [32, 33, 64, 65], ids=lambda w: f"nv-2={w}")
