@@ -23,7 +23,6 @@ from .chartio import read_chart, write_chart, write_mesh_csv, write_mesh_obj
 from .corpus import get, names, reference_chart
 from .errors import (
     ChartError,
-    DegeneracyError,
     DegenerateMetricError,
     DomainError,
     InvalidFrameError,
@@ -76,6 +75,7 @@ from .surfaces import (
     classify,
     fundamental_forms,
     is_isotropic,
+    is_minimal,
     jet_from_position,
     jets_from_mesh,
     kind_field,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import Chart, grid_index
+from .chart import Chart, _signed_chart, grid_index
 from .errors import ChartError, MapRangeError, NotGeneralTypeError, refuse, within
 from .splines import CubicHermite, cumsimpson_from, notaknot_slopes, pchip_slopes
 from .stencils import check_grid
@@ -182,13 +182,9 @@ def resample_to_canonical(chart, maps, canonical_u_grid, canonical_v_grid,
     L = pull("L") * (up**2)[:, None]
     M = pull("M") * np.outer(up, vp)
     N = pull("N") * (vp**2)[None, :]
-    out = Chart(
-        u_grid=cu, v_grid=cv, F=F, H=pull("H"),
-        L=L, M=M, N=N, K=pull("K") if chart.K is not None else None,
-        u0_index=i0, v0_index=j0,
-        eps1=int(np.sign(L[i0, j0])), eps2=int(np.sign(N[i0, j0])),
-        metadata=dict(chart.metadata, resampled=True))
-    out.validate()
+    out = _signed_chart(cu, cv, i0, j0, F=F, H=pull("H"), L=L, M=M, N=N,
+                        K=pull("K") if chart.K is not None else None,
+                        metadata=dict(chart.metadata, resampled=True))
     report = verify_canonical(out, tol=tol)
     out.canonical = report.passed
     out.metadata["canonical_check"] = {

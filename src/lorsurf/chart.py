@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ChartError, DegenerateMetricError, DomainError, NotGeneralTypeError,
-                     NotLorentzSurfaceError, refuse)
+                     NotLorentzSurfaceError, node_at, refuse)
 from .splines import grid_interpolant
 from .stencils import check_grid
 from .surfaces import fundamental_forms
@@ -118,13 +118,23 @@ class Chart:
         return grid_interpolant(self.u_grid, self.v_grid, arr)
 
 
+def _signed_chart(u_grid, v_grid, i0, j0, **fields):
+    """The validated chart of `fields` based at node (i0, j0), with eps1, eps2 = base_signs;
+    NotGeneralTypeError names the node when L or N vanishes there."""
+    signs = base_signs(fields["L"][i0, j0], fields["N"][i0, j0])
+    if signs is None:
+        raise NotGeneralTypeError(
+            f"L or N vanishes at the base point {node_at(u_grid, v_grid, i0, j0)}", node=(i0, j0))
+    return Chart(u_grid=u_grid, v_grid=v_grid, u0_index=i0, v0_index=j0,
+                 eps1=signs[0], eps2=signs[1], **fields).validate()
+
+
 def chart_from_provider(provider, u_grid, v_grid, u0, v0):
     """Sample a provider's fundamental forms into a chart.
 
     The grid must avoid the provider's domain boundary and singular set.
-    eps1, eps2 are read off as the signs of L and N at the base point; if
-    either vanishes there the surface is not of general type at the base
-    point and no chart with well-defined signs exists.  The provider and the
+    eps1, eps2 are the signs of L and N at the base point (see base_signs),
+    where the surface must be of general type.  The provider and the
     forms run on blocks of _BLOCK grid rows, and an error inside a block
     names its full-grid node, so the first failing block decides.
     """
@@ -143,10 +153,4 @@ def chart_from_provider(provider, u_grid, v_grid, u0, v0):
             raise exc.at(u_grid, v_grid, start, 0, "grid node") from None
         for name in names:
             fields[name][rows] = getattr(fd, name)
-    signs = base_signs(fields["L"][i0, j0], fields["N"][i0, j0])
-    if signs is None:
-        raise NotGeneralTypeError(
-            f"L or N vanishes at the base point ({float(u_grid[i0])!r}, {float(v_grid[j0])!r})")
-    chart = Chart(u_grid=u_grid, v_grid=v_grid, **fields,
-                  u0_index=i0, v0_index=j0, eps1=signs[0], eps2=signs[1])
-    return chart.validate()
+    return _signed_chart(u_grid, v_grid, i0, j0, **fields)

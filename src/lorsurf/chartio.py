@@ -48,13 +48,17 @@ def _atomic_write(path, chunks):
     """Write the strings of `chunks` to `path`; on any error the target is untouched.
 
     No temporary file is left behind, and an OSError (a missing directory,
-    a directory at `path`) becomes a ChartError that names `path`.
+    a directory at `path`) becomes a ChartError that names `path`.  The file
+    gets open()'s mode, 0o666 less the umask, not mkstemp's 0o600.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0)  # the only way to read the umask; it is set back at once
+    os.umask(umask)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:

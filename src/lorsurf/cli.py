@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -48,7 +49,7 @@ from .natural import (
     natural_residual,
 )
 from .reconstruct import FrameState, cmc_pair, congruence_check, reconstruct
-from .surfaces import SurfaceKind, fundamental_forms, kind_field
+from .surfaces import SurfaceKind, fundamental_forms, is_minimal, kind_field
 
 
 # -- argument helpers ---------------------------------------------------------
@@ -106,7 +107,7 @@ def _finish(args, command, inputs, tolerances, checks, statuses, **summary):
            "effective_tolerances": tolerances, "checks": checks, "statuses": statuses}
     passed = all(c["pass"] for c in checks) and finite(doc)
     doc["summary"] = dict(passed=passed, **summary)
-    if args.report:
+    if args.report is not None:
         write_report(doc, args.report)
     else:
         print(report_json(doc))
@@ -166,7 +167,7 @@ class _Source:
 # -- analyze ------------------------------------------------------------------
 
 def _kind_counts(K, H):
-    kinds = kind_field(SimpleNamespace(K=K, H=H))
+    kinds = kind_field(H, K)
     return {"count_first_kind": int(np.sum(kinds == 1)),
             "count_second_kind": int(np.sum(kinds == -1)),
             "count_not_general_type": int(np.sum(kinds == 0))}
@@ -229,7 +230,7 @@ def cmd_analyze(args):
         base_ok, k0 = bool(valid[i0, j0]), at[i0, j0]  # a singular base node has no forms
         K0, H0 = fd.K[k0], fd.H[k0]
         statuses.append(_status("classification", {
-            "kind_at_base": SurfaceKind.of(kind_field(SimpleNamespace(K=K0, H=H0))).value
+            "kind_at_base": SurfaceKind.of(kind_field(H0, K0)).value
             if base_ok else "unavailable",
             **_kind_counts(fd.K, fd.H),
             "H_at_base": float(H0) if base_ok else None,
@@ -336,7 +337,7 @@ def _residual_for(chart, mode):
         H0 = _constant_H(chart, "mode cmc")
         return cmc_residual(chart.K, H0, chart.u_grid, chart.v_grid)
     if mode == "minimal":
-        if float(np.max(np.abs(chart.H))) > 1e-10:
+        if not is_minimal(chart.H):
             raise ChartError("mode minimal requires H = 0")
         return minimal_residual(chart.K, chart.u_grid, chart.v_grid)
     raise ChartError(f"unknown mode {mode!r}")
@@ -432,6 +433,10 @@ def cmd_reconstruct(args):
     if args.pair and (args.eps1 is not None or args.eps2 is not None):
         raise ChartError("--pair fixes the signs of both pair members itself; "
                          "drop --eps1/--eps2")
+    if args.pair and args.transpose_probe:
+        raise ChartError("--transpose-probe applies to a single reconstruction, not --pair")
+    if args.force and not args.pair:
+        raise ChartError("--force applies to --pair only; a single reconstruction warns")
     src = _Source(args)
     chart = _apply_eps_overrides(src.chart(), args)
     statuses = []
@@ -442,8 +447,9 @@ def cmd_reconstruct(args):
         if args.pair:
             if chart.K is None:
                 raise ChartError("--pair requires a K field")
-            H0 = _constant_H(chart, "--pair")
-            if H0 == 0.0:
+            # a field that --mode minimal accepts has H = 0, constant or not
+            H0 = 0.0 if is_minimal(chart.H) else _constant_H(chart, "--pair")
+            if is_minimal(H0):
                 raise ChartError("--pair requires a non-zero H: a minimal surface is fixed "
                                  "by K up to motion, so it has no pair")
             res_p, res_m = cmc_pair(chart.K, H0, chart.u_grid, chart.v_grid,
@@ -574,10 +580,20 @@ def main(argv=None):
         parser.error("corpus show requires a surface name")
     t0 = time.perf_counter()
     try:
+        for flag in ("report", "mesh", "output"):  # before any work, so nothing is written
+            if getattr(args, flag, None) == "":
+                raise ChartError(f"--{flag} needs a non-empty path")
         code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
     except LorsurfError as exc:
         print(f"lorsurf: {exc.label}: {exc}", file=sys.stderr)
         code = exc.exit_code
+    except BrokenPipeError as exc:  # stdout, the only pipe lorsurf writes
+        devnull = os.open(os.devnull, os.O_WRONLY)  # for the interpreter's flush at exit
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"lorsurf: error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        code = 2
     finally:
         print(f"lorsurf: wall time {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return code

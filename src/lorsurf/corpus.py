@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .chart import Chart, grid_index
-from .errors import DomainError, NotGeneralTypeError, UnknownSurfaceError, refuse
+from .chart import _signed_chart, grid_index
+from .errors import DomainError, UnknownSurfaceError, refuse
 from .minkowski import vec
 from .stencils import check_grid
 from .surfaces import SurfaceJet2, SurfaceKind, SurfaceProvider
@@ -297,17 +297,5 @@ def reference_chart(name, u_grid, v_grid, u0=None, v0=None):
     i0 = (u_grid.size - 1) // 2 if u0 is None else grid_index(u_grid, u0, "u_grid")
     j0 = (v_grid.size - 1) // 2 if v0 is None else grid_index(v_grid, v0, "v_grid")
     ref = entry.reference
-    L = ref.L(U, V)
-    N = ref.N(U, V)
-    eps1 = float(np.sign(L[i0, j0]))
-    eps2 = float(np.sign(N[i0, j0]))
-    if eps1 == 0.0 or eps2 == 0.0:
-        raise NotGeneralTypeError(
-            f"{name} is not of general type at the base point (L or N vanishes)")
-    chart = Chart(
-        u_grid=u_grid, v_grid=v_grid,
-        F=ref.F(U, V), H=ref.H(U, V),
-        L=L, M=ref.M(U, V), N=N, K=ref.K(U, V),
-        u0_index=i0, v0_index=j0, eps1=int(eps1), eps2=int(eps2),
-        metadata={"source": name})
-    return chart.validate()
+    return _signed_chart(u_grid, v_grid, i0, j0, F=ref.F(U, V), H=ref.H(U, V), L=ref.L(U, V),
+                         M=ref.M(U, V), N=ref.N(U, V), K=ref.K(U, V), metadata={"source": name})

@@ -85,7 +85,7 @@ class NotIsotropicError(LorsurfError):
 
 
 class NotGeneralTypeError(LorsurfError):
-    """L or N vanishes (H^2 - K = 0): no canonical coordinates exist here."""
+    """H^2 - K vanishes or changes sign, or L or N vanishes: no canonical coordinates exist."""
 
     exit_code = 1
     label = "not of general type"
@@ -97,10 +97,6 @@ class MapRangeError(LorsurfError):
 
 class StencilError(LorsurfError):
     """Grid too small for the finite-difference stencils of this operation."""
-
-
-class DegeneracyError(LorsurfError):
-    """|H^2 - K| or |K| below tolerance at some node."""
 
 
 class InvalidFrameError(LorsurfError):

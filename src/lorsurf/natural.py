@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, StencilError, refuse
+from .errors import NotGeneralTypeError, StencilError, refuse
 from .stencils import _unit_steps, check_grid, cross_derivative, cumtrapz_from, gradient
+from .surfaces import kind_field
 
 __all__ = [
     "REL_TOL",
@@ -76,11 +77,6 @@ def _summarize(residual, u_int, v_int, scale):
                           l2=l2, u_interior=u_int, v_interior=v_int, scale=scale)
 
 
-def _require_3x3(nu, nv):
-    if nu < 3 or nv < 3:
-        raise StencilError("residual stencils need at least 3 nodes per axis")
-
-
 def accumulate_LN(chart):
     """Fill L, M, N of a chart from (F, H, eps1, eps2) by running integrals.
 
@@ -92,8 +88,8 @@ def accumulate_LN(chart):
     reconstruct refuses them.
     """
     chart.validate()
-    nu, nv = chart.shape
-    _require_3x3(nu, nv)
+    if min(chart.shape) < 3:
+        raise StencilError("residual stencils need at least 3 nodes per axis")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         H_u = gradient(chart.H, chart.u_grid, axis=0)
         H_v = gradient(chart.H, chart.v_grid, axis=1)
@@ -130,15 +126,12 @@ def natural_residual(chart, acc=None):
     return _summarize(residual, u[1:-1], v[1:-1], scale)
 
 
-def _degeneracy_tol(K, H):
-    return 1e-10 * (1.0 + H * H + np.abs(K))
-
-
 def cmc_residual(K, H, u_grid, v_grid):
     """Residual of the constant-mean-curvature natural equation.
 
     residual = sqrt(|H^2 - K|) * (ln sqrt(|H^2 - K|))_uv - K for a constant
-    scalar H; |H^2 - K| must stay away from zero on the whole grid.
+    scalar H.  The surface must be of general type on the whole grid:
+    NotGeneralTypeError names the first node where kind_field(H, K) is 0.
     """
     u = check_grid(np.asarray(u_grid, dtype=float), "u_grid", 3)
     v = check_grid(np.asarray(v_grid, dtype=float), "v_grid", 3)
@@ -146,10 +139,8 @@ def cmc_residual(K, H, u_grid, v_grid):
     H = float(H)
     if K.shape != (u.size, v.size):
         raise StencilError(f"K has shape {K.shape}, expected {(u.size, v.size)}")
-    _require_3x3(*K.shape)
+    refuse(NotGeneralTypeError, kind_field(H, K) == 0, "|H^2 - K| vanishes", u[:, None], v)
     d = H * H - K
-    refuse(DegeneracyError, np.abs(d) <= _degeneracy_tol(K, H), "|H^2 - K| vanishes",
-           u[:, None], v)
     phi = 0.5 * np.log(np.abs(d))
     phi_uv = cross_derivative(phi, u, v)
     residual = np.sqrt(np.abs(d[1:-1, 1:-1])) * phi_uv - K[1:-1, 1:-1]
@@ -167,18 +158,15 @@ def minimal_residual(K, u_grid, v_grid):
 def F_from_K_cmc(K, H):
     """Recover F = 1 / sqrt(|H^2 - K|) and the product eps1*eps2 = sign(H^2 - K).
 
-    The sign must be constant on the grid (a sign change would cross a
-    degenerate curve, which the tolerance check rejects first in the
-    continuous case).
+    eps1*eps2 is the kind of kind_field(H, K), which must be non-zero and
+    the same on the whole grid (NotGeneralTypeError otherwise).
     """
     K = np.asarray(K, dtype=float)
     H = float(H)
-    d = H * H - K
-    refuse(DegeneracyError, np.abs(d) <= _degeneracy_tol(K, H), "|H^2 - K| vanishes")
-    signs = np.sign(d)
-    first = signs.flat[0]
-    refuse(DegeneracyError, signs != first, "sign of H^2 - K changes")
-    return 1.0 / np.sqrt(np.abs(d)), int(first)
+    kind = kind_field(H, K)
+    refuse(NotGeneralTypeError, kind == 0, "|H^2 - K| vanishes")
+    refuse(NotGeneralTypeError, kind != kind.flat[0], "sign of H^2 - K changes")
+    return 1.0 / np.sqrt(np.abs(H * H - K)), int(kind.flat[0])
 
 
 def convergence_order(coarse_max_abs, fine_max_abs, refinement=2.0):

@@ -58,7 +58,7 @@ from .natural import (REL_TOL, F_from_K_cmc, accumulate_LN, cmc_residual, minima
                       natural_residual)
 from .splines import hermite_midpoints, notaknot_slopes
 from .stencils import check_grid
-from .surfaces import SurfaceJet2, fundamental_forms, jets_from_mesh
+from .surfaces import SurfaceJet2, fundamental_forms, is_minimal, jets_from_mesh
 
 __all__ = [
     "FrameState",
@@ -503,7 +503,7 @@ def reconstruct(chart, seed=None, transpose_probe=False):
 
 
 def _cmc_chart(F, H, u, v, eps1, eps2):
-    nu, nv = u.size, v.size
+    nu, nv = F.shape
     return Chart(u_grid=u, v_grid=v, F=F, H=np.full((nu, nv), float(H)),
                  u0_index=(nu - 1) // 2, v0_index=(nv - 1) // 2,
                  eps1=eps1, eps2=eps2).validate()
@@ -514,7 +514,7 @@ def _refuse_violation(res, which, force):
     if not (force or within([res.max_abs], REL_TOL * res.scale)):
         raise NaturalEquationError(
             f"K violates the {which} natural equation (max residual {res.max_abs:.3g}); "
-            "pass force=True to reconstruct anyway")
+            "pass --force (force=True in the library) to reconstruct anyway")
 
 
 def cmc_pair(K, H, u_grid, v_grid, seed=None, force=False):
@@ -522,23 +522,17 @@ def cmc_pair(K, H, u_grid, v_grid, seed=None, force=False):
 
     F comes from F = 1/sqrt(|H^2 - K|); the sign product eps1*eps2 =
     sign(H^2 - K) admits exactly two sign pairs, and both are
-    reconstructed with the same seed.  Raises NaturalEquationError when K
-    violates the constant-H natural equation (unless `force`).
+    reconstructed with the same seed.  Raises ValueError when is_minimal(H),
+    and NaturalEquationError when K violates the constant-H natural
+    equation (unless `force`).
     """
-    H = float(H)
-    if H == 0.0:
+    if is_minimal(H):
         raise ValueError("H must be non-zero; use minimal_from_K for minimal surfaces")
-    u = check_grid(np.asarray(u_grid, dtype=float), "u_grid", 3)
-    v = check_grid(np.asarray(v_grid, dtype=float), "v_grid", 3)
-    K = np.asarray(K, dtype=float)
-    _refuse_violation(cmc_residual(K, H, u, v), "constant-H", force)
+    # cmc_residual checks the grids and K's shape for all that follows
+    _refuse_violation(cmc_residual(K, H, u_grid, v_grid), "constant-H", force)
     F, eps_product = F_from_K_cmc(K, H)
     pairs = ((1, 1), (-1, -1)) if eps_product == 1 else ((1, -1), (-1, 1))
-    results = []
-    for eps1, eps2 in pairs:
-        chart = _cmc_chart(F, H, u, v, eps1, eps2)
-        results.append(reconstruct(chart, seed=seed))
-    return tuple(results)
+    return tuple(reconstruct(_cmc_chart(F, H, u_grid, v_grid, *eps), seed=seed) for eps in pairs)
 
 
 def minimal_from_K(K, u_grid, v_grid, seed=None, force=False):
@@ -548,13 +542,9 @@ def minimal_from_K(K, u_grid, v_grid, seed=None, force=False):
     admissible pair gives the image under a non-proper motion.  Refuses
     when K violates the minimal natural equation unless `force`.
     """
-    u = check_grid(np.asarray(u_grid, dtype=float), "u_grid", 3)
-    v = check_grid(np.asarray(v_grid, dtype=float), "v_grid", 3)
-    K = np.asarray(K, dtype=float)
-    _refuse_violation(minimal_residual(K, u, v), "minimal", force)
+    _refuse_violation(minimal_residual(K, u_grid, v_grid), "minimal", force)
     F, eps_product = F_from_K_cmc(K, 0.0)
-    chart = _cmc_chart(F, 0.0, u, v, 1, eps_product)
-    return reconstruct(chart, seed=seed)
+    return reconstruct(_cmc_chart(F, 0.0, u_grid, v_grid, 1, eps_product), seed=seed)
 
 
 class CongruenceVerdict(Enum):

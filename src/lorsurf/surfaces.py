@@ -41,6 +41,7 @@ __all__ = [
     "KindReport",
     "classify",
     "kind_field",
+    "is_minimal",
     "is_isotropic",
     "PseudoArcReport",
     "pseudo_arc_check",
@@ -227,23 +228,25 @@ class KindReport:
     tol: float
 
 
-def _default_kind_tol(fd):
-    return 1e-8 * (1.0 + np.asarray(fd.H) ** 2 + np.abs(fd.K))
+def _kind_tol(H, K):
+    """The default tolerance of kind_field, which classify also records."""
+    return 1e-8 * (1.0 + H**2 + np.abs(K))
 
 
 def classify(fd, tol=None, iso_tol=1e-8):
     """Classify one point as first kind, second kind or not of general type.
 
-    The sign of H^2 - K decides; the report also carries LN/F^2, which must
-    agree with H^2 - K (they coincide identically in null coordinates).
+    kind_field decides; the report also carries LN/F^2, which must agree
+    with H^2 - K (they coincide identically in null coordinates).
     """
     if not np.all(is_isotropic(fd, iso_tol)):
         raise NotIsotropicError("classification requires null coordinates (|E|, |G| <= tol, F > 0)")
     E, F, G = float(fd.E), float(fd.F), float(fd.G)
     L, M, N = float(fd.L), float(fd.M), float(fd.N)
+    H, K = float(fd.H), float(fd.K)
     if tol is None:
-        tol = float(_default_kind_tol(fd))
-    h2k = float(fd.H) ** 2 - float(fd.K)
+        tol = float(_kind_tol(H, K))
+    h2k = H**2 - K
     ln_f2 = L * N / F**2
     # first-order contamination of H^2 - K by nonzero E, G, plus a quadratic cushion
     allowed = tol + 8.0 * abs(M) * (abs(N) * abs(E) + abs(L) * abs(G)) / F**3 \
@@ -251,16 +254,26 @@ def classify(fd, tol=None, iso_tol=1e-8):
     if abs(h2k - ln_f2) > allowed:
         raise ValueError(
             f"H^2 - K = {h2k:.6g} disagrees with LN/F^2 = {ln_f2:.6g} beyond tolerance {allowed:.3g}")
-    return KindReport(kind=SurfaceKind.of(kind_field(fd, tol)), h2_minus_k=h2k,
+    return KindReport(kind=SurfaceKind.of(kind_field(H, K, tol)), h2_minus_k=h2k,
                       ln_over_f2=ln_f2, tol=tol)
 
 
-def kind_field(fd, tol=None):
-    """Vectorized kind indicator: +1 first kind, -1 second kind, 0 degenerate."""
+def kind_field(H, K, tol=None):
+    """The kind of each node: +1 first kind, -1 second kind, 0 not of general type.
+
+    The one test of the paper's condition H^2 - K != 0: |H^2 - K| > tol, by
+    default 1e-8 * (1 + H^2 + |K|).  H and K broadcast (a scalar H with a K field).
+    """
+    H, K = np.asarray(H, dtype=float), np.asarray(K, dtype=float)
     if tol is None:
-        tol = _default_kind_tol(fd)
-    h2k = np.asarray(fd.H) ** 2 - np.asarray(fd.K)
+        tol = _kind_tol(H, K)
+    h2k = H**2 - K
     return np.where(h2k > tol, 1, np.where(h2k < -tol, -1, 0)).astype(np.int8)
+
+
+def is_minimal(H):
+    """True when H = 0 on the whole field, that is max|H| <= 1e-10: a minimal surface."""
+    return float(np.max(np.abs(H))) <= 1e-10
 
 
 def is_isotropic(fd, tol=1e-8):

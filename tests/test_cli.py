@@ -4,6 +4,10 @@ import dataclasses
 import inspect
 import io
 import json
+import os
+import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,6 +20,8 @@ from lorsurf import errors
 from lorsurf.cli import _grid_through, main
 
 from conftest import CONE_TU0, enneper1_chart, random_grid
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(*argv):
@@ -227,15 +233,24 @@ def test_residual_minimal_enneper_with_order(tmp_path):
     assert check(doc, "order")["values"]["order_estimate"] >= 1.9
 
 
-def test_residual_cmc_degenerate_exits_2(tmp_path):
-    # K = 1 with H = 1 has H^2 - K = 0 everywhere
+@pytest.mark.parametrize("argv", [["residual", "--mode", "cmc"],
+                                  ["reconstruct", "--pair", "--mesh", "{tmp}/p"]],
+                         ids=["residual_cmc", "reconstruct_pair"])
+def test_a_vanishing_H2_minus_K_is_not_of_general_type(capsys, tmp_path, argv):
+    # F = H = K = 1 has H^2 - K = 0 everywhere, as the Lorentz sphere has
     g = np.linspace(0.0, 1.0, 9)
-    chart = ls.Chart(u_grid=g, v_grid=g, F=2.0 / np.cosh(g[:, None] + g[None, :]) ** 2,
-                     H=np.ones((9, 9)), K=np.ones((9, 9)),
+    ones = np.ones((9, 9))
+    chart = ls.Chart(u_grid=g, v_grid=g, F=ones, H=ones, K=ones,
                      u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
     path = tmp_path / "sphere_like.json"
     ls.write_chart(chart, str(path))
-    assert run("residual", str(path), "--mode", "cmc") == 2
+    command, *flags = (a.format(tmp=tmp_path) for a in argv)
+    code = run(command, str(path), *flags)
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 1
+    assert lines == ["lorsurf: not of general type: |H^2 - K| vanishes at node (0, 0), "
+                     "(u, v) = (0.0, 0.0)"]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_residual_minimal_requires_zero_H(tmp_path):
@@ -540,6 +555,34 @@ def test_reconstruct_pair_refuses_sign_overrides(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("H", [0.0, 1e-12])
+def test_reconstruct_pair_refuses_the_H_fields_that_mode_minimal_accepts(capsys, tmp_path, H):
+    g = np.linspace(1.0, 2.0, 41)
+    chart = ls.reference_chart("enneper1", g, g - 2.0)
+    path = tmp_path / "minimal.json"
+    ls.write_chart(chart.with_fields(H=np.full(chart.shape, H)), str(path))
+    assert run("residual", str(path), "--mode", "minimal") == 0
+    capsys.readouterr()
+    code = run("reconstruct", str(path), "--pair", "--mesh", str(tmp_path / "p"))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("lorsurf: error: --pair requires a non-zero H")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("source, flags, message", [
+    ("cylinder", ["--pair", "--transpose-probe"],
+     "--transpose-probe applies to a single reconstruction, not --pair"),
+    ("enneper1", ["--force"], "--force applies to --pair only; a single reconstruction warns"),
+], ids=["pair_with_transpose_probe", "force_without_pair"])
+def test_reconstruct_refuses_flags_that_would_do_nothing(capsys, tmp_path, source, flags, message):
+    code = run("reconstruct", source, "--grid", "11x11", *flags, "--mesh", str(tmp_path / "m"))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert lines == [f"lorsurf: error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reconstruct_defective_chart_warns_but_succeeds(tmp_path):
     g = np.linspace(0.0, 1.0, 31)
     chart = ls.Chart(u_grid=g, v_grid=g, F=np.full((31, 31), 2.1),
@@ -679,6 +722,53 @@ def test_an_unwritable_output_path_exits_2_and_leaves_no_file(capsys, tmp_path, 
     assert lines == [f"lorsurf: error: cannot write {target.format(tmp=tmp_path)!r}: {reason}"]
     assert (tmp_path / "dir").is_dir() and not any((tmp_path / "dir").iterdir())
     assert not list(tmp_path.rglob(".tmp_*"))
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("report", ["residual", "enneper1", "--grid", "11x11", "--mode", "minimal"]),
+    ("mesh", ["reconstruct", "enneper1", "--grid", "11x11"]),
+    ("output", ["canonicalize", "enneper1", "--grid", "11x11"]),
+], ids=["report", "mesh", "output"])
+def test_an_empty_output_path_exits_2_and_writes_nothing(monkeypatch, capsys, tmp_path, flag,
+                                                         argv):
+    monkeypatch.chdir(tmp_path)
+    code = run(*argv, f"--{flag}", "")
+    out, err = capsys.readouterr()
+    lines = [ln for ln in err.splitlines() if "wall time" not in ln]
+    assert code == 2 and out == ""
+    assert lines == [f"lorsurf: error: --{flag} needs a non-empty path"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_get_the_mode_the_umask_gives(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        run("canonicalize", "enneper1", "--grid", "11x11", "--output", str(tmp_path / "c.json"),
+            "--report", str(tmp_path / "canon.json"))
+        run("reconstruct", "enneper1", "--grid", "11x11", "--mesh", str(tmp_path / "m"),
+            "--report", str(tmp_path / "rec.json"))
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["c.json", "canon.json", "m.obj", "m.csv", "rec.json"], mode)
+
+
+@pytest.mark.parametrize("argv", [["corpus", "list"], ["corpus", "show", "cylinder"],
+                                  ["residual", "enneper1", "--grid", "11x11", "--mode", "minimal"]],
+                         ids=["corpus_list", "corpus_show", "report"])
+def test_a_closed_stdout_exits_2_in_one_line(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lorsurf.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    lines = [ln for ln in proc.stderr.splitlines() if "wall time" not in ln]
+    assert proc.returncode == 2
+    assert lines == ["lorsurf: error: cannot write to stdout: Broken pipe"]
 
 
 @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])

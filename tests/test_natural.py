@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lorsurf as ls
@@ -211,7 +211,7 @@ def test_cmc_residual_enneper_curvature_with_H0():
 
 def test_cmc_residual_degenerate_rejected():
     g = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ls.DegeneracyError) as err:
+    with pytest.raises(ls.NotGeneralTypeError) as err:
         ls.cmc_residual(np.ones((11, 11)), 1.0, g, g)
     assert err.value.node == (0, 0)
 
@@ -232,7 +232,7 @@ def test_minimal_residual_enneper2():
 def test_minimal_residual_degenerate_rejected():
     g = np.linspace(0.0, 1.0, 11)
     K = np.zeros((11, 11))
-    with pytest.raises(ls.DegeneracyError):
+    with pytest.raises(ls.NotGeneralTypeError):
         ls.minimal_residual(K, g, g)
 
 
@@ -262,11 +262,42 @@ def test_F_from_K_cmc_enneper2():
 
 
 def test_F_from_K_cmc_rejects_degenerate_and_mixed_signs():
-    with pytest.raises(ls.DegeneracyError):
+    with pytest.raises(ls.NotGeneralTypeError):
         ls.F_from_K_cmc(np.ones((3, 3)), 1.0)
     K = np.array([[0.5, -0.5], [0.5, -0.5]])
-    with pytest.raises(ls.DegeneracyError):
+    with pytest.raises(ls.NotGeneralTypeError):
         ls.F_from_K_cmc(K, 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 9), H=st.floats(0.1, 10.0), sign=st.sampled_from([1, -1]),
+       lo=st.floats(-11.0, -7.0), seed=st.integers(0, 2**32 - 1))
+@example(n=5, H=1.0, sign=1, lo=-7.5, seed=0)    # no 0
+@example(n=5, H=1.0, sign=-1, lo=-11.0, seed=0)  # 0s
+def test_general_type_refusals_are_exactly_the_zeros_of_kind_field(n, H, sign, lo, seed):
+    # |H^2 - K| / (1 + H^2 + |K|) is drawn between 10^lo and 1e-7, about kind_field's
+    # 1e-8 threshold and with one sign, so that a 0 of kind_field is the only reason
+    # to refuse the general type
+    rng = np.random.default_rng(seed)
+    rel = 10.0 ** rng.uniform(lo, -7.0, (n, n))
+    K = H * H - sign * rel * (1.0 + 2.0 * H * H)
+    g = np.linspace(0.0, 1.0, n)
+    kind = ls.kind_field(H, K)
+    zeros = np.argwhere(kind == 0)
+    first = tuple(int(k) for k in zeros[0]) if zeros.size else None
+    nodes = []
+    for call in (lambda: ls.cmc_residual(K, H, g, g), lambda: ls.F_from_K_cmc(K, H),
+                 lambda: ls.cmc_pair(K, H, g, g)):
+        try:
+            call()
+            nodes.append(None)
+        except ls.NotGeneralTypeError as exc:
+            nodes.append(exc.node)
+        except ls.NaturalEquationError:  # cmc_pair on data far off the constant-H equation
+            nodes.append(None)
+    assert nodes == [first] * 3
+    if first is None:
+        assert np.all(kind == sign) and ls.F_from_K_cmc(K, H)[1] == sign
 
 
 def test_convergence_order_helper():

@@ -265,7 +265,7 @@ def test_cmc_pair_negative_H_flips_M():
 
 def test_cmc_pair_rejects_degenerate():
     g = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ls.DegeneracyError):
+    with pytest.raises(ls.NotGeneralTypeError):
         ls.cmc_pair(np.ones((11, 11)), 1.0, g, g)
 
 

@@ -125,7 +125,7 @@ def test_classify_takes_its_kind_from_kind_field():
     tols = (0.5 * h2k, h2k, 2.0 * h2k)
     kinds = [ls.classify(fd, tol=tol).kind for tol in tols]
     assert kinds == [ls.SurfaceKind.FIRST] + 2 * [ls.SurfaceKind.DEGENERATE]
-    assert kinds == [ls.SurfaceKind.of(ls.kind_field(fd, tol)) for tol in tols]
+    assert kinds == [ls.SurfaceKind.of(ls.kind_field(fd.H, fd.K, tol)) for tol in tols]
     assert [ls.SurfaceKind.of(code) for code in (1, -1, 0)] == list(ls.SurfaceKind)
 
 
@@ -142,7 +142,7 @@ def test_kind_field_matches_classify(rng):
     entry = ls.get("enneper2")
     u, v = interior_points(entry, rng, 20)
     fd = forms_at(entry, u, v)
-    assert np.all(ls.kind_field(fd) == -1)
+    assert np.all(ls.kind_field(fd.H, fd.K) == -1)
 
 
 def test_is_isotropic(rng):
