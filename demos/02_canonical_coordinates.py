@@ -20,13 +20,6 @@ TU0 = 2.0 * np.sqrt(2.0) * 3.0 ** 0.25
 entry = ls.get("hyperbolic_cone")
 
 
-def grid_through(base, lo, hi, n):
-    h = (hi - lo) / (n - 1)
-    k1 = int(np.floor((base - lo) / h + 1e-12))
-    k2 = int(np.floor((hi - base) / h + 1e-12))
-    return base + h * np.arange(-k1, k2 + 1)
-
-
 print("source grid   map error        F rel error      H rel error")
 prev_map_err = None
 for n in (51, 101, 201, 401):
@@ -36,8 +29,8 @@ for n in (51, 101, 201, 401):
     map_err = float(np.max(np.abs(umap.values - TU0 * np.exp(g / 4.0))))
 
     src = ls.chart_from_provider(entry.provider, g, g, 0.0, 0.0)
-    cu = grid_through(TU0, *umap.range, n)
-    cv = grid_through(TU0, *vmap.range, n)
+    cu = ls.grid_through(TU0, *umap.range, n)
+    cv = ls.grid_through(TU0, *vmap.range, n)
     out = ls.resample_to_canonical(src, (umap, vmap), cu, cv)
     TU, TV = np.meshgrid(cu, cv, indexing="ij")
     f_err = float(np.max(np.abs(out.F / (TU**3 * TV**3 / 1152.0) - 1.0)))

@@ -21,14 +21,12 @@ for n1, n2 in ((81, 161),):
     # cone in canonical coordinates, closed-form fields
     maxima = []
     for m in (n1, n2):
-        lo, hi = TU0 * np.exp(-0.25), TU0 * np.exp(0.25)
-        h = (hi - lo) / (m - 1)
-        k1 = int(np.floor((TU0 - lo) / h + 1e-12))
-        g = TU0 + h * np.arange(-k1, int(np.floor((hi - TU0) / h + 1e-12)) + 1)
+        g = ls.grid_through(TU0, TU0 * np.exp(-0.25), TU0 * np.exp(0.25), m)
+        k0 = ls.grid_index(g, TU0)
         TU, TV = np.meshgrid(g, g, indexing="ij")
         chart = ls.Chart(u_grid=g, v_grid=g, F=TU**3 * TV**3 / 1152.0,
                          H=-48.0 * np.sqrt(3.0) / (TU**2 * TV**2),
-                         u0_index=k1, v0_index=k1, eps1=1, eps2=1).validate()
+                         u0_index=k0, v0_index=k0, eps1=1, eps2=1).validate()
         maxima.append(ls.natural_residual(chart).max_abs)
     order = ls.convergence_order(maxima[0], maxima[1])
     print(f"  cone (general form):      {maxima[0]:.2e} -> {maxima[1]:.2e}, "

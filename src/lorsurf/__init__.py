@@ -18,7 +18,7 @@ from .canonical import (
     resample_to_canonical,
     verify_canonical,
 )
-from .chart import Chart, chart_from_provider, grid_index
+from .chart import Chart, chart_from_provider, grid_index, grid_through
 from .chartio import read_chart, write_chart, write_mesh_csv, write_mesh_obj
 from .corpus import get, names, reference_chart
 from .errors import (

@@ -223,13 +223,14 @@ def canonical_gauge_transform(chart, delta, c1, c2, swap=False, tol=1e-6):
     """Apply the residual gauge freedom u = delta*tu + c1, v = delta*tv + c2.
 
     With `swap` the parameter numeration is exchanged first, which negates
-    L, M, N (and hence H) and swaps the eps signs.  The input must be
-    canonical; the output is canonical again with the transformed signs.
-    This is an exact index-level operation, no interpolation happens.
+    L, M, N (and hence H) and swaps the eps signs.  The input must pass
+    verify_canonical at `tol`, whatever its `canonical` flag says; the output
+    is canonical again with the transformed signs.  This is an exact
+    index-level operation, no interpolation happens.
     """
     if delta not in (-1, 1):
         raise ChartError("delta must be +1 or -1")
-    if not chart.canonical and not verify_canonical(chart, tol=tol).passed:
+    if not verify_canonical(chart, tol=tol).passed:
         raise ChartError("gauge transform requires a canonical chart")
 
     u_grid, v_grid = chart.u_grid, chart.v_grid

@@ -21,7 +21,7 @@ from .splines import grid_interpolant
 from .stencils import check_grid
 from .surfaces import fundamental_forms
 
-__all__ = ["Chart", "grid_index", "base_signs", "chart_from_provider"]
+__all__ = ["Chart", "grid_index", "grid_through", "base_signs", "chart_from_provider"]
 
 _OPTIONAL_FIELDS = ("L", "M", "N", "K")
 
@@ -40,6 +40,19 @@ def grid_index(grid, value, name="grid"):
     if not abs(grid[i] - value) <= 1e-9 * max(span, 1.0):  # NaN fails this test
         raise DomainError(f"{name}: base value {float(value)!r} is not a grid node")
     return i
+
+
+def grid_through(base, lo, hi, n):
+    """Uniform grid of about n nodes on [lo, hi] containing `base` as a node.
+
+    It has n - 1 or n nodes, so at least 2 for n >= 3; n = 2 gives one node
+    unless `base` is an end of the range.  This is the canonical grid of
+    `lorsurf canonicalize`, through the image of the base point.
+    """
+    h = (hi - lo) / (n - 1)
+    k1 = int(np.floor((base - lo) / h + 1e-12))
+    k2 = int(np.floor((hi - base) / h + 1e-12))
+    return base + h * np.arange(-k1, k2 + 1)
 
 
 def base_signs(L0, N0):

@@ -10,9 +10,10 @@ byte-identical files (timing goes to stderr, never into the report).  Every
 verdict is `errors.within`, and one writer, `_finish`, passes a report only
 when its checks pass and every number it records is finite.
 
-Every command runs on numpy alone: the splines and the Simpson quadrature
-of canonicalize and reconstruct are lorsurf.splines, and no command loads
-scipy.
+Every chart a command reads comes from `_Source.chart`: a corpus surface as
+its reference chart on the --grid/--domain nodes (refined for --refine), or a
+chart file; --eps1/--eps2 sign each one, the --refined FILE chart included.
+Every command runs on numpy alone (lorsurf.splines); none loads scipy.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import minkowski as mk
 from .canonical import canonical_maps_from_lines, resample_to_canonical, verify_canonical
-from .chart import base_signs, chart_from_provider, grid_index
+from .chart import base_signs, grid_index, grid_through
 from .chartio import (
     digest_text,
     load_chart,
@@ -114,25 +116,15 @@ def _finish(args, command, inputs, tolerances, checks, statuses, **summary):
     return 0 if passed else 1
 
 
-def _grid_through(base, lo, hi, n):
-    """Uniform grid of about n nodes on [lo, hi] containing `base` as a node.
-
-    It has n - 1 or n nodes, so at least 2 for n >= 3; n = 2 gives one node
-    unless `base` is an end of the range.
-    """
-    h = (hi - lo) / (n - 1)
-    k1 = int(np.floor((base - lo) / h + 1e-12))
-    k2 = int(np.floor((hi - base) / h + 1e-12))
-    return base + h * np.arange(-k1, k2 + 1)
-
-
 class _Source:
-    """Resolved input: either a corpus entry sampled on a grid or a chart file."""
+    """Resolved input (a corpus surface on a grid, or a chart file) and the command's signs."""
 
     def __init__(self, args):
         name = args.source
         self.is_corpus = name in corpus_mod.names()
         self.inputs = {"source": name}
+        self.signs = {k: getattr(args, k) for k in ("eps1", "eps2")
+                      if getattr(args, k, None) is not None}
         if self.is_corpus:
             self.entry = corpus_mod.get(name)
             nu, nv = args.grid if args.grid else (101, 101)
@@ -151,17 +143,30 @@ class _Source:
             if args.grid or args.domain or args.u0 is not None or args.v0 is not None:
                 raise ChartError("--grid/--domain/--u0/--v0 apply to corpus sources only")
             try:
-                self.chart_data, digest = load_chart(name)
+                self._chart, digest = load_chart(name)
             except OSError as exc:
                 raise ChartError(
                     f"{name!r} is neither a corpus surface nor a readable chart file: {exc}")
             self.inputs.update({"kind": "chart_file", "digest": digest})
 
-    def chart(self):
-        if self.is_corpus:
-            return corpus_mod.reference_chart(self.entry.name, self.u_grid, self.v_grid,
-                                              self.u0, self.v0)
-        return self.chart_data
+    def chart(self, refine=1, path=None):
+        """The source's chart, or the chart file `path`, with the command's signs.
+
+        A corpus surface is its reference chart on its grid with each step cut
+        into `refine` equal steps (refine = 1 gives the grid's own bits); a
+        chart file has no finer grid to give.
+        """
+        if path is not None:
+            chart = read_chart(path)
+        elif self.is_corpus:
+            u, v = (np.linspace(g[0], g[-1], (g.size - 1) * refine + 1)
+                    for g in (self.u_grid, self.v_grid))
+            chart = corpus_mod.reference_chart(self.entry.name, u, v, self.u0, self.v0)
+        elif refine > 1:
+            raise ChartError("--refine needs a corpus source; use --refined FILE for charts")
+        else:
+            chart = self._chart
+        return chart.with_fields(**self.signs).validate() if self.signs else chart
 
 
 # -- analyze ------------------------------------------------------------------
@@ -261,7 +266,7 @@ def cmd_analyze(args):
     else:
         if args.mesh:
             raise ChartError("mesh export requires a corpus source")
-        chart = src.chart_data
+        chart = src.chart()
         if chart.L is not None and chart.N is not None:
             # H^2 - K = LN/F^2 in null coordinates
             K = chart.K if chart.K is not None else chart.H**2 - chart.L * chart.N / chart.F**2
@@ -280,24 +285,18 @@ def cmd_analyze(args):
 
 def cmd_canonicalize(args):
     src = _Source(args)
-    if src.is_corpus:
-        source_chart = chart_from_provider(src.entry.provider, src.u_grid, src.v_grid,
-                                           src.u0, src.v0)
-    else:
-        source_chart = src.chart_data
-        if source_chart.L is None or source_chart.N is None:
-            raise ChartError("canonicalize needs a chart carrying L and N fields")
+    chart = src.chart()
+    if chart.L is None or chart.N is None:
+        raise ChartError("canonicalize needs a chart carrying L and N fields")
     # the maps need only L on the base line v = v0 and N on u = u0
     maps = canonical_maps_from_lines(
-        source_chart.u_grid, source_chart.L[:, source_chart.v0_index],
-        source_chart.v_grid, source_chart.N[source_chart.u0_index, :],
-        source_chart.u0, source_chart.v0, tilde_u0=args.tilde_u0, tilde_v0=args.tilde_v0)
+        chart.u_grid, chart.L[:, chart.v0_index], chart.v_grid, chart.N[chart.u0_index, :],
+        chart.u0, chart.v0, tilde_u0=args.tilde_u0, tilde_v0=args.tilde_v0)
     umap, vmap = maps
-    nu = args.canon_nodes if args.canon_nodes else source_chart.u_grid.size
-    nv = args.canon_nodes if args.canon_nodes else source_chart.v_grid.size
-    cu = _grid_through(float(umap(source_chart.u0)), *umap.range, nu)
-    cv = _grid_through(float(vmap(source_chart.v0)), *vmap.range, nv)
-    out = resample_to_canonical(source_chart, maps, cu, cv, tol=args.tol_canonical)
+    nu, nv = (args.canon_nodes,) * 2 if args.canon_nodes else chart.shape
+    cu = grid_through(float(umap(chart.u0)), *umap.range, nu)
+    cv = grid_through(float(vmap(chart.v0)), *vmap.range, nv)
+    out = resample_to_canonical(chart, maps, cu, cv, tol=args.tol_canonical)
     rep = verify_canonical(out, tol=args.tol_canonical)
     write_chart(out, args.output)
     return _finish(
@@ -312,13 +311,6 @@ def cmd_canonicalize(args):
 
 
 # -- residual -------------------------------------------------------------------
-
-def _apply_eps_overrides(chart, args):
-    if args.eps1 is None and args.eps2 is None:
-        return chart
-    return chart.with_fields(eps1=args.eps1 if args.eps1 is not None else chart.eps1,
-                             eps2=args.eps2 if args.eps2 is not None else chart.eps2).validate()
-
 
 def _constant_H(chart, what):
     """The chart's H value; ChartError unless H is constant on the grid."""
@@ -343,32 +335,41 @@ def _residual_for(chart, mode):
     raise ChartError(f"unknown mode {mode!r}")
 
 
+def _refinement(coarse, fine):
+    """(n_f - 1)/(n_c - 1), the factor by which the chart `fine` refines `coarse`.
+
+    ChartError unless both have the same domain ends and base point (to 1e-9
+    of the span, as grid_index places a node) and signs, and both axes have
+    that one factor > 1.
+    """
+    span = max(np.ptp(coarse.u_grid), np.ptp(coarse.v_grid), 1.0)
+    for what, of in (("domain ends", lambda c: [*c.u_grid[[0, -1]], *c.v_grid[[0, -1]]]),
+                     ("base point (u0, v0)", lambda c: [c.u0, c.v0]),
+                     ("signs (eps1, eps2)", lambda c: [c.eps1, c.eps2])):
+        got, want = np.array(of(fine)), np.array(of(coarse))
+        if not np.all(np.abs(got - want) <= 1e-9 * span):
+            raise ChartError(f"--refined chart has {what} {got.tolist()}, "
+                             f"the source chart {want.tolist()}")
+    (cu, cv), (fu, fv) = coarse.shape, fine.shape
+    if fu <= cu or (fu - 1) * (cv - 1) != (fv - 1) * (cu - 1):
+        raise ChartError(f"--refined chart has {fu}x{fv} nodes, not one refinement factor > 1 "
+                         f"of the source chart's {cu}x{cv} on both axes")
+    return (fu - 1) / (cu - 1)
+
+
 def cmd_residual(args):
     src = _Source(args)
-    chart = _apply_eps_overrides(src.chart(), args)
+    chart = src.chart()
+    fine = src.chart(args.refine or 1, args.refined) if args.refine or args.refined else None
+    factor = None if fine is None else _refinement(chart, fine)
     rep = _residual_for(chart, args.mode)
     tol = args.tol if args.tol is not None else REL_TOL * rep.scale
 
-    order = None
-    if args.refined:
-        refined = read_chart(args.refined)
-        rep2 = _residual_for(refined, args.mode)
-        factor = (refined.u_grid.size - 1) / (chart.u_grid.size - 1)
-        order = convergence_order(rep.max_abs, rep2.max_abs, factor)
-    elif args.refine:
-        if not src.is_corpus:
-            raise ChartError("--refine needs a corpus source; use --refined FILE for charts")
-        nu = (src.u_grid.size - 1) * args.refine + 1
-        nv = (src.v_grid.size - 1) * args.refine + 1
-        fine = corpus_mod.reference_chart(
-            src.entry.name, np.linspace(src.u_grid[0], src.u_grid[-1], nu),
-            np.linspace(src.v_grid[0], src.v_grid[-1], nv), src.u0, src.v0)
-        rep2 = _residual_for(fine, args.mode)
-        order = convergence_order(rep.max_abs, rep2.max_abs, float(args.refine))
-
     checks = [_check("residual", {"max_abs": rep.max_abs, "l2": rep.l2,
                                   "scale": rep.scale}, tol, within([rep.max_abs], tol))]
-    if order is not None:
+    if fine is not None:
+        rep2 = _residual_for(fine, args.mode)
+        order = convergence_order(rep.max_abs, rep2.max_abs, factor)
         # A zero residual on either grid leaves the order undefined: recorded as
         # null, it passes only when the finer grid's residual is exactly zero.
         # A defined order passes when min_order <= order, both finite.
@@ -428,8 +429,6 @@ def _export_mesh(res, prefix, note):
 
 
 def cmd_reconstruct(args):
-    import warnings as _warnings
-
     if args.pair and (args.eps1 is not None or args.eps2 is not None):
         raise ChartError("--pair fixes the signs of both pair members itself; "
                          "drop --eps1/--eps2")
@@ -438,12 +437,12 @@ def cmd_reconstruct(args):
     if args.force and not args.pair:
         raise ChartError("--force applies to --pair only; a single reconstruction warns")
     src = _Source(args)
-    chart = _apply_eps_overrides(src.chart(), args)
+    chart = src.chart()
     statuses = []
     warning = False
     seed = _load_seed(args.seed)
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
         if args.pair:
             if chart.K is None:
                 raise ChartError("--pair requires a K field")

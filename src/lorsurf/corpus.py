@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .chart import _signed_chart, grid_index
-from .errors import DomainError, UnknownSurfaceError, refuse
+from .errors import UnknownSurfaceError
 from .minkowski import vec
 from .stencils import check_grid
 from .surfaces import SurfaceJet2, SurfaceKind, SurfaceProvider
@@ -113,7 +113,7 @@ def _sphere_jet(u, v):
     T = np.tanh(q)
     sh, ch = np.sinh(p), np.cosh(p)
     return SurfaceJet2(
-        x=vec(sh * S, ch * S, T),
+        x=_sphere_pos(u, v),
         x_u=vec(S * (ch - sh * T), S * (sh - ch * T), S * S),
         x_v=vec(S * (-ch - sh * T), S * (-sh - ch * T), S * S),
         x_uu=vec(2 * S * T * (T * sh - ch), 2 * S * T * (T * ch - sh), -2 * S * S * T),
@@ -134,7 +134,7 @@ def _cylinder_jet(u, v):
     one = np.ones_like(q)
     d2 = vec(0.0 * q, -c, -s)
     return SurfaceJet2(
-        x=vec(u - v, c, s),
+        x=_cylinder_pos(u, v),
         x_u=vec(one, -s, c),
         x_v=vec(-one, -s, c),
         x_uu=d2, x_uv=d2, x_vv=d2)
@@ -153,7 +153,7 @@ def _hcylinder_jet(u, v):
     one = np.ones_like(p)
     zero = np.zeros_like(p)
     return SurfaceJet2(
-        x=vec(sh, ch, u + v),
+        x=_hcylinder_pos(u, v),
         x_u=vec(ch, sh, one),
         x_v=vec(-ch, -sh, one),
         x_uu=vec(sh, ch, zero),
@@ -174,7 +174,7 @@ def _cone_jet(u, v):
     A = np.exp(q / 2.0)
     sh, ch = np.sinh(p), np.cosh(p)
     return SurfaceJet2(
-        x=vec(A * sh, _SQRT3 * A, A * ch),
+        x=_cone_pos(u, v),
         x_u=vec(A * (sh / 2 + ch), _SQRT3 * A / 2, A * (ch / 2 + sh)),
         x_v=vec(A * (sh / 2 - ch), _SQRT3 * A / 2, A * (ch / 2 - sh)),
         x_uu=vec(A * (5 * sh / 4 + ch), _SQRT3 * A / 4, A * (5 * ch / 4 + sh)),
@@ -283,7 +283,8 @@ def get(name):
 def reference_chart(name, u_grid, v_grid, u0=None, v0=None):
     """Sample an entry's closed-form fields onto a chart (exact at nodes).
 
-    The grid must avoid the singular set.  eps1, eps2 come from the signs
+    The grid must lie in the entry's domain and avoid its singular set (the
+    provider's DomainError).  eps1, eps2 come from the signs
     of the reference L and N at the base point, which defaults to the grid
     node nearest the domain center.
     """
@@ -291,9 +292,7 @@ def reference_chart(name, u_grid, v_grid, u0=None, v0=None):
     u_grid = check_grid(np.asarray(u_grid, dtype=float), "u_grid")
     v_grid = check_grid(np.asarray(v_grid, dtype=float), "v_grid")
     U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
-    if entry.provider.singular_set is not None:
-        refuse(DomainError, entry.provider.singular_set(U, V),
-               f"grid touches the singular set of {name}", U, V)
+    entry.provider.check(U, V)
     i0 = (u_grid.size - 1) // 2 if u0 is None else grid_index(u_grid, u0, "u_grid")
     j0 = (v_grid.size - 1) // 2 if v0 is None else grid_index(v_grid, v0, "v_grid")
     ref = entry.reference

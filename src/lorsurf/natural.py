@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotGeneralTypeError, StencilError, refuse
+from .errors import ChartError, NotGeneralTypeError, StencilError, refuse
 from .stencils import _unit_steps, check_grid, cross_derivative, cumtrapz_from, gradient
 from .surfaces import kind_field
 
@@ -126,12 +126,19 @@ def natural_residual(chart, acc=None):
     return _summarize(residual, u[1:-1], v[1:-1], scale)
 
 
+def _refuse_non_finite(K, H, u=None, v=None):
+    """ChartError at the first node where K, or the scalar H, is non-finite."""
+    refuse(ChartError, ~np.isfinite(K), "K is non-finite", u, v)
+    refuse(ChartError, np.broadcast_to(not np.isfinite(H), K.shape), "H is non-finite", u, v)
+
+
 def cmc_residual(K, H, u_grid, v_grid):
     """Residual of the constant-mean-curvature natural equation.
 
     residual = sqrt(|H^2 - K|) * (ln sqrt(|H^2 - K|))_uv - K for a constant
-    scalar H.  The surface must be of general type on the whole grid:
-    NotGeneralTypeError names the first node where kind_field(H, K) is 0.
+    scalar H.  K and H must be finite (ChartError names the first node), and
+    the surface of general type on the whole grid: NotGeneralTypeError names
+    the first node where kind_field(H, K) is 0.
     """
     u = check_grid(np.asarray(u_grid, dtype=float), "u_grid", 3)
     v = check_grid(np.asarray(v_grid, dtype=float), "v_grid", 3)
@@ -139,6 +146,7 @@ def cmc_residual(K, H, u_grid, v_grid):
     H = float(H)
     if K.shape != (u.size, v.size):
         raise StencilError(f"K has shape {K.shape}, expected {(u.size, v.size)}")
+    _refuse_non_finite(K, H, u[:, None], v)
     refuse(NotGeneralTypeError, kind_field(H, K) == 0, "|H^2 - K| vanishes", u[:, None], v)
     d = H * H - K
     phi = 0.5 * np.log(np.abs(d))
@@ -158,11 +166,13 @@ def minimal_residual(K, u_grid, v_grid):
 def F_from_K_cmc(K, H):
     """Recover F = 1 / sqrt(|H^2 - K|) and the product eps1*eps2 = sign(H^2 - K).
 
-    eps1*eps2 is the kind of kind_field(H, K), which must be non-zero and
-    the same on the whole grid (NotGeneralTypeError otherwise).
+    K and H must be finite (ChartError otherwise).  eps1*eps2 is the kind of
+    kind_field(H, K), which must be non-zero and the same on the whole grid
+    (NotGeneralTypeError otherwise).
     """
     K = np.asarray(K, dtype=float)
     H = float(H)
+    _refuse_non_finite(K, H)
     kind = kind_field(H, K)
     refuse(NotGeneralTypeError, kind == 0, "|H^2 - K| vanishes")
     refuse(NotGeneralTypeError, kind != kind.flat[0], "sign of H^2 - K changes")

@@ -102,13 +102,17 @@ class SurfaceProvider:
     def __call__(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
+        self.check(u, v)
+        return self.jet(u, v)
+
+    def check(self, u, v):
+        """DomainError at the first point outside the domain or on the singular set."""
         u_min, u_max, v_min, v_max = self.domain
         m = self.stencil_margin
         bad = (u < u_min + m) | (u > u_max - m) | (v < v_min + m) | (v > v_max - m)
         refuse(DomainError, bad, f"evaluation outside domain {self.domain}", u, v)
         if self.singular_set is not None:
             refuse(DomainError, self.singular_set(u, v), "evaluation on singular set", u, v)
-        return self.jet(u, v)
 
     def singular_nodes(self, u_grid, v_grid):
         """Indices (i, j) of grid nodes hitting the singular set."""

@@ -51,13 +51,10 @@ CONE_TU0 = 2.0 * np.sqrt(2.0) * 3.0 ** 0.25  # normalization making the cone map
 
 def cone_canonical_chart(n=101):
     """Closed-form canonical chart of the hyperbolic cone, base node at CONE_TU0."""
-    lo, hi = CONE_TU0 * np.exp(-0.25), CONE_TU0 * np.exp(0.25)
-    h = (hi - lo) / (n - 1)
-    k1 = int(np.floor((CONE_TU0 - lo) / h + 1e-12))
-    k2 = int(np.floor((hi - CONE_TU0) / h + 1e-12))
-    g = CONE_TU0 + h * np.arange(-k1, k2 + 1)
+    g = ls.grid_through(CONE_TU0, CONE_TU0 * np.exp(-0.25), CONE_TU0 * np.exp(0.25), n)
+    k0 = ls.grid_index(g, CONE_TU0)
     TU, TV = np.meshgrid(g, g, indexing="ij")
     F = TU**3 * TV**3 / 1152.0
     H = -48.0 * np.sqrt(3.0) / (TU**2 * TV**2)
-    return ls.Chart(u_grid=g, v_grid=g, F=F, H=H, u0_index=k1, v0_index=k1,
+    return ls.Chart(u_grid=g, v_grid=g, F=F, H=H, u0_index=k0, v0_index=k0,
                     eps1=1, eps2=1).validate()

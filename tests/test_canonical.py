@@ -15,13 +15,6 @@ def cone_maps(n=201, tilde0=CONE_TU0):
                              tilde_u0=tilde0, tilde_v0=tilde0), g
 
 
-def grid_through(base, lo, hi, n):
-    h = (hi - lo) / (n - 1)
-    k1 = int(np.floor((base - lo) / h + 1e-12))
-    k2 = int(np.floor((hi - base) / h + 1e-12))
-    return base + h * np.arange(-k1, k2 + 1)
-
-
 # -- map construction -----------------------------------------------------------
 
 def test_cone_map_matches_closed_form():
@@ -81,7 +74,7 @@ def test_map_refuses_non_finite_values_and_slopes():
 @pytest.mark.parametrize("name", ["enneper1", "enneper2", "cylinder", "hyperbolic_cylinder",
                                   "hyperbolic_cone"])
 def test_provider_maps_equal_maps_from_the_chart_base_lines(name, base):
-    # canonicalize builds its maps from chart_from_provider's base lines
+    # the provider form of canonical_maps equals the maps from a provider chart's base lines
     entry = ls.get(name)
     a, b, c, d = entry.default_domain
     u, v = np.linspace(a, b, 21), np.linspace(c, d, 25)
@@ -115,8 +108,8 @@ def test_resample_cone_reproduces_closed_forms():
     n = 201
     (umap, vmap), g = cone_maps(n)
     src = ls.chart_from_provider(ls.get("hyperbolic_cone").provider, g, g, 0.0, 0.0)
-    cu = grid_through(CONE_TU0, *umap.range, n)
-    cv = grid_through(CONE_TU0, *vmap.range, n)
+    cu = ls.grid_through(CONE_TU0, *umap.range, n)
+    cv = ls.grid_through(CONE_TU0, *vmap.range, n)
     out = ls.resample_to_canonical(src, (umap, vmap), cu, cv)
     assert out.canonical
     TU, TV = np.meshgrid(cu, cv, indexing="ij")
@@ -242,6 +235,17 @@ def test_gauge_requires_canonical_chart():
     raw_cone = ls.chart_from_provider(ls.get("hyperbolic_cone").provider, u, u, 0.0, 0.0)
     with pytest.raises(ls.ChartError):
         ls.canonical_gauge_transform(raw_cone, 1, 0.5, 0.5)
+
+
+def test_gauge_verifies_a_chart_whose_file_claims_canonical(tmp_path):
+    u = np.linspace(-1.0, 1.0, 21)
+    raw_cone = ls.chart_from_provider(ls.get("hyperbolic_cone").provider, u, u, 0.0, 0.0)
+    raw_cone.canonical = True
+    ls.write_chart(raw_cone, str(tmp_path / "c.json"))
+    claimed = ls.read_chart(str(tmp_path / "c.json"))
+    assert claimed.canonical and not ls.verify_canonical(claimed).passed
+    with pytest.raises(ls.ChartError, match="requires a canonical chart"):
+        ls.canonical_gauge_transform(claimed, 1, 0.5, 0.5)
 
 
 _CONE_LN = ls.accumulate_LN(cone_canonical_chart(41))  # canonical: L = eps1 on v = v0

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import lorsurf as ls
 from lorsurf import errors
-from lorsurf.cli import _grid_through, main
+from lorsurf.cli import main
 
 from conftest import CONE_TU0, enneper1_chart, random_grid
 
@@ -208,6 +208,36 @@ def test_canonicalize_enneper_identity(tmp_path):
     np.testing.assert_allclose(chart.F, 0.5 * (U - V) ** 2, atol=1e-9)
 
 
+def test_canonicalize_reads_a_corpus_surface_as_its_reference_chart(tmp_path):
+    # one path: the corpus source and its reference chart written to a file give
+    # the same canonical chart, byte for byte, and it names its source
+    u, v = np.linspace(-1.0, 1.0, 21), np.linspace(-0.5, 1.0, 31)
+    source = str(tmp_path / "src.json")
+    ls.write_chart(ls.reference_chart("hyperbolic_cone", u, v, u[7], v[20]), source)
+    assert run("canonicalize", "hyperbolic_cone", "--grid", "21x31", "--domain=-1:1,-0.5:1",
+               "--u0", repr(float(u[7])), "--v0", repr(float(v[20])),
+               "--output", str(tmp_path / "a.json"), "--report", str(tmp_path / "ra.json")) == 0
+    assert run("canonicalize", source, "--output", str(tmp_path / "b.json"),
+               "--report", str(tmp_path / "rb.json")) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert ls.read_chart(str(tmp_path / "a.json")).metadata["source"] == "hyperbolic_cone"
+
+
+@pytest.mark.parametrize("argv", [["canonicalize", "--output", "{tmp}/c.json"],
+                                  ["residual", "--mode", "general"],
+                                  ["reconstruct", "--mesh", "{tmp}/m"]],
+                         ids=lambda argv: argv[0])
+def test_a_corpus_grid_outside_the_surface_domain_exits_2(capsys, tmp_path, argv):
+    # the reference chart keeps the provider's domain, as the provider chart did
+    command, *flags = (a.format(tmp=tmp_path) for a in argv)
+    code = run(command, "hyperbolic_cone", "--grid", "21x21", "--domain", "0:60,0:1", *flags)
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert lines == ["lorsurf: error: evaluation outside domain (-50.0, 50.0, -50.0, 50.0) "
+                     "at node (17, 0), (u, v) = (51.0, 0.0)"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_canonicalize_sphere_fails(tmp_path):
     assert run("canonicalize", "lorentz_sphere", "--grid", "21x21",
                "--output", str(tmp_path / "s.json")) == 1
@@ -231,6 +261,67 @@ def test_residual_minimal_enneper_with_order(tmp_path):
     doc = load(str(rep))
     assert check(doc, "residual")["values"]["max_abs"] <= 1e-3
     assert check(doc, "order")["values"]["order_estimate"] >= 1.9
+
+
+def test_residual_sign_override_holds_on_the_refined_grid(tmp_path):
+    # with eps1 = -1 enneper1 violates the natural equation on both grids by ~2,
+    # so the two-grid order is ~0; an unsigned fine grid gave a passing ~41.7
+    rep = tmp_path / "r.json"
+    assert run("residual", "enneper1", "--grid", "21x21", "--mode", "general", "--eps1", "-1",
+               "--refine", "2", "--report", str(rep)) == 1
+    doc = load(str(rep))
+    assert check(doc, "residual")["values"]["max_abs"] == pytest.approx(2.0)
+    order = check(doc, "order")
+    assert order["pass"] is False and abs(order["values"]["order_estimate"]) < 0.1
+
+
+def _enneper1_file(tmp_path, name, nu, nv, domain=(1.0, 2.0, -1.0, 0.0), **fields):
+    u, v = np.linspace(*domain[:2], nu), np.linspace(*domain[2:], nv)
+    path = str(tmp_path / name)
+    ls.write_chart(ls.reference_chart("enneper1", u, v).with_fields(**fields), path)
+    return path
+
+
+def test_residual_refined_true_refinement_keeps_its_order(tmp_path):
+    coarse = _enneper1_file(tmp_path, "c.json", 21, 21)
+    fine = _enneper1_file(tmp_path, "f.json", 41, 41)
+    rep = tmp_path / "r.json"
+    assert run("residual", coarse, "--mode", "minimal", "--refined", fine,
+               "--report", str(rep)) == 1
+    # factor 2; 21^2 is still pre-asymptotic for the >= 1.9 gate
+    c, f = (ls.minimal_residual(ch.K, ch.u_grid, ch.v_grid).max_abs
+            for ch in map(ls.read_chart, (coarse, fine)))
+    order = check(load(str(rep)), "order")
+    assert order["values"]["order_estimate"] == ls.convergence_order(c, f, 2.0)
+    assert order["values"]["order_estimate"] == pytest.approx(1.603, abs=1e-3)
+    assert order["pass"] is False
+
+
+@pytest.mark.parametrize("fine, what", [
+    (dict(nu=41, nv=41, domain=(1.1, 2.1, -1.0, 0.0)), "domain ends [1.1, 2.1, -1.0, 0.0]"),
+    (dict(nu=41, nv=81), "41x81 nodes"),
+    (dict(nu=41, nv=41, u0_index=22), "base point (u0, v0) [1.55, -0.5]"),
+    (dict(nu=41, nv=41, eps1=-1), "signs (eps1, eps2) [-1, 1]"),
+], ids=["shifted_domain", "two_factors", "moved_base", "other_signs"])
+def test_residual_refined_must_refine_the_source_chart(capsys, tmp_path, fine, what):
+    coarse = _enneper1_file(tmp_path, "c.json", 21, 21)
+    refined = _enneper1_file(tmp_path, "f.json", **fine)
+    code = run("residual", coarse, "--mode", "minimal", "--refined", refined,
+               "--report", str(tmp_path / "r.json"))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith(f"lorsurf: error: --refined chart has {what}")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_residual_refined_signs_are_compared_after_the_override(tmp_path):
+    coarse = _enneper1_file(tmp_path, "c.json", 21, 21)
+    refined = _enneper1_file(tmp_path, "f.json", 41, 41, eps1=-1)
+    rep = tmp_path / "r.json"
+    assert run("residual", coarse, "--mode", "minimal", "--refined", refined, "--eps1", "-1",
+               "--report", str(rep)) == 1
+    assert check(load(str(rep)), "order")["values"]["order_estimate"] == pytest.approx(
+        1.603, abs=1e-3)
 
 
 @pytest.mark.parametrize("argv", [["residual", "--mode", "cmc"],
@@ -801,8 +892,8 @@ def test_integer_flags_below_2_are_refused(capsys, tmp_path, argv, least):
 
 def test_canon_nodes_2_is_refused_before_any_work(monkeypatch, capsys, tmp_path):
     # 2 nodes would give a one-node canonical axis unless the base image is a range end
-    monkeypatch.setattr("lorsurf.cli.chart_from_provider",
-                        lambda *a: pytest.fail("the source chart was built"))
+    monkeypatch.setattr("lorsurf.cli._Source.chart",
+                        lambda *a, **k: pytest.fail("the source chart was built"))
     with pytest.raises(SystemExit) as exc:
         run("canonicalize", "hyperbolic_cone", "--grid", "21x21", "--canon-nodes", "2",
             "--output", str(tmp_path / "c.json"))
@@ -829,7 +920,7 @@ def test_grid_through_keeps_two_nodes_from_three(lo, width, at, n):
     hi = lo + width
     assume(hi > lo)
     base = min(lo + at * (hi - lo), hi)
-    grid = _grid_through(base, lo, hi, n)
+    grid = ls.grid_through(base, lo, hi, n)
     assert n - 1 <= grid.size <= n
     assert base in grid
 

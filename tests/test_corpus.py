@@ -58,6 +58,14 @@ def test_reference_chart_degenerate_rejected():
         ls.reference_chart("lorentz_sphere", g, g)
 
 
+@pytest.mark.parametrize("name", ls.names())
+def test_jet_position_is_the_entry_position_bit_for_bit(name, rng):
+    entry = ls.get(name)
+    u, v = interior_points(entry, rng, 24)
+    u, v = u.reshape(4, 6), v.reshape(4, 6)
+    assert np.array_equal(entry.provider.jet(u, v).x, entry.position(u, v))
+
+
 @pytest.mark.parametrize("name", ["enneper1", "enneper2", "lorentz_sphere",
                                   "cylinder", "hyperbolic_cylinder", "hyperbolic_cone"])
 def test_reference_fields_are_isotropic_data(name, rng):

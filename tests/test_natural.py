@@ -269,6 +269,26 @@ def test_F_from_K_cmc_rejects_degenerate_and_mixed_signs():
         ls.F_from_K_cmc(K, 0.0)
 
 
+def test_non_finite_K_or_H_is_refused_as_non_finite_before_the_kind_test():
+    # kind_field gives a NaN H^2 - K kind 0, which would read as "not of general type"
+    g = np.linspace(0.0, 1.0, 3)
+    K = np.full((3, 3), -1.0)
+    K[1, 1] = np.nan
+    node = "node (1, 1), (u, v) = (0.5, 0.5)"
+    for call, where in ((lambda: ls.cmc_residual(K, 0.5, g, g), node),
+                        (lambda: ls.minimal_residual(K, g, g), node),
+                        (lambda: ls.F_from_K_cmc(K, 0.5), "index (1, 1)")):
+        with pytest.raises(ls.ChartError) as err:
+            call()
+        assert str(err.value) == f"K is non-finite at {where}"
+        assert err.value.node == (1, 1) and err.value.exit_code == 2
+    for H in (np.inf, np.nan):
+        with pytest.raises(ls.ChartError, match=r"^H is non-finite at node \(0, 0\)"):
+            ls.cmc_residual(np.full((3, 3), -1.0), H, g, g)
+        with pytest.raises(ls.ChartError, match=r"^H is non-finite at index \(0, 0\)"):
+            ls.F_from_K_cmc(np.full((3, 3), -1.0), H)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(3, 9), H=st.floats(0.1, 10.0), sign=st.sampled_from([1, -1]),
        lo=st.floats(-11.0, -7.0), seed=st.integers(0, 2**32 - 1))
