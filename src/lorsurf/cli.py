@@ -42,7 +42,8 @@ from .chartio import (
     write_mesh_obj,
     write_report,
 )
-from .errors import ChartError, DomainError, LorsurfError, finite, within
+from .errors import (ChartError, DegenerateMetricError, DomainError, LorsurfError,
+                     NotLorentzSurfaceError, finite, within)
 from .natural import (
     REL_TOL,
     cmc_residual,
@@ -197,6 +198,7 @@ def cmd_analyze(args):
         i0 = grid_index(u_grid, src.u0, "u_grid")
         j0 = grid_index(v_grid, src.v0, "v_grid")
         U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
+        entry.provider.check_domain(U, V)  # singular nodes are masked, not refused
         valid = np.ones(U.shape, dtype=bool)
         valid[tuple(entry.provider.singular_nodes(u_grid, v_grid).T)] = False
         if not np.any(valid):
@@ -206,7 +208,11 @@ def cmd_analyze(args):
         Uv, Vv = U[valid], V[valid]
         at = np.cumsum(valid).reshape(valid.shape) - 1
         jets = entry.provider.jet(Uv, Vv)
-        fd = fundamental_forms(jets)
+        try:
+            fd = fundamental_forms(jets)
+        except (DegenerateMetricError, NotLorentzSurfaceError) as exc:
+            exc.node = tuple(int(k) for k in np.argwhere(valid)[exc.node[0]])
+            raise exc.at(u_grid, v_grid, what="grid node") from None
 
         e_max = float(np.max(np.abs(fd.E)))
         g_max = float(np.max(np.abs(fd.G)))

@@ -17,6 +17,8 @@ __all__ = [
     "vec",
     "inner",
     "cross",
+    "inner_planes",
+    "cross_planes",
     "det3",
     "boost",
     "spatial_rotation",
@@ -35,9 +37,7 @@ def vec(a1, a2, a3):
 
 def inner(a, b):
     """Indefinite inner product <a,b> = -a1*b1 + a2*b2 + a3*b3."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return a[..., 0] * b[..., 0] * -1.0 + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    return inner_planes(_planes(a), _planes(b))
 
 
 def cross(a, b):
@@ -46,11 +46,33 @@ def cross(a, b):
     Componentwise this is the Euclidean cross product with the first
     component negated (the metric raises the index on the first axis).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    e = np.cross(a, b)
-    e[..., 0] = -e[..., 0]
-    return e
+    return np.moveaxis(cross_planes(_planes(a), _planes(b)), 0, -1)
+
+
+def _planes(a):
+    """The component planes of vectors a (..., 3): a view with the component axis first."""
+    return np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+
+
+def inner_planes(A, B):
+    """inner on component planes: A = (a1, a2, a3) with the component axis first."""
+    return A[0] * B[0] * -1.0 + A[1] * B[1] + A[2] * B[2]
+
+
+def cross_planes(A, B):
+    """cross on component planes, as a new (3, ...) array of planes.
+
+    The three differences are np.cross's, in its order of operations, and
+    the first is negated.
+    """
+    out = np.empty((3,) + np.broadcast_shapes(A[0].shape, B[0].shape))
+    tmp = np.empty(out.shape[1:])
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        plane = out[c, ...]
+        np.multiply(A[i], B[j], out=plane)
+        plane -= np.multiply(A[j], B[i], out=tmp)
+    np.negative(out[0, ...], out=out[0, ...])
+    return out
 
 
 def det3(a, b, c):

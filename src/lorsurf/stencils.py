@@ -53,6 +53,53 @@ def _diffs(f, t, axis):
     return (fm, np.diff(fm, axis=0)) + _unit_steps(np.diff(tt, axis=0))
 
 
+def _curvature(h, d, den, out, tmp):
+    """2 (h[k] d[k+1] - h[k+1] d[k]) / den[k] into out[k]: the second derivative of
+    the quadratic through nodes k, k + 1, k + 2, with den = h[k] h[k+1] (h[k] + h[k+1])."""
+    np.multiply(h[:-1], d[1:], out=out)
+    out -= np.multiply(h[1:], d[:-1], out=tmp)
+    out *= 2.0
+    out /= den
+    return out
+
+
+def _stencils(diffs, axis, first=None, second=None):
+    """Write the first and/or second derivative along `axis` into `first`, `second`.
+
+    The one home of the stencil formulas, computed from one set of node
+    differences, `diffs` = _diffs(f, t, axis); the outputs have f's shape.
+    Interior nodes are central: the slope
+    (h- h- d+ + h+ h+ d-) / (h- h+ (h- + h+)) and the curvature of the
+    centered triple.  The first derivative's edges are 3-point one-sided
+    (the edge slope corrected by the adjacent triple's curvature), the
+    second derivative's repeat the adjacent triple's curvature.  Every
+    operation runs in this order whatever the outputs' layout.
+    """
+    _, d, h, e = diffs
+    hm, hp = h[:-1], h[1:]
+    den = hm * hp * (hm + hp)
+    tmp = np.empty_like(d[1:])
+    if second is not None:
+        s = np.moveaxis(second, axis, 0)
+        curv = _curvature(h, d, den, s[1:-1], tmp)
+        curv_l, curv_r = curv[:1], curv[-1:]
+    if first is not None:
+        g = np.moveaxis(first, axis, 0)
+        if second is None:
+            curv_l = _curvature(h[:2], d[:2], den[:1], np.empty_like(d[:1]), tmp[:1])
+            curv_r = _curvature(h[-2:], d[-2:], den[-1:], np.empty_like(d[:1]), tmp[:1])
+        np.multiply(hm * hm, d[1:], out=g[1:-1])
+        g[1:-1] += np.multiply(hp * hp, d[:-1], out=tmp)
+        g[1:-1] /= den
+        g[:1] = d[:1] / h[:1] - 0.5 * h[:1] * curv_l
+        g[-1:] = d[-1:] / h[-1:] + 0.5 * h[-1:] * curv_r
+        np.ldexp(g, -e, out=g)
+    if second is not None:
+        s[0] = s[1]
+        s[-1] = s[-2]
+        np.ldexp(s, -2 * e, out=s)
+
+
 def gradient(f, t, axis):
     """First derivative along `axis`: central interior, 3-point one-sided edges.
 
@@ -60,16 +107,10 @@ def gradient(f, t, axis):
     to exactly zero; second-order accurate everywhere, on non-uniform grids
     included.
     """
-    fm, d, h, e = _diffs(f, t, axis)
-    out = np.empty_like(fm)
-    hm, hp = h[:-1], h[1:]
-    dm, dp = d[:-1], d[1:]
-    out[1:-1] = (hm * hm * dp + hp * hp * dm) / (hm * hp * (hm + hp))
-    curv_l = 2.0 * (h[0] * d[1] - h[1] * d[0]) / (h[0] * h[1] * (h[0] + h[1]))
-    out[0] = d[0] / h[0] - 0.5 * h[0] * curv_l
-    curv_r = 2.0 * (h[-2] * d[-1] - h[-1] * d[-2]) / (h[-2] * h[-1] * (h[-2] + h[-1]))
-    out[-1] = d[-1] / h[-1] + 0.5 * h[-1] * curv_r
-    return np.moveaxis(np.ldexp(out, -e, out=out), 0, axis)
+    diffs = _diffs(f, t, axis)
+    out = np.moveaxis(np.empty_like(diffs[0]), 0, axis)
+    _stencils(diffs, axis, first=out)
+    return out
 
 
 def second_derivative(f, t, axis):
@@ -79,14 +120,10 @@ def second_derivative(f, t, axis):
     the curvature of the adjacent triple (exact for quadratics, first order
     on non-uniform borders).  Constant fields map to exactly zero.
     """
-    fm, d, h, e = _diffs(f, t, axis)
-    out = np.empty_like(fm)
-    hm, hp = h[:-1], h[1:]
-    dm, dp = d[:-1], d[1:]
-    out[1:-1] = 2.0 * (hm * dp - hp * dm) / (hm * hp * (hm + hp))
-    out[0] = out[1]
-    out[-1] = out[-2]
-    return np.moveaxis(np.ldexp(out, -2 * e, out=out), 0, axis)
+    diffs = _diffs(f, t, axis)
+    out = np.moveaxis(np.empty_like(diffs[0]), 0, axis)
+    _stencils(diffs, axis, second=out)
+    return out
 
 
 def cross_derivative(F, u, v):

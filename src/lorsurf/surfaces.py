@@ -8,7 +8,13 @@ wrapped by :func:`jet_from_position`, which differentiates by central
 finite differences.
 
 All computations broadcast: scalar (u, v) give scalar coefficient fields,
-meshgrid input gives coefficient arrays.
+meshgrid input gives coefficient arrays.  The grid jets of a sampled mesh
+(:func:`jets_from_mesh`) are held component-major, and
+:func:`fundamental_forms` computes on component planes; both keep every
+floating-point operation of the component-last formulas in its order, so
+the forms are the same bits.  One forms pass of reconstruct over an 801^2
+mesh takes 0.20 s, against 0.27 s component-last (medians of six
+alternating runs, each the min of 5, on a 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import (
     refuse,
     within,
 )
-from .stencils import check_grid, gradient, second_derivative
+from .stencils import _diffs, _stencils, check_grid
 
 __all__ = [
     "SurfaceJet2",
@@ -107,12 +113,16 @@ class SurfaceProvider:
 
     def check(self, u, v):
         """DomainError at the first point outside the domain or on the singular set."""
+        self.check_domain(u, v)
+        if self.singular_set is not None:
+            refuse(DomainError, self.singular_set(u, v), "evaluation on singular set", u, v)
+
+    def check_domain(self, u, v):
+        """DomainError at the first point outside the domain box, less the stencil margin."""
         u_min, u_max, v_min, v_max = self.domain
         m = self.stencil_margin
         bad = (u < u_min + m) | (u > u_max - m) | (v < v_min + m) | (v > v_max - m)
         refuse(DomainError, bad, f"evaluation outside domain {self.domain}", u, v)
-        if self.singular_set is not None:
-            refuse(DomainError, self.singular_set(u, v), "evaluation on singular set", u, v)
 
     def singular_nodes(self, u_grid, v_grid):
         """Indices (i, j) of grid nodes hitting the singular set."""
@@ -165,23 +175,28 @@ def jets_from_mesh(mesh, u_grid, v_grid):
 
     mesh has shape (nu, nv, 3).  Central stencils in the interior; border
     derivatives are one-sided and less accurate, so downstream form
-    comparisons should restrict to the interior.
+    comparisons should restrict to the interior.  The mesh is copied once
+    into component planes (3, nu, nv); x_u and x_uu come from one set of
+    node differences along u, x_v and x_vv from one set along v, and x_uv
+    is the v-derivative of x_u.  The derivatives are (nu, nv, 3) views of
+    component-major arrays, the same bits as gradient and second_derivative
+    of the mesh give.
     """
     mesh = np.asarray(mesh, dtype=float)
     u = check_grid(u_grid, "u_grid", 3)
     v = check_grid(v_grid, "v_grid", 3)
     if mesh.shape != (u.size, v.size, 3):
         raise ValueError(f"mesh shape {mesh.shape} does not match grid {(u.size, v.size, 3)}")
-    x_u = gradient(mesh, u, axis=0)
-    x_v = gradient(mesh, v, axis=1)
-    return SurfaceJet2(
-        x=mesh,
-        x_u=x_u,
-        x_v=x_v,
-        x_uu=second_derivative(mesh, u, axis=0),
-        x_vv=second_derivative(mesh, v, axis=1),
-        x_uv=gradient(x_u, v, axis=1),
-    )
+    planes = np.moveaxis(mesh, -1, 0).copy()
+    # the u differences come before the outputs, as in gradient: the other order
+    # places the heap so that recon-801's peak RSS rose ~5 MB with the same allocations
+    diffs_u = _diffs(planes, u, 1)
+    x_u, x_v, x_uu, x_uv, x_vv = jets = np.empty((5,) + planes.shape)
+    _stencils(diffs_u, 1, first=x_u, second=x_uu)
+    del diffs_u
+    _stencils(_diffs(planes, v, 2), 2, first=x_v, second=x_vv)
+    _stencils(_diffs(x_u, v, 2), 2, first=x_uv)
+    return SurfaceJet2(mesh, *np.moveaxis(jets, 1, -1))
 
 
 def fundamental_forms(jet, tol=1e-12):
@@ -190,27 +205,32 @@ def fundamental_forms(jet, tol=1e-12):
     Requires a Lorentz surface point: x_u, x_v independent with spacelike
     normal direction, i.e. <w, w> > 0 for w = cross(x_u, x_v).  K and H use
     the general-coordinate formulas; in null coordinates they reduce to
-    K = (M^2 - LN)/F^2 and H = M/F.
+    K = (M^2 - LN)/F^2 and H = M/F.  The products run on component planes
+    (views with the component axis first), so the jets of jets_from_mesh are
+    read contiguously; the unit normal l is a (..., 3) view of its planes.
     """
     for name in ("x", "x_u", "x_v", "x_uu", "x_uv", "x_vv"):
         if not np.all(np.isfinite(getattr(jet, name))):
             raise ValueError(f"non-finite values in jet field {name}")
-    E = mk.inner(jet.x_u, jet.x_u)
-    F = mk.inner(jet.x_u, jet.x_v)
-    G = mk.inner(jet.x_v, jet.x_v)
-    w = mk.cross(jet.x_u, jet.x_v)
-    ww = mk.inner(w, w)  # equals F^2 - EG by the Lagrange identity
+    x_u, x_v, x_uu, x_uv, x_vv = (np.moveaxis(np.asarray(getattr(jet, name), dtype=float), -1, 0)
+                                  for name in ("x_u", "x_v", "x_uu", "x_uv", "x_vv"))
+    E = mk.inner_planes(x_u, x_u)
+    F = mk.inner_planes(x_u, x_v)
+    G = mk.inner_planes(x_v, x_v)
+    w = mk.cross_planes(x_u, x_v)
+    ww = mk.inner_planes(w, w)  # equals F^2 - EG by the Lagrange identity
     scale = np.maximum(np.abs(E), np.maximum(np.abs(F), np.abs(G)))
     disc = E * G - F * F
     refuse(DegenerateMetricError, np.abs(disc) <= tol * scale**2, "EG - F^2 vanishes")
     refuse(NotLorentzSurfaceError, ww <= tol * scale**2, "normal direction not spacelike")
-    l = w / np.sqrt(ww)[..., None]
-    L = mk.inner(jet.x_uu, l)
-    M = mk.inner(jet.x_uv, l)
-    N = mk.inner(jet.x_vv, l)
+    l = w
+    l /= np.sqrt(ww)
+    L = mk.inner_planes(x_uu, l)
+    M = mk.inner_planes(x_uv, l)
+    N = mk.inner_planes(x_vv, l)
     K = (L * N - M * M) / disc
     H = (E * N - 2.0 * F * M + G * L) / (2.0 * disc)
-    return FundamentalData(E=E, F=F, G=G, L=L, M=M, N=N, K=K, H=H, l=l)
+    return FundamentalData(E=E, F=F, G=G, L=L, M=M, N=N, K=K, H=H, l=np.moveaxis(l, 0, -1))
 
 
 class SurfaceKind(Enum):

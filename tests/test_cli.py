@@ -175,6 +175,26 @@ def test_analyze_fails_a_wrong_reference_field(monkeypatch, tmp_path):
     assert max(v for name, v in ref["values"].items() if name != "K") <= ref["tolerance"]
 
 
+def test_analyze_names_a_forms_error_at_its_full_grid_node(monkeypatch, capsys):
+    # the forms run on the regular nodes only: with the singular diagonal u = v
+    # masked, regular node (5, 7) is not the flat index 5 * 11 + 7 among them
+    provider = ls.get("enneper1").provider
+    jet, g = provider.jet, np.linspace(0.0, 1.0, 11)
+
+    def degenerate_jet(u, v):
+        j = jet(u, v)
+        k = np.flatnonzero((u == g[5]) & (v == g[7]))
+        j.x_v[k] = j.x_u[k]  # parallel tangents: EG - F^2 = 0 exactly
+        return j
+
+    monkeypatch.setattr(provider, "jet", degenerate_jet)
+    code = run("analyze", "enneper1", "--domain", "0:1,0:1", "--grid", "11x11")
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert lines == ["lorsurf: error: EG - F^2 vanishes at grid node "
+                     f"{errors.node_at(g, g, 5, 7)}"]
+
+
 def test_analyze_unknown_source():
     assert run("analyze", "/no/such/file.json") == 2
 
@@ -225,10 +245,12 @@ def test_canonicalize_reads_a_corpus_surface_as_its_reference_chart(tmp_path):
 
 @pytest.mark.parametrize("argv", [["canonicalize", "--output", "{tmp}/c.json"],
                                   ["residual", "--mode", "general"],
-                                  ["reconstruct", "--mesh", "{tmp}/m"]],
+                                  ["reconstruct", "--mesh", "{tmp}/m"],
+                                  ["analyze"]],
                          ids=lambda argv: argv[0])
 def test_a_corpus_grid_outside_the_surface_domain_exits_2(capsys, tmp_path, argv):
-    # the reference chart keeps the provider's domain, as the provider chart did
+    # the reference chart keeps the provider's domain, as the provider chart did;
+    # analyze checks the domain box on every node before it evaluates the jets
     command, *flags = (a.format(tmp=tmp_path) for a in argv)
     code = run(command, "hyperbolic_cone", "--grid", "21x21", "--domain", "0:60,0:1", *flags)
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]

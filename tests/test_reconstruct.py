@@ -1,5 +1,8 @@
+import contextlib
+import functools
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,18 +11,91 @@ from hypothesis import strategies as st
 
 import lorsurf as ls
 import lorsurf.minkowski as mk
-from lorsurf.errors import node_at
-from lorsurf.reconstruct import _SWAP_XY, FormMismatch, _march, _Place, _spline_samples
-from lorsurf.surfaces import SurfaceJet2, fundamental_forms, jets_from_mesh
+from lorsurf.errors import node_at, refuse
+from lorsurf.reconstruct import (_SWAP_XY, FormMismatch, _interior_form_blocks, _march, _Place,
+                                  _spline_samples)
+from lorsurf.surfaces import FundamentalData, SurfaceJet2
 
 from conftest import enneper1_chart, random_grid
 
 
+# -- the mesh forms as whole-grid component-last formulas ----------------------------------
+# A frozen copy of the stencils, jets and forms that the library computes
+# component-major from shared node differences: the oracle of its bits.
+
+def _reference_diffs(f, t, axis):
+    fm = np.moveaxis(np.asarray(f, dtype=float), axis, 0)
+    if fm.shape[0] < 3:
+        raise ls.StencilError("derivative stencils need at least 3 nodes along the axis")
+    h = np.diff(np.asarray(t, dtype=float).reshape((-1,) + (1,) * (fm.ndim - 1)), axis=0)
+    e = int(np.frexp(np.max(h))[1])
+    return fm, np.diff(fm, axis=0), np.ldexp(h, -e), e
+
+
+def reference_gradient(f, t, axis):
+    fm, d, h, e = _reference_diffs(f, t, axis)
+    out = np.empty_like(fm)
+    hm, hp = h[:-1], h[1:]
+    dm, dp = d[:-1], d[1:]
+    out[1:-1] = (hm * hm * dp + hp * hp * dm) / (hm * hp * (hm + hp))
+    curv_l = 2.0 * (h[0] * d[1] - h[1] * d[0]) / (h[0] * h[1] * (h[0] + h[1]))
+    out[0] = d[0] / h[0] - 0.5 * h[0] * curv_l
+    curv_r = 2.0 * (h[-2] * d[-1] - h[-1] * d[-2]) / (h[-2] * h[-1] * (h[-2] + h[-1]))
+    out[-1] = d[-1] / h[-1] + 0.5 * h[-1] * curv_r
+    return np.moveaxis(np.ldexp(out, -e, out=out), 0, axis)
+
+
+def reference_second_derivative(f, t, axis):
+    fm, d, h, e = _reference_diffs(f, t, axis)
+    out = np.empty_like(fm)
+    hm, hp = h[:-1], h[1:]
+    dm, dp = d[:-1], d[1:]
+    out[1:-1] = 2.0 * (hm * dp - hp * dm) / (hm * hp * (hm + hp))
+    out[0] = out[1]
+    out[-1] = out[-2]
+    return np.moveaxis(np.ldexp(out, -2 * e, out=out), 0, axis)
+
+
+def reference_jets(mesh, u, v):
+    x_u = reference_gradient(mesh, u, axis=0)
+    return SurfaceJet2(x=mesh, x_u=x_u, x_v=reference_gradient(mesh, v, axis=1),
+                       x_uu=reference_second_derivative(mesh, u, axis=0),
+                       x_uv=reference_gradient(x_u, v, axis=1),
+                       x_vv=reference_second_derivative(mesh, v, axis=1))
+
+
+def _inner(a, b):
+    return a[..., 0] * b[..., 0] * -1.0 + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def reference_forms(jet, tol=1e-12):
+    for name in ("x", "x_u", "x_v", "x_uu", "x_uv", "x_vv"):
+        if not np.all(np.isfinite(getattr(jet, name))):
+            raise ValueError(f"non-finite values in jet field {name}")
+    E, F, G = _inner(jet.x_u, jet.x_u), _inner(jet.x_u, jet.x_v), _inner(jet.x_v, jet.x_v)
+    w = np.cross(jet.x_u, jet.x_v)
+    w[..., 0] = -w[..., 0]
+    ww = _inner(w, w)
+    scale = np.maximum(np.abs(E), np.maximum(np.abs(F), np.abs(G)))
+    disc = E * G - F * F
+    refuse(ls.DegenerateMetricError, np.abs(disc) <= tol * scale**2, "EG - F^2 vanishes")
+    refuse(ls.NotLorentzSurfaceError, ww <= tol * scale**2, "normal direction not spacelike")
+    l = w / np.sqrt(ww)[..., None]
+    L, M, N = _inner(jet.x_uu, l), _inner(jet.x_uv, l), _inner(jet.x_vv, l)
+    K = (L * N - M * M) / disc
+    H = (E * N - 2.0 * F * M + G * L) / (2.0 * disc)
+    return FundamentalData(E=E, F=F, G=G, L=L, M=M, N=N, K=K, H=H, l=l)
+
+
+JET_FIELDS = ("x", "x_u", "x_v", "x_uu", "x_uv", "x_vv")
+
+
+def interior(jets):
+    return SurfaceJet2(**{k: getattr(jets, k)[1:-1, 1:-1] for k in JET_FIELDS})
+
+
 def interior_forms(mesh, u, v):
-    jets = jets_from_mesh(mesh, u, v)
-    inner = SurfaceJet2(**{k: getattr(jets, k)[1:-1, 1:-1] for k in
-                           ("x", "x_u", "x_v", "x_uu", "x_uv", "x_vv")})
-    return fundamental_forms(inner)
+    return reference_forms(interior(reference_jets(mesh, u, v)))
 
 
 def constant_chart(F0, H0, n=61, eps=(1, 1), base=(0, 0)):
@@ -140,6 +216,40 @@ def test_seed_equivariance():
     res2 = ls.reconstruct(chart, seed=seed2)
     rep = ls.congruence_check(res1.mesh, res2.mesh, g, g, tol=1e-8)
     assert rep.verdict is ls.CongruenceVerdict.CONGRUENT
+
+
+RECONSTRUCTIBLE = [name for name in ls.names() if name != "lorentz_sphere"]  # not of general type
+
+
+@functools.lru_cache(maxsize=None)
+def standard_reconstruction(name):
+    """The chart of a corpus entry at 41^2 on its default domain, and its mesh from the standard seed."""
+    entry = ls.get(name)
+    a, b, c, d = entry.default_domain
+    chart = ls.reference_chart(name, np.linspace(a, b, 41), np.linspace(c, d, 41))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the cone's 41^2 residual warns
+        return chart, ls.reconstruct(chart).mesh
+
+
+@pytest.mark.parametrize("name", RECONSTRUCTIBLE)
+@settings(max_examples=5, deadline=None)
+@given(rapidity=st.floats(-2.0, 2.0), angle=st.floats(0.0, 2.0 * np.pi),
+       shift=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_a_moved_seed_moves_the_mesh_pointwise(name, rapidity, angle, shift):
+    # the frame system and each RK4 step are linear in (X, Y, l, x), so the
+    # seed moved by A = boost @ rotation and c gives A mesh + c up to rounding
+    # (1.1e-15 relative at worst on a scratch run), not only congruent forms
+    chart, mesh = standard_reconstruction(name)
+    st0 = ls.initial_frame(chart.F[chart.u0_index, chart.v0_index])
+    A = ls.boost(rapidity) @ ls.spatial_rotation(angle)
+    c = np.array(shift)
+    seed = ls.FrameState(X=A @ st0.X, Y=A @ st0.Y, l=A @ st0.l, x=A @ st0.x + c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        moved = ls.reconstruct(chart, seed=seed).mesh
+    want = mesh @ A.T + c
+    assert np.max(np.abs(moved - want)) <= 4e-15 * (1.0 + np.max(np.abs(want)))
 
 
 def test_seed_must_match_chart_F0():
@@ -611,6 +721,71 @@ def test_degenerate_node_in_a_late_block_is_named_on_the_full_grid():
     assert blocked.value.node == (i, j)
     where = f"at mesh node ({i}, {j}), (u, v) = ({float(u[i])!r}, {float(v[j])!r})"
     assert where in str(blocked.value)
+
+
+@contextlib.contextmanager
+def reference_formulas():
+    """The blocked mesh diagnostics of reconstruct running on the frozen formulas."""
+    with mock.patch.multiple("lorsurf.reconstruct", jets_from_mesh=reference_jets,
+                             fundamental_forms=reference_forms):
+        yield
+
+
+def outcome(fn, *args):
+    """The bits of fn(*args), or the class, message and node of the error it raised."""
+    try:
+        result = fn(*args)
+        if isinstance(result, FundamentalData):
+            return bits(vars(result)), [getattr(result, n).shape for n in vars(result)]
+        if isinstance(result, ls.CongruenceReport):
+            return bits(result.mismatch), bits(result.mismatch_flipped), result.verdict
+        return [(cols, bits(vars(fd))) for cols, fd in result]  # the blocks
+    except (ValueError, ls.LorsurfError) as exc:
+        return type(exc), str(exc), getattr(exc, "node", None)
+
+
+PLANTS = ("none", "nan", "inf", "null tangent", "spacelike tangents")
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.integers(3, 70), nv=st.integers(3, 70), k=st.integers(-60, 60),
+       plant=st.sampled_from(PLANTS), node=st.tuples(st.integers(0, 69), st.integers(0, 69)),
+       seed=st.integers(0, 2**32 - 1))
+@example(nu=9, nv=66, k=0, plant="none", node=(0, 0), seed=0).via("two whole blocks")
+@example(nu=5, nv=35, k=-60, plant="nan", node=(2, 33), seed=1).via("a one-column last block")
+@example(nu=7, nv=40, k=60, plant="null tangent", node=(3, 35), seed=2).via("a late block")
+def test_mesh_forms_equal_the_reference_formulas_bit_for_bit(nu, nv, k, plant, node, seed):
+    # grid steps scaled by 2**k from underflow-prone to overflow-prone sizes;
+    # a planted non-finite coordinate, or a timelike plane whose u-tangent
+    # turns null or spacelike on rows >= i of columns >= j, must fail alike
+    rng = np.random.default_rng(seed)
+    u0, v0 = random_grid(rng, 1.0, 2.0, nu), random_grid(rng, -1.0, 0.0, nv)
+    u, v = np.ldexp(u0, k), np.ldexp(v0, k)
+    U, V = np.meshgrid(u0, v0, indexing="ij")
+    i, j = node[0] % nu, node[1] % nv
+    if plant in ("none", "nan", "inf"):
+        mesh = ls.get("enneper1").position(U, V) + 1e-3 * rng.standard_normal((nu, nv, 3))
+        if plant != "none":
+            mesh[i, j, rng.integers(3)] = np.nan if plant == "nan" else -np.inf
+    else:
+        a = np.full(U.shape, 2.0)
+        a[i:, j:] = 1.0 if plant == "null tangent" else 0.0
+        mesh = np.stack([a * U, U, V], axis=-1)
+    A = ls.boost(rng.uniform(-2.0, 2.0)) @ ls.spatial_rotation(rng.uniform(0.0, 2.0 * np.pi))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a planted stencil
+        moved = mesh @ A.T + rng.uniform(-10.0, 10.0, 3)
+        jets, ref = ls.jets_from_mesh(mesh, u, v), reference_jets(mesh, u, v)
+        assert bits(tuple(getattr(jets, n) for n in JET_FIELDS)) == \
+            bits(tuple(getattr(ref, n) for n in JET_FIELDS))
+        assert outcome(ls.fundamental_forms, jets) == outcome(reference_forms, ref)
+        assert outcome(ls.fundamental_forms, interior(jets)) == \
+            outcome(interior_forms, mesh, u, v)
+        got = (outcome(_interior_form_blocks, mesh, u, v),
+               outcome(ls.congruence_check, mesh, moved, u, v))
+        with reference_formulas():
+            want = (outcome(_interior_form_blocks, mesh, u, v),
+                    outcome(ls.congruence_check, mesh, moved, u, v))
+    assert got == want
 
 
 def test_congruence_check_refuses_mismatched_meshes_and_short_grids():
