@@ -37,8 +37,7 @@ for name in ls.names():
     entry = ls.get(name)
     a, b, c, d = entry.default_domain
     uc, vc = 0.5 * (a + b) + 0.01, 0.5 * (c + d) + 0.02
-    fd = ls.fundamental_forms(entry.provider(uc, vc))
-    rep = ls.classify(fd)
+    rep = ls.classify(entry.provider(uc, vc))
     print(f"  {name:22s} H^2-K = {rep.h2_minus_k:+9.4f}  LN/F^2 = "
           f"{rep.ln_over_f2:+9.4f}  -> {rep.kind.value}")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import Chart, _signed_chart, grid_index
-from .errors import ChartError, MapRangeError, NotGeneralTypeError, refuse, within
+from .errors import ChartError, MapRangeError, NotGeneralTypeError, negligible, refuse, within
 from .splines import CubicHermite, cumsimpson_from, notaknot_slopes, pchip_slopes
 from .stencils import check_grid
 from .surfaces import SurfaceJet2, SurfaceProvider, fundamental_forms
@@ -97,13 +97,9 @@ def _monotone_hermite(x, y, d):
     return CubicHermite(x, y, d if ok else pchip_slopes(x, y))
 
 
-def _line_tol(line):
-    return 1e-10 * (1.0 + np.max(np.abs(line)))
-
-
 def _check_general_type(line, grid, i0, label):
-    tol = _line_tol(line)
-    small = np.abs(line) <= tol
+    # each node against the base value; base_signs judges that one against M
+    small = negligible(line, abs(line[i0]))
     if np.any(small):
         k = int(np.argwhere(small)[0][0])
         raise NotGeneralTypeError(

@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ChartError, DegenerateMetricError, DomainError, NotGeneralTypeError,
-                     NotLorentzSurfaceError, node_at, refuse)
+                     NotLorentzSurfaceError, negligible, node_at, refuse)
 from .splines import grid_interpolant
 from .stencils import check_grid
-from .surfaces import fundamental_forms
+from .surfaces import KIND_TOL, fundamental_forms
 
 __all__ = ["Chart", "grid_index", "grid_through", "base_signs", "chart_from_provider"]
 
@@ -55,12 +55,12 @@ def grid_through(base, lo, hi, n):
     return base + h * np.arange(-k1, k2 + 1)
 
 
-def base_signs(L0, N0):
-    """(eps1, eps2), the signs of L and N at a base point; None if either
-    is at most 1e-10 * (1 + |L0| + |N0|): the surface is then not of general
-    type there, and canonical coordinates based there do not exist."""
-    tiny = 1e-10 * (1.0 + abs(L0) + abs(N0))
-    if abs(L0) <= tiny or abs(N0) <= tiny:
+def base_signs(L0, M0, N0):
+    """(eps1, eps2), the signs of L and N at a base point in null coordinates; None if
+    LN = (H^2 - K) F^2 is negligible against M^2 + |M^2 - LN| = (H^2 + |K|) F^2 at KIND_TOL:
+    not of general type there (kind_field's rule), so no canonical coordinates based there."""
+    LN, M2 = L0 * N0, M0 * M0
+    if negligible(LN, M2 + abs(M2 - LN), KIND_TOL):
         return None
     return int(np.sign(L0)), int(np.sign(N0))
 
@@ -134,7 +134,7 @@ class Chart:
 def _signed_chart(u_grid, v_grid, i0, j0, **fields):
     """The validated chart of `fields` based at node (i0, j0), with eps1, eps2 = base_signs;
     NotGeneralTypeError names the node when L or N vanishes there."""
-    signs = base_signs(fields["L"][i0, j0], fields["N"][i0, j0])
+    signs = base_signs(*(fields[k][i0, j0] for k in "LMN"))
     if signs is None:
         raise NotGeneralTypeError(
             f"L or N vanishes at the base point {node_at(u_grid, v_grid, i0, j0)}", node=(i0, j0))

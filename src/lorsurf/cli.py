@@ -43,7 +43,7 @@ from .chartio import (
     write_report,
 )
 from .errors import (ChartError, DegenerateMetricError, DomainError, LorsurfError,
-                     NotLorentzSurfaceError, finite, within)
+                     NotLorentzSurfaceError, finite, negligible, relative, within)
 from .natural import (
     REL_TOL,
     cmc_residual,
@@ -52,7 +52,8 @@ from .natural import (
     natural_residual,
 )
 from .reconstruct import FrameState, cmc_pair, congruence_check, reconstruct
-from .surfaces import SurfaceKind, fundamental_forms, is_minimal, kind_field
+from .surfaces import (SurfaceKind, _curvature_scale, fundamental_forms, is_isotropic,
+                       is_minimal, kind_field)
 
 
 # -- argument helpers ---------------------------------------------------------
@@ -179,6 +180,11 @@ def _kind_counts(K, H):
             "count_not_general_type": int(np.sum(kinds == 0))}
 
 
+def _largest(x, scale):
+    """max relative(x, scale): within([this], tol) is all of negligible(x, scale, tol)."""
+    return float(np.max(relative(x, scale)))
+
+
 def _canonical_status(chart, tol):
     rep = verify_canonical(chart, tol=tol)
     return _status("canonical", {
@@ -214,27 +220,24 @@ def cmd_analyze(args):
             exc.node = tuple(int(k) for k in np.argwhere(valid)[exc.node[0]])
             raise exc.at(u_grid, v_grid, what="grid node") from None
 
-        e_max = float(np.max(np.abs(fd.E)))
-        g_max = float(np.max(np.abs(fd.G)))
-        f_min = float(np.min(fd.F))
-        checks.append(_check("isotropic", {"max_abs_E": e_max, "max_abs_G": g_max,
-                                           "min_F": f_min}, tol_iso,
-                             within([e_max, g_max], tol_iso) and f_min > tol_iso))
+        nxu, nxv, nl = (np.linalg.norm(t, axis=-1) for t in (jets.x_u, jets.x_v, fd.l))
+        iso = {"max_abs_E": _largest(fd.E, nxu * nxu), "max_abs_G": _largest(fd.G, nxv * nxv),
+               "min_F": float(np.min(fd.F / (nxu * nxv)))}
+        checks.append(_check("isotropic", iso, tol_iso, np.all(is_isotropic(fd, jets, tol_iso))))
 
-        n_unit = float(np.max(np.abs(mk.inner(fd.l, fd.l) - 1.0)))
-        n_xu = float(np.max(np.abs(mk.inner(jets.x_u, fd.l))))
-        n_xv = float(np.max(np.abs(mk.inner(jets.x_v, fd.l))))
-        checks.append(_check("normal_contract", {"max_abs_l2_minus_1": n_unit,
-                                                 "max_abs_xu_l": n_xu,
-                                                 "max_abs_xv_l": n_xv}, tol_normal,
-                             within([n_unit, n_xu, n_xv], tol_normal)))
+        normal = {"max_abs_l2_minus_1": _largest(mk.inner(fd.l, fd.l) - 1.0, nl * nl),
+                  "max_abs_xu_l": _largest(mk.inner(jets.x_u, fd.l), nxu * nl),
+                  "max_abs_xv_l": _largest(mk.inner(jets.x_v, fd.l), nxv * nl)}
+        checks.append(_check("normal_contract", normal, tol_normal,
+                             within(normal.values(), tol_normal)))
 
-        # deviations relative to 1 + max|reference field|, on the regular nodes
-        ref_devs = {}
-        for name in ("F", "L", "M", "N", "K", "H"):
-            want = getattr(entry.reference, name)(Uv, Vv)
-            ref_devs[name] = float(np.max(np.abs(getattr(fd, name) - want))
-                                   / (1.0 + np.max(np.abs(want))))
+        # deviations from the closed forms on the regular nodes, relative to their scales
+        curv = _curvature_scale(fd.H, fd.K)
+        scales = {"F": nxu * nxv, "L": np.linalg.norm(jets.x_uu, axis=-1) * nl,
+                  "M": np.linalg.norm(jets.x_uv, axis=-1) * nl,
+                  "N": np.linalg.norm(jets.x_vv, axis=-1) * nl, "K": curv, "H": np.sqrt(curv)}
+        ref_devs = {name: _largest(getattr(fd, name) - getattr(entry.reference, name)(Uv, Vv),
+                                   scale) for name, scale in scales.items()}
         checks.append(_check("reference_match", ref_devs, tol_ref,
                              within(ref_devs.values(), tol_ref)))
 
@@ -250,7 +253,7 @@ def cmd_analyze(args):
         }))
 
         line_ok = np.all(valid[:, j0]) and np.all(valid[i0, :])
-        signs = base_signs(fd.L[k0], fd.N[k0]) if line_ok else None
+        signs = base_signs(fd.L[k0], fd.M[k0], fd.N[k0]) if line_ok else None
         if not line_ok:
             statuses.append(_status("canonical", {"status": "unavailable",
                                                   "reason": "singular nodes on base lines"}))
@@ -319,11 +322,11 @@ def cmd_canonicalize(args):
 # -- residual -------------------------------------------------------------------
 
 def _constant_H(chart, what):
-    """The chart's H value; ChartError unless H is constant on the grid."""
-    H0 = float(chart.H[chart.u0_index, chart.v0_index])
-    if float(np.max(chart.H) - np.min(chart.H)) > 1e-10 * (1.0 + abs(H0)):
+    """The chart's H value; ChartError unless the range of H is negligible
+    against max sqrt(H^2 + |K|)."""
+    if not negligible(np.ptp(chart.H), np.sqrt(np.max(_curvature_scale(chart.H, chart.K)))):
         raise ChartError(f"{what} requires a constant H field")
-    return H0
+    return float(chart.H[chart.u0_index, chart.v0_index])
 
 
 def _residual_for(chart, mode):
@@ -335,7 +338,7 @@ def _residual_for(chart, mode):
         H0 = _constant_H(chart, "mode cmc")
         return cmc_residual(chart.K, H0, chart.u_grid, chart.v_grid)
     if mode == "minimal":
-        if not is_minimal(chart.H):
+        if not is_minimal(chart.H, chart.K):
             raise ChartError("mode minimal requires H = 0")
         return minimal_residual(chart.K, chart.u_grid, chart.v_grid)
     raise ChartError(f"unknown mode {mode!r}")
@@ -453,10 +456,7 @@ def cmd_reconstruct(args):
             if chart.K is None:
                 raise ChartError("--pair requires a K field")
             # a field that --mode minimal accepts has H = 0, constant or not
-            H0 = 0.0 if is_minimal(chart.H) else _constant_H(chart, "--pair")
-            if is_minimal(H0):
-                raise ChartError("--pair requires a non-zero H: a minimal surface is fixed "
-                                 "by K up to motion, so it has no pair")
+            H0 = 0.0 if is_minimal(chart.H, chart.K) else _constant_H(chart, "--pair")
             res_p, res_m = cmc_pair(chart.K, H0, chart.u_grid, chart.v_grid,
                                     seed=seed, force=args.force)
             _export_mesh(res_p, args.mesh + "_p", f"cmc pair, eps=({res_p.eps1},{res_p.eps2})")
@@ -528,10 +528,12 @@ def build_parser():
     _add_source_args(p)
     p.add_argument("--tol-canonical", type=float, default=1e-6, dest="tol_canonical")
     p.add_argument("--mesh", default=None, help="mesh export prefix (corpus sources)")
-    p.add_argument("--tol-iso", type=float, default=1e-8, dest="tol_iso")
-    p.add_argument("--tol-normal", type=float, default=1e-9, dest="tol_normal")
+    p.add_argument("--tol-iso", type=float, default=1e-8, dest="tol_iso",
+                   help="tolerance on |E|/|x_u|^2 and |G|/|x_v|^2; F/(|x_u||x_v|) must exceed it")
+    p.add_argument("--tol-normal", type=float, default=1e-9, dest="tol_normal",
+                   help="tolerance on |l^2 - 1|/|l|^2, |<x_u,l>|/(|x_u||l|), |<x_v,l>|/(|x_v||l|)")
     p.add_argument("--tol-ref", type=float, default=1e-9, dest="tol_ref",
-                   help="tolerance on max|field - reference| / (1 + max|reference|)")
+                   help="tolerance on |field - reference| / scale, node by node (see README)")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("canonicalize", help="construct canonical coordinates")

@@ -4,12 +4,15 @@ Each class carries the CLI's `exit_code` and the `label` of its message.
 Most errors say that a node breaks a precondition; `refuse` finds the first
 such node of a mask and names it, and `LorsurfError.at` moves an error found
 on a block of a grid to its node on the full grid.  `within` is the one pass
-rule of every verdict, and `finite` the test that a report trusts its numbers.
+rule of every verdict, `negligible` the one zero rule, and `finite` the test
+that a report trusts its numbers.
 """
 
 import math
 
 import numpy as np
+
+ZERO_TOL = 1e-10  # negligible's default relative size
 
 
 def finite(x):
@@ -24,6 +27,19 @@ def finite(x):
 def within(values, tol):
     """The pass rule: every value is finite and <= tol, and tol is finite."""
     return math.isfinite(tol) and all(math.isfinite(x) and x <= tol for x in values)
+
+
+def relative(x, scale):
+    """|x| / scale elementwise, 0 where x = 0 (0 / 0 included): x in units of its scale."""
+    x = np.abs(np.asarray(x, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, x / scale)
+
+
+def negligible(x, scale, rel=ZERO_TOL):
+    """The zero rule: x vanishes where relative(x, scale) <= rel (never at a NaN), with
+    `scale` in the units of x at the same node or over the same field (README, "Zero rule")."""
+    return relative(x, scale) <= rel
 
 
 def node_at(u_grid, v_grid, i, j):

@@ -59,8 +59,9 @@ import numpy as np
 
 from . import minkowski as mk
 from .chart import _BLOCK, Chart
-from .errors import (DegenerateMetricError, InvalidFrameError, NaturalEquationError,
-                     NotLorentzSurfaceError, ReconstructionAbort, node_at, refuse, within)
+from .errors import (ChartError, DegenerateMetricError, InvalidFrameError, NaturalEquationError,
+                     NotLorentzSurfaceError, ReconstructionAbort, negligible, node_at, refuse,
+                     within)
 from .natural import (REL_TOL, F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
                       natural_residual)
 from .splines import hermite_midpoints, notaknot_slopes
@@ -117,14 +118,15 @@ def _seed_vector(name, value):
     return a.astype(float)
 
 
-def initial_frame(F0, X=None, Y=None, l=None, x=None, tol=1e-10):
+def initial_frame(F0, X=None, Y=None, l=None, x=None):
     """Initial frame for the march, defaulting to the standard null seed.
 
     The standard seed is X = (1, 1, 0), Y = (F0/2)(-1, 1, 0), l = (0, 0, 1)
     at x (the origin by default), exact for the conditions below.  Custom
     seeds must satisfy X^2 = Y^2 = 0, <X, Y> = F0, l^2 = 1, <X, l> =
-    <Y, l> = 0 and det(X, Y, l) > 0 (positive orientation); each condition
-    is checked to `tol` * (1 + |F0|), and one that overflows fails.
+    <Y, l> = 0 and det(X, Y, l) > 0 (positive orientation); each deviation must be
+    negligible against its scale (|X|^2, |Y|^2, F0, |l|^2, |X||l|, |Y||l|, Euclidean
+    lengths), and one that overflows fails.
     """
     F0 = float(F0)
     if not F0 > 0.0:
@@ -136,13 +138,15 @@ def initial_frame(F0, X=None, Y=None, l=None, x=None, tol=1e-10):
     if X is None or Y is None or l is None:
         raise InvalidFrameError("custom seeds must supply X, Y and l together")
     X, Y, l = _seed_vector("X", X), _seed_vector("Y", Y), _seed_vector("l", l)
-    allowed = tol * (1.0 + abs(F0))
     with np.errstate(over="ignore", invalid="ignore"):
         errors = _frame_errors(X, Y, l, F0)
+        nX, nY, nl = (float(np.linalg.norm(a)) for a in (X, Y, l))
+        scales = {"X^2": nX * nX, "Y^2": nY * nY, "<X,Y>-F0": F0, "l^2-1": nl * nl,
+                  "<X,l>": nX * nl, "<Y,l>": nY * nl}
         det = float(mk.det3(X, Y, l))
-    bad = {k: float(e) for k, e in errors.items() if not within([e], allowed)}
+    bad = {k: float(e) for k, e in errors.items() if not negligible(e, scales[k])}
     if bad:
-        raise InvalidFrameError(f"seed violates frame conditions {bad} (tol {allowed:.3g})")
+        raise InvalidFrameError(f"seed violates frame conditions {bad}, each against its scale")
     if not det > 0.0:
         raise InvalidFrameError("seed frame is not positively oriented (det <= 0)")
     return FrameState(X=X, Y=Y, l=l, x=x)
@@ -530,12 +534,13 @@ def cmc_pair(K, H, u_grid, v_grid, seed=None, force=False):
 
     F comes from F = 1/sqrt(|H^2 - K|); the sign product eps1*eps2 =
     sign(H^2 - K) admits exactly two sign pairs, and both are
-    reconstructed with the same seed.  Raises ValueError when is_minimal(H),
-    and NaturalEquationError when K violates the constant-H natural
-    equation (unless `force`).
+    reconstructed with the same seed.  Raises ChartError when is_minimal(H, K)
+    (minimal_from_K rebuilds that surface), and NaturalEquationError when K
+    violates the constant-H natural equation (unless `force`).
     """
-    if is_minimal(H):
-        raise ValueError("H must be non-zero; use minimal_from_K for minimal surfaces")
+    if is_minimal(H, K):
+        raise ChartError("--pair requires a non-zero H: a minimal surface is fixed "
+                         "by K up to motion, so it has no pair")
     # cmc_residual checks the grids and K's shape for all that follows
     _refuse_violation(cmc_residual(K, H, u_grid, v_grid), "constant-H", force)
     F, eps_product = F_from_K_cmc(K, H)

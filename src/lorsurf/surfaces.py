@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     NotIsotropicError,
     NotLorentzSurfaceError,
+    negligible,
     refuse,
     within,
 )
@@ -53,6 +54,8 @@ __all__ = [
     "pseudo_arc_check",
     "swap_parameters",
 ]
+
+KIND_TOL = 1e-8  # the relative size at which H^2 - K vanishes against H^2 + |K|
 
 
 @dataclass
@@ -252,24 +255,24 @@ class KindReport:
     tol: float
 
 
-def _kind_tol(H, K):
-    """The default tolerance of kind_field, which classify also records."""
-    return 1e-8 * (1.0 + H**2 + np.abs(K))
+def _curvature_scale(H, K):
+    """H^2 + |K|, the scale of H^2 - K and of K; its square root is the scale of H."""
+    return H**2 + np.abs(K)
 
 
-def classify(fd, tol=None, iso_tol=1e-8):
-    """Classify one point as first kind, second kind or not of general type.
+def classify(jet):
+    """Classify one isotropic point of a jet as first kind, second kind or not of general type.
 
     kind_field decides; the report also carries LN/F^2, which must agree
     with H^2 - K (they coincide identically in null coordinates).
     """
-    if not np.all(is_isotropic(fd, iso_tol)):
-        raise NotIsotropicError("classification requires null coordinates (|E|, |G| <= tol, F > 0)")
+    fd = fundamental_forms(jet)
+    if not np.all(is_isotropic(fd, jet)):
+        raise NotIsotropicError("classification requires null coordinates (E, G negligible, F > 0)")
     E, F, G = float(fd.E), float(fd.F), float(fd.G)
     L, M, N = float(fd.L), float(fd.M), float(fd.N)
     H, K = float(fd.H), float(fd.K)
-    if tol is None:
-        tol = float(_kind_tol(H, K))
+    tol = KIND_TOL * _curvature_scale(H, K)
     h2k = H**2 - K
     ln_f2 = L * N / F**2
     # first-order contamination of H^2 - K by nonzero E, G, plus a quadratic cushion
@@ -278,31 +281,35 @@ def classify(fd, tol=None, iso_tol=1e-8):
     if abs(h2k - ln_f2) > allowed:
         raise ValueError(
             f"H^2 - K = {h2k:.6g} disagrees with LN/F^2 = {ln_f2:.6g} beyond tolerance {allowed:.3g}")
-    return KindReport(kind=SurfaceKind.of(kind_field(H, K, tol)), h2_minus_k=h2k,
+    return KindReport(kind=SurfaceKind.of(kind_field(H, K)), h2_minus_k=h2k,
                       ln_over_f2=ln_f2, tol=tol)
 
 
-def kind_field(H, K, tol=None):
+def kind_field(H, K):
     """The kind of each node: +1 first kind, -1 second kind, 0 not of general type.
 
-    The one test of the paper's condition H^2 - K != 0: |H^2 - K| > tol, by
-    default 1e-8 * (1 + H^2 + |K|).  H and K broadcast (a scalar H with a K field).
+    The one test of the paper's condition H^2 - K != 0: 0 where H^2 - K is
+    negligible against H^2 + |K| at KIND_TOL, or is NaN.  H and K broadcast
+    (a scalar H with a K field).
     """
     H, K = np.asarray(H, dtype=float), np.asarray(K, dtype=float)
-    if tol is None:
-        tol = _kind_tol(H, K)
     h2k = H**2 - K
-    return np.where(h2k > tol, 1, np.where(h2k < -tol, -1, 0)).astype(np.int8)
+    zero = negligible(h2k, _curvature_scale(H, K), KIND_TOL) | np.isnan(h2k)
+    return np.where(zero, 0, np.sign(h2k)).astype(np.int8)
 
 
-def is_minimal(H):
-    """True when H = 0 on the whole field, that is max|H| <= 1e-10: a minimal surface."""
-    return float(np.max(np.abs(H))) <= 1e-10
+def is_minimal(H, K):
+    """True when H = 0 on the whole field: max|H| is negligible against
+    max sqrt(H^2 + |K|).  H and K broadcast; this is a minimal surface."""
+    return bool(negligible(np.max(np.abs(H)), np.sqrt(np.max(_curvature_scale(H, K)))))
 
 
-def is_isotropic(fd, tol=1e-8):
-    """Elementwise test for null coordinates: |E| <= tol, |G| <= tol, F > tol."""
-    return (np.abs(fd.E) <= tol) & (np.abs(fd.G) <= tol) & (fd.F > tol)
+def is_isotropic(fd, jet, tol=1e-8):
+    """Elementwise test for null coordinates at `tol`: E, G negligible against |x_u|^2, |x_v|^2
+    (Euclidean lengths of the jet), and F positive and not negligible against |x_u||x_v|."""
+    a, b = (np.linalg.norm(t, axis=-1) for t in (jet.x_u, jet.x_v))
+    return (negligible(fd.E, a * a, tol) & negligible(fd.G, b * b, tol) & (fd.F > 0.0)
+            & ~negligible(fd.F, a * b, tol))
 
 
 @dataclass

@@ -19,7 +19,7 @@ import lorsurf as ls
 from lorsurf import errors
 from lorsurf.cli import main
 
-from conftest import CONE_TU0, enneper1_chart, random_grid
+from conftest import CONE_TU0, cone_canonical_chart, enneper1_chart, random_grid
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -368,6 +368,31 @@ def test_a_vanishing_H2_minus_K_is_not_of_general_type(capsys, tmp_path, argv):
 
 def test_residual_minimal_requires_zero_H(tmp_path):
     assert run("residual", "cylinder", "--mode", "minimal", "--grid", "11x11") == 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(cone=st.booleans(), i=st.integers(0, 39), j=st.integers(0, 39),
+       amplitude=st.floats(10.0, 100.0), sign=st.sampled_from([1.0, -1.0]),
+       width=st.floats(2.0, 4.0))
+def test_a_bump_in_H_fails_residual_and_turns_the_warning_on(tmp_path_factory, cone, i, j,
+                                                             amplitude, sign, width):
+    # the natural-equation gate is sound: a canonical chart passes it, and a smooth
+    # bump in H of amplitude >= 10 REL_TOL * scale at any node makes residual fail
+    # and reconstruct warn
+    chart = cone_canonical_chart(41) if cone else enneper1_chart(41)
+    path = tmp_path_factory.mktemp("bump") / "c.json"
+    ls.write_chart(chart, str(path))
+    assert run("residual", str(path), "--mode", "general") == 0
+    u, v = chart.u_grid, chart.v_grid
+    U, V = np.meshgrid(u - u[i], v - v[j], indexing="ij")
+    w = width * (u[1] - u[0])
+    bump = sign * amplitude * ls.REL_TOL * ls.natural_residual(chart).scale \
+        * np.exp(-(U**2 + V**2) / (2.0 * w * w))
+    bumped = chart.with_fields(H=chart.H + bump).validate()
+    ls.write_chart(bumped, str(path))
+    assert run("residual", str(path), "--mode", "general") == 1
+    with pytest.warns(UserWarning, match="violates the natural equation"):
+        assert ls.reconstruct(bumped).natural_warning
 
 
 def small_chart(H_center=0.0):

@@ -295,9 +295,9 @@ def test_non_finite_K_or_H_is_refused_as_non_finite_before_the_kind_test():
 @example(n=5, H=1.0, sign=1, lo=-7.5, seed=0)    # no 0
 @example(n=5, H=1.0, sign=-1, lo=-11.0, seed=0)  # 0s
 def test_general_type_refusals_are_exactly_the_zeros_of_kind_field(n, H, sign, lo, seed):
-    # |H^2 - K| / (1 + H^2 + |K|) is drawn between 10^lo and 1e-7, about kind_field's
-    # 1e-8 threshold and with one sign, so that a 0 of kind_field is the only reason
-    # to refuse the general type
+    # |H^2 - K| = rel (1 + 2 H^2) with rel between 10^lo and 1e-7 puts |H^2 - K| / (H^2 + |K|)
+    # about kind_field's 1e-8 threshold, with one sign, so that a 0 of kind_field is the
+    # only reason to refuse the general type
     rng = np.random.default_rng(seed)
     rel = 10.0 ** rng.uniform(lo, -7.0, (n, n))
     K = H * H - sign * rel * (1.0 + 2.0 * H * H)

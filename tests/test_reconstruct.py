@@ -381,8 +381,9 @@ def test_cmc_pair_rejects_degenerate():
 
 def test_cmc_pair_rejects_zero_H():
     g = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ls.ChartError, match="fixed by K up to motion") as err:
         ls.cmc_pair(np.zeros((11, 11)), 0.0, g, g)
+    assert err.value.exit_code == 2
 
 
 def test_minimal_from_K_enneper1():

@@ -3,6 +3,7 @@ import pytest
 
 import lorsurf as ls
 import lorsurf.minkowski as mk
+import lorsurf.surfaces as surfaces
 from lorsurf.stencils import cross_derivative
 
 from conftest import interior_points
@@ -106,26 +107,32 @@ def test_orientation_swap_law(name, rng):
 
 
 def test_classify_examples():
-    rep1 = ls.classify(forms_at(ls.get("enneper1"), 1.0, 0.0))
+    rep1 = ls.classify(ls.get("enneper1").provider(1.0, 0.0))
     assert rep1.kind is ls.SurfaceKind.FIRST
     assert np.isclose(rep1.h2_minus_k, 4.0)
     assert np.isclose(rep1.ln_over_f2, 4.0)
 
-    rep2 = ls.classify(forms_at(ls.get("enneper2"), 1.0, 0.0))
+    rep2 = ls.classify(ls.get("enneper2").provider(1.0, 0.0))
     assert rep2.kind is ls.SurfaceKind.SECOND
     assert np.isclose(rep2.h2_minus_k, -4.0)
 
-    rep3 = ls.classify(forms_at(ls.get("lorentz_sphere"), 0.3, -0.1))
+    rep3 = ls.classify(ls.get("lorentz_sphere").provider(0.3, -0.1))
     assert rep3.kind is ls.SurfaceKind.DEGENERATE
 
 
 def test_classify_takes_its_kind_from_kind_field():
-    fd = forms_at(ls.get("enneper1"), 1.0, 0.0)
-    h2k = ls.classify(fd).h2_minus_k
-    tols = (0.5 * h2k, h2k, 2.0 * h2k)
-    kinds = [ls.classify(fd, tol=tol).kind for tol in tols]
-    assert kinds == [ls.SurfaceKind.FIRST] + 2 * [ls.SurfaceKind.DEGENERATE]
-    assert kinds == [ls.SurfaceKind.of(ls.kind_field(fd.H, fd.K, tol)) for tol in tols]
+    # classify's kind is kind_field's, and its tolerance KIND_TOL * (H^2 + |K|): an
+    # H^2 - K planted (by a shift of K) at 2, 1/2 and -2 tolerances is +1, 0 and -1
+    for name, u, v in (("enneper1", 1.0, 0.0), ("enneper2", 1.0, 0.0),
+                       ("lorentz_sphere", 0.3, -0.1), ("hyperbolic_cone", 0.2, -0.3)):
+        jet = ls.get(name).provider(u, v)
+        fd = ls.fundamental_forms(jet)
+        rep = ls.classify(jet)
+        assert rep.kind is ls.SurfaceKind.of(ls.kind_field(fd.H, fd.K))
+        assert rep.tol == surfaces.KIND_TOL * (fd.H**2 + abs(fd.K))
+    scale = 2.0 * 0.25  # H = 0.5, K ~ 0.25
+    kinds = [ls.kind_field(0.5, 0.25 - r * surfaces.KIND_TOL * scale) for r in (2.0, 0.5, -2.0)]
+    assert kinds == [1, 0, -1]
     assert [ls.SurfaceKind.of(code) for code in (1, -1, 0)] == list(ls.SurfaceKind)
 
 
@@ -133,9 +140,8 @@ def test_classify_rejects_non_isotropic():
     jet = ls.SurfaceJet2(
         x=np.zeros(3), x_u=np.array([1.0, 0.0, 0.0]), x_v=np.array([0.0, 1.0, 0.0]),
         x_uu=np.zeros(3), x_uv=np.zeros(3), x_vv=np.zeros(3))
-    fd = ls.fundamental_forms(jet)
     with pytest.raises(ls.NotIsotropicError):
-        ls.classify(fd)
+        ls.classify(jet)
 
 
 def test_kind_field_matches_classify(rng):
@@ -148,16 +154,17 @@ def test_kind_field_matches_classify(rng):
 def test_is_isotropic(rng):
     entry = ls.get("cylinder")
     u, v = interior_points(entry, rng, 10)
-    assert np.all(ls.is_isotropic(forms_at(entry, u, v)))
+    jet = entry.provider(u, v)
+    assert np.all(ls.is_isotropic(ls.fundamental_forms(jet), jet))
     # graph surface (u, v, 0): E = -1, G = 1
     jet = ls.SurfaceJet2(
         x=np.zeros(3), x_u=np.array([1.0, 0.0, 0.0]), x_v=np.array([0.0, 1.0, 0.0]),
         x_uu=np.zeros(3), x_uv=np.zeros(3), x_vv=np.zeros(3))
-    assert not ls.is_isotropic(ls.fundamental_forms(jet))
+    assert not ls.is_isotropic(ls.fundamental_forms(jet), jet)
     # on the line u = v the Enneper F degenerates to 0
     degenerate = ls.FundamentalData(E=0.0, F=0.0, G=0.0, L=1.0, M=0.0, N=1.0,
                                     K=0.0, H=0.0, l=np.zeros(3))
-    assert not ls.is_isotropic(degenerate)
+    assert not ls.is_isotropic(degenerate, jet)
 
 
 # -- finite-difference jets ----------------------------------------------------
