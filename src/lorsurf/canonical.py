@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import Chart, _signed_chart, grid_index
-from .errors import ChartError, MapRangeError, NotGeneralTypeError, negligible, refuse, within
+from .errors import (ChartError, MapRangeError, NotGeneralTypeError, negligible, node_at, refuse,
+                     within)
 from .splines import CubicHermite, cumsimpson_from, notaknot_slopes, pchip_slopes
 from .stencils import check_grid
 from .surfaces import SurfaceJet2, SurfaceProvider, fundamental_forms
@@ -155,8 +156,10 @@ def resample_to_canonical(chart, maps, canonical_u_grid, canonical_v_grid,
     bicubic interpolation and transformed with u' = du/dtu = 1/sqrt(|L|):
     F -> F u'v', L -> L u'^2, M -> M u'v', N -> N v'^2, while H and K are
     invariant.  The canonical grids must contain the images of the base
-    point and lie inside the map ranges.  The result is flagged canonical
-    when verify_canonical passes at `tol`.
+    point and lie inside the map ranges.  Where the pulled-back F is not
+    positive, ChartError names the first canonical node and its source
+    (u, v).  The result is flagged canonical when verify_canonical passes at
+    `tol`.
     """
     for name in ("L", "M", "N"):
         if getattr(chart, name) is None:
@@ -175,6 +178,14 @@ def resample_to_canonical(chart, maps, canonical_u_grid, canonical_v_grid,
         return chart.interpolator(name)(u_src, v_src)
 
     F = pull("F") * np.outer(up, vp)
+    bad = np.argwhere(~(F > 0.0))
+    if bad.size:  # the bicubic pull overshoots where F varies fast over a source step
+        i, j = map(int, bad[0])
+        raise ChartError(
+            f"pulled-back F = {float(F[i, j])!r} is not positive at canonical node "
+            f"{node_at(cu, cv, i, j)}, source (u, v) = ({float(u_src[i])!r}, "
+            f"{float(v_src[j])!r}): the source grid is too coarse for the canonical maps",
+            node=(i, j))
     L = pull("L") * (up**2)[:, None]
     M = pull("M") * np.outer(up, vp)
     N = pull("N") * (vp**2)[None, :]

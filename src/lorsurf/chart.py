@@ -32,12 +32,21 @@ _OPTIONAL_FIELDS = ("L", "M", "N", "K")
 _BLOCK = 32
 
 
+# the relative size, against the span of a grid, within which a value is a node
+NODE_TOL = 1e-9
+
+
+def same_node(a, b, span):
+    """The "same node" rule: a and b name one node of a grid spanning `span` where
+    a - b is negligible against span at NODE_TOL (never at a NaN)."""
+    return negligible(np.subtract(a, b), span, NODE_TOL)
+
+
 def grid_index(grid, value, name="grid"):
     """Index of `value` in a coordinate array; it must be a node (so it is finite)."""
     grid = np.asarray(grid, dtype=float)
     i = int(np.argmin(np.abs(grid - value)))
-    span = grid[-1] - grid[0]
-    if not abs(grid[i] - value) <= 1e-9 * max(span, 1.0):  # NaN fails this test
+    if not same_node(grid[i], value, grid[-1] - grid[0]):
         raise DomainError(f"{name}: base value {float(value)!r} is not a grid node")
     return i
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import minkowski as mk
 from .canonical import canonical_maps_from_lines, resample_to_canonical, verify_canonical
-from .chart import base_signs, grid_index, grid_through
+from .chart import base_signs, grid_index, grid_through, same_node
 from .chartio import (
     digest_text,
     load_chart,
@@ -347,16 +347,17 @@ def _residual_for(chart, mode):
 def _refinement(coarse, fine):
     """(n_f - 1)/(n_c - 1), the factor by which the chart `fine` refines `coarse`.
 
-    ChartError unless both have the same domain ends and base point (to 1e-9
-    of the span, as grid_index places a node) and signs, and both axes have
-    that one factor > 1.
+    ChartError unless both have the same domain ends and base point (each the
+    same node of its axis, by the rule of grid_index) and the same signs, and
+    both axes have that one factor > 1.
     """
-    span = max(np.ptp(coarse.u_grid), np.ptp(coarse.v_grid), 1.0)
-    for what, of in (("domain ends", lambda c: [*c.u_grid[[0, -1]], *c.v_grid[[0, -1]]]),
-                     ("base point (u0, v0)", lambda c: [c.u0, c.v0]),
-                     ("signs (eps1, eps2)", lambda c: [c.eps1, c.eps2])):
+    su, sv = np.ptp(coarse.u_grid), np.ptp(coarse.v_grid)
+    for what, of, span in (
+            ("domain ends", lambda c: [*c.u_grid[[0, -1]], *c.v_grid[[0, -1]]], [su, su, sv, sv]),
+            ("base point (u0, v0)", lambda c: [c.u0, c.v0], [su, sv]),
+            ("signs (eps1, eps2)", lambda c: [c.eps1, c.eps2], None)):
         got, want = np.array(of(fine)), np.array(of(coarse))
-        if not np.all(np.abs(got - want) <= 1e-9 * span):
+        if not np.all(got == want if span is None else same_node(got, want, np.array(span))):
             raise ChartError(f"--refined chart has {what} {got.tolist()}, "
                              f"the source chart {want.tolist()}")
     (cu, cv), (fu, fv) = coarse.shape, fine.shape
@@ -550,7 +551,8 @@ def build_parser():
     _add_source_args(p)
     p.add_argument("--mode", choices=("general", "cmc", "minimal"), required=True)
     p.add_argument("--tol", type=float, default=None,
-                   help=f"absolute residual tolerance (default: {REL_TOL:g} * field scale)")
+                   help=f"tolerance of the residual max_abs (default: {REL_TOL:g} * the "
+                        "report's scale, see README \"Zero rule\")")
     p.add_argument("--min-order", type=float, default=1.9, dest="min_order")
     p.add_argument("--refine", type=_int_at_least(2), default=None,
                    help="refinement factor for a two-grid order estimate (corpus)")
@@ -566,7 +568,9 @@ def build_parser():
     p.add_argument("--force", action="store_true",
                    help="reconstruct even when the natural equation is violated")
     p.add_argument("--transpose-probe", action="store_true", dest="transpose_probe")
-    p.add_argument("--tol-congruence", type=float, default=1e-4, dest="tol_congruence")
+    p.add_argument("--tol-congruence", type=float, default=1e-4, dest="tol_congruence",
+                   help="relative tolerance of the --pair congruence test: each of F, L, M, N "
+                        "against its scale at the node, see README \"Zero rule\" (default: 1e-4)")
     p.set_defaults(fn=cmd_reconstruct)
     for name in ("residual", "reconstruct"):  # the commands that use the chart signs
         for k in (1, 2):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ChartError, NotGeneralTypeError, StencilError, refuse
 from .stencils import _unit_steps, check_grid, cross_derivative, cumtrapz_from, gradient
-from .surfaces import kind_field
+from .surfaces import _curvature_scale, kind_field
 
 __all__ = [
     "REL_TOL",
@@ -41,7 +41,8 @@ __all__ = [
 
 # A residual max_abs above REL_TOL * scale violates the natural equation: the
 # default tolerance of `lorsurf residual`, the threshold of reconstruct's
-# warning and of the cmc_pair / minimal_from_K refusals.
+# warning and of the cmc_pair / minimal_from_K refusals.  Each report's scale
+# (ResidualReport.scale) is in the units of its residual.
 REL_TOL = 1e-3
 
 
@@ -54,7 +55,8 @@ class ResidualReport:
     l2: float                  # area-weighted root mean square
     u_interior: np.ndarray
     v_interior: np.ndarray
-    scale: float               # 1 + max|LN| + max M^2, or 1 + max|K| + H^2 for constant H
+    scale: float               # max|LN| + max M^2 (>= 1: |LN| = 1 at the base point),
+                               # or max(H^2 + |K|), the kind rule's scale, for constant H
 
 
 def _trap_weights(t):
@@ -121,7 +123,7 @@ def natural_residual(chart, acc=None):
         Fi = F[1:-1, 1:-1]
         lhs = (Fi * F_uv - F_u * F_v) / Fi
         rhs = acc.L[1:-1, 1:-1] * acc.N[1:-1, 1:-1] - acc.M[1:-1, 1:-1] ** 2
-        scale = 1.0 + float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
+        scale = float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
         residual = lhs - rhs
     return _summarize(residual, u[1:-1], v[1:-1], scale)
 
@@ -152,7 +154,7 @@ def cmc_residual(K, H, u_grid, v_grid):
     phi = 0.5 * np.log(np.abs(d))
     phi_uv = cross_derivative(phi, u, v)
     residual = np.sqrt(np.abs(d[1:-1, 1:-1])) * phi_uv - K[1:-1, 1:-1]
-    return _summarize(residual, u[1:-1], v[1:-1], 1.0 + float(np.max(np.abs(K))) + H * H)
+    return _summarize(residual, u[1:-1], v[1:-1], float(np.max(_curvature_scale(H, K))))
 
 
 def minimal_residual(K, u_grid, v_grid):

@@ -31,7 +31,8 @@ node differences, and forms on component planes, the same bits as the
 component-last formulas.  A warm 801^2 reconstruct of enneper1 takes
 0.79 s, against 0.88 s with component-last mesh forms; congruence_check of
 two 801^2 meshes takes 0.42 s against 0.54 s (medians of six alternating
-runs, each the min of 5, on a 2-vCPU Xeon VM).
+runs, each the min of 5, on a 2-vCPU Xeon VM).  Its per-node scales (see
+_form_scales), taken on the same component planes, add ~0.08 s to that.
 
 The column march is a stream: each column's frames are stored only until
 the slab of columns around it has given its mesh column, invariant drift
@@ -61,7 +62,7 @@ from . import minkowski as mk
 from .chart import _BLOCK, Chart
 from .errors import (ChartError, DegenerateMetricError, InvalidFrameError, NaturalEquationError,
                      NotLorentzSurfaceError, ReconstructionAbort, negligible, node_at, refuse,
-                     within)
+                     relative, within)
 from .natural import (REL_TOL, F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
                       natural_residual)
 from .splines import hermite_midpoints, notaknot_slopes
@@ -382,18 +383,23 @@ def _central(Arr, t, axis):
 
 
 def _euclid(A):
-    return np.sqrt(np.sum(A * A, axis=-1))
+    """Euclidean lengths of the vectors A (..., 3), summed over their component planes."""
+    p = np.moveaxis(A, -1, 0)
+    out = np.square(p[0])
+    out += np.square(p[1])
+    out += np.square(p[2])
+    return np.sqrt(out, out=out)
 
 
 def _interior_form_blocks(mesh, u, v):
     """Fundamental forms of a mesh on its interior nodes, by grid finite differences.
 
-    Yields (cols, FundamentalData) for consecutive blocks of interior columns
-    (cols is a slice of v-indices; the rows are 1..nu-2).  Each block's jets
-    come from the block plus one neighbour column on either side, so every
-    value equals the whole-grid computation's; jets_from_mesh copies the
-    block into component planes once.  The mesh and the grids are checked
-    before the first block.
+    Yields (cols, jets, FundamentalData) for consecutive blocks of interior
+    columns (cols is a slice of v-indices; the rows are 1..nu-2).  Each block's
+    jets come from the block plus one neighbour column on either side, so every
+    value equals the whole-grid computation's, and the forms are those of the
+    jets' interior; jets_from_mesh copies the block into component planes
+    once.  The mesh and the grids are checked before the first block.
     """
     mesh = np.asarray(mesh, dtype=float)
     u = check_grid(u, "u_grid", 3)
@@ -411,7 +417,7 @@ def _interior_form_blocks(mesh, u, v):
                 fd = fundamental_forms(interior)
             except (DegenerateMetricError, NotLorentzSurfaceError) as exc:
                 raise exc.at(u, v, 1, j, "mesh node") from None
-            yield slice(j, k), fd
+            yield slice(j, k), jets, fd
 
     return blocks()
 
@@ -485,7 +491,7 @@ def reconstruct(chart, seed=None, transpose_probe=False):
         dF = np.empty((nu - 2, nv - 2))
         dH = np.empty((nu - 2, nv - 2))
         e_max, g_max = [], []
-        for cols, fd in _interior_form_blocks(mesh, u, v):
+        for cols, _, fd in _interior_form_blocks(mesh, u, v):
             inner = slice(cols.start - 1, cols.stop - 1)
             dF[:, inner] = np.abs(fd.F - chart.F[1:-1, cols])
             dH[:, inner] = np.abs(fd.H - chart.H[1:-1, cols])
@@ -569,29 +575,63 @@ class CongruenceVerdict(Enum):
 @dataclass
 class CongruenceReport:
     verdict: CongruenceVerdict
-    mismatch: dict      # max |coefficient difference| per field F, L, M, N
+    mismatch: dict      # max |coefficient difference| / scale per field F, L, M, N
     mismatch_flipped: dict
     tol: float
+
+
+def _extent(mesh):
+    """The Euclidean diagonal of the bounding box of a mesh (nu, nv, 3)."""
+    mesh = np.asarray(mesh, dtype=float)
+    return float(np.linalg.norm([np.ptp(mesh[..., k]) for k in range(3)]))
+
+
+def _form_scales(jets, fd, extent):
+    """The scale of each of F, L, M, N at every node: |x_u| |x_v| for F, and
+    |l| (|x_uu| + |x_u|^2 / R), |l| (|x_uv| + sqrt(|x_uu| |x_vv|) + |x_u| |x_v| / R),
+    |l| (|x_vv| + |x_v|^2 / R) for L, M, N (Euclidean lengths, R the mesh's extent).
+
+    `fd` holds the forms of the interior of `jets`, a block of _interior_form_blocks,
+    whose whole contiguous planes give the lengths.  Each scale bounds its
+    coefficient and scales with it under x -> lam x, u -> a u and v -> b v.  The
+    R terms keep a scale on a flat patch, where every second derivative is
+    rounding noise; sqrt(|x_uu| |x_vv|) keeps one for M where only x_uv is
+    (H = 0).  L and N are judged against their own second derivatives, so a
+    mesh whose u and v tangents differ in length does not swamp either.
+    """
+    a, b, uu, uv, vv = map(_euclid, (jets.x_u, jets.x_v, jets.x_uu, jets.x_uv, jets.x_vv))
+    l = _euclid(fd.l)
+    inner = (slice(1, -1), slice(1, -1))
+    ab = a * b
+    return {"F": ab[inner],
+            "L": l * (uu + a * a / extent)[inner],
+            "M": l * (uv + np.sqrt(uu * vv) + ab / extent)[inner],
+            "N": l * (vv + b * b / extent)[inner]}
 
 
 def congruence_check(mesh_a, mesh_b, u_grid, v_grid, tol=1e-6):
     """Intrinsic congruence test on two meshes over the same grid.
 
     Both meshes are re-analyzed by grid finite differences, one block of
-    columns at a time, and compared through (F, L, M, N) on interior nodes.
-    All four matching within tol means congruent up to a proper motion; F
-    matching while (L, M, N) match with a global sign flip indicates a
-    non-proper motion.
+    columns at a time, and compared through (F, L, M, N) on interior nodes,
+    each difference relative to the larger of the two meshes' scales of that
+    coefficient at the node (see _form_scales), so the verdict does not depend
+    on the size of the surface.  All four matching within the relative `tol`
+    means congruent up to a proper motion; F matching while (L, M, N) match
+    with a global sign flip indicates a non-proper motion.
     """
     diff = dict.fromkeys("FLMN", -np.inf)
     summ = dict.fromkeys("LMN", -np.inf)
-    for (_, fa), (_, fb) in zip(_interior_form_blocks(mesh_a, u_grid, v_grid),
-                                _interior_form_blocks(mesh_b, u_grid, v_grid)):
+    blocks_a = _interior_form_blocks(mesh_a, u_grid, v_grid)
+    blocks_b = _interior_form_blocks(mesh_b, u_grid, v_grid)
+    extent_a, extent_b = _extent(mesh_a), _extent(mesh_b)
+    for (_, ja, fa), (_, jb, fb) in zip(blocks_a, blocks_b):
+        sa, sb = _form_scales(ja, fa, extent_a), _form_scales(jb, fb, extent_b)
         for name in diff:
-            a, b = getattr(fa, name), getattr(fb, name)
-            diff[name] = np.maximum(diff[name], np.max(np.abs(a - b)))
+            a, b, scale = getattr(fa, name), getattr(fb, name), np.maximum(sa[name], sb[name])
+            diff[name] = np.maximum(diff[name], np.max(relative(a - b, scale)))
             if name in summ:
-                summ[name] = np.maximum(summ[name], np.max(np.abs(a + b)))
+                summ[name] = np.maximum(summ[name], np.max(relative(a + b, scale)))
     mismatch = {name: float(m) for name, m in diff.items()}
     flipped = {"F": mismatch["F"]}
     flipped.update({name: float(m) for name, m in summ.items()})

@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 KIND_TOL = 1e-8  # the relative size at which H^2 - K vanishes against H^2 + |K|
+# the relative size, against max(|E|, |F|, |G|)^2, at which fundamental_forms finds
+# EG - F^2 vanishing or <w, w> not positive
+METRIC_TOL = 1e-12
 
 
 @dataclass
@@ -202,12 +205,15 @@ def jets_from_mesh(mesh, u_grid, v_grid):
     return SurfaceJet2(mesh, *np.moveaxis(jets, 1, -1))
 
 
-def fundamental_forms(jet, tol=1e-12):
+def fundamental_forms(jet):
     """Fundamental form coefficients, unit normal and invariants from a 2-jet.
 
     Requires a Lorentz surface point: x_u, x_v independent with spacelike
-    normal direction, i.e. <w, w> > 0 for w = cross(x_u, x_v).  K and H use
-    the general-coordinate formulas; in null coordinates they reduce to
+    normal direction, i.e. <w, w> > 0 for w = cross(x_u, x_v).  With s =
+    max(|E|, |F|, |G|), DegenerateMetricError names the first node where
+    EG - F^2 is negligible against s^2 at METRIC_TOL, and
+    NotLorentzSurfaceError the first where <w, w> <= METRIC_TOL * s^2.
+    K and H use the general-coordinate formulas; in null coordinates they reduce to
     K = (M^2 - LN)/F^2 and H = M/F.  The products run on component planes
     (views with the component axis first), so the jets of jets_from_mesh are
     read contiguously; the unit normal l is a (..., 3) view of its planes.
@@ -224,8 +230,8 @@ def fundamental_forms(jet, tol=1e-12):
     ww = mk.inner_planes(w, w)  # equals F^2 - EG by the Lagrange identity
     scale = np.maximum(np.abs(E), np.maximum(np.abs(F), np.abs(G)))
     disc = E * G - F * F
-    refuse(DegenerateMetricError, np.abs(disc) <= tol * scale**2, "EG - F^2 vanishes")
-    refuse(NotLorentzSurfaceError, ww <= tol * scale**2, "normal direction not spacelike")
+    refuse(DegenerateMetricError, negligible(disc, scale**2, METRIC_TOL), "EG - F^2 vanishes")
+    refuse(NotLorentzSurfaceError, ww <= METRIC_TOL * scale**2, "normal direction not spacelike")
     l = w
     l /= np.sqrt(ww)
     L = mk.inner_planes(x_uu, l)

@@ -336,6 +336,21 @@ def test_residual_refined_must_refine_the_source_chart(capsys, tmp_path, fine, w
     assert not (tmp_path / "r.json").exists()
 
 
+def test_residual_refined_base_point_is_a_node_of_its_own_span(capsys, tmp_path):
+    # on a u span of 0.01 a base point 3e-10 off is 3e-8 of the span: another node
+    domain = (1.0, 1.01, -1.0, -0.99)
+    coarse = _enneper1_file(tmp_path, "c.json", 21, 21, domain)
+    u, v = np.linspace(*domain[:2], 41), np.linspace(*domain[2:], 41)
+    u[20] += 3e-10
+    refined = str(tmp_path / "f.json")
+    ls.write_chart(ls.reference_chart("enneper1", u, v), refined)
+    code = run("residual", coarse, "--mode", "minimal", "--refined", refined)
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith("lorsurf: error: --refined chart has base point (u0, v0) "
+                               "[1.0050000003, -0.995]")
+
+
 def test_residual_refined_signs_are_compared_after_the_override(tmp_path):
     coarse = _enneper1_file(tmp_path, "c.json", 21, 21)
     refined = _enneper1_file(tmp_path, "f.json", 41, 41, eps1=-1)

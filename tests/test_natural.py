@@ -140,12 +140,14 @@ def test_natural_residual_perturbed_cylinder():
 
 
 def test_residual_reports_carry_their_scale():
-    # L = N = 1 and M = F H = 1.05: the general scale is 1 + max|LN| + max M^2
-    assert ls.natural_residual(constant_chart(2.1, 0.5)).scale == 1.0 + 1.0 + 1.05**2
+    # L = N = 1 and M = F H = 1.05: the general scale is max|LN| + max M^2
+    assert ls.natural_residual(constant_chart(2.1, 0.5)).scale == 1.0 + 1.05**2
+    # for constant H it is max(H^2 + |K|), in the units of K, with no floor
     g = np.linspace(0.0, 1.0, 11)
     K = np.linspace(-0.5, -0.25, 121).reshape(11, 11)
-    assert ls.cmc_residual(K, 1.5, g, g).scale == 1.0 + 0.5 + 1.5**2
-    assert ls.minimal_residual(K, g, g).scale == 1.0 + 0.5
+    assert ls.cmc_residual(K, 1.5, g, g).scale == 1.5**2 + 0.5
+    assert ls.minimal_residual(K, g, g).scale == 0.5
+    assert ls.minimal_residual(K * 1e-6, g * 1e3, g * 1e3).scale == 0.5e-6
 
 
 def test_natural_residual_cone_converges_at_order_2():
