@@ -101,6 +101,20 @@ def _status(name, values):
     return {"name": name, "values": values, "tolerance": None, "pass": None}
 
 
+# The defaults of the tolerance flags.  A flag's default is applied where a
+# check or status reads it (_tolerance), so a report records a tolerance only
+# when the run read it.
+_DEFAULTS = {"tol_iso": 1e-8, "tol_normal": 1e-9, "tol_ref": 1e-9, "tol_canonical": 1e-6,
+             "min_order": 1.9, "tol_congruence": 1e-4}
+
+
+def _tolerance(args, name, tolerances):
+    """The flag `name`'s value, its default when not given, recorded in `tolerances`."""
+    value = getattr(args, name)
+    tolerances[name] = _DEFAULTS[name] if value is None else value
+    return tolerances[name]
+
+
 def _finish(args, command, inputs, tolerances, checks, statuses, **summary):
     """Write a command's report to --report (stdout without it); its exit code.
 
@@ -185,7 +199,8 @@ def _largest(x, scale):
     return float(np.max(relative(x, scale)))
 
 
-def _canonical_status(chart, tol):
+def _canonical_status(chart, args, tolerances):
+    tol = _tolerance(args, "tol_canonical", tolerances)
     rep = verify_canonical(chart, tol=tol)
     return _status("canonical", {
         "status": "pass" if rep.passed else "fail",
@@ -195,8 +210,13 @@ def _canonical_status(chart, tol):
 
 def cmd_analyze(args):
     src = _Source(args)
-    checks, statuses = [], []
-    tol_iso, tol_normal, tol_ref = args.tol_iso, args.tol_normal, args.tol_ref
+    if not src.is_corpus:
+        if args.mesh:
+            raise ChartError("mesh export requires a corpus source")
+        if any(t is not None for t in (args.tol_iso, args.tol_normal, args.tol_ref)):
+            raise ChartError("--tol-iso/--tol-normal/--tol-ref apply to corpus sources only; "
+                             "a chart file has no jets to check")
+    checks, statuses, tolerances = [], [], {}
 
     if src.is_corpus:
         entry = src.entry
@@ -220,6 +240,8 @@ def cmd_analyze(args):
             exc.node = tuple(int(k) for k in np.argwhere(valid)[exc.node[0]])
             raise exc.at(u_grid, v_grid, what="grid node") from None
 
+        tol_iso, tol_normal, tol_ref = (_tolerance(args, name, tolerances)
+                                        for name in ("tol_iso", "tol_normal", "tol_ref"))
         nxu, nxv, nl = (np.linalg.norm(t, axis=-1) for t in (jets.x_u, jets.x_v, fd.l))
         iso = {"max_abs_E": _largest(fd.E, nxu * nxu), "max_abs_G": _largest(fd.G, nxv * nxv),
                "min_F": float(np.min(fd.F / (nxu * nxv)))}
@@ -265,7 +287,7 @@ def cmd_analyze(args):
             # verify_canonical reads only the base lines, which are regular here
             forms = SimpleNamespace(L=fd.L[at], N=fd.N[at], u0_index=i0, v0_index=j0,
                                     u0=src.u0, v0=src.v0, eps1=signs[0], eps2=signs[1])
-            statuses.append(_canonical_status(forms, args.tol_canonical))
+            statuses.append(_canonical_status(forms, args, tolerances))
 
         if args.mesh:
             mesh = entry.position(U, V)
@@ -273,26 +295,23 @@ def cmd_analyze(args):
                            comments=[f"source corpus:{entry.name}"])
             write_mesh_csv(mesh, u_grid, v_grid, args.mesh + ".csv")
     else:
-        if args.mesh:
-            raise ChartError("mesh export requires a corpus source")
         chart = src.chart()
         if chart.L is not None and chart.N is not None:
             # H^2 - K = LN/F^2 in null coordinates
             K = chart.K if chart.K is not None else chart.H**2 - chart.L * chart.N / chart.F**2
             statuses.append(_status("classification", _kind_counts(K, chart.H)))
-            statuses.append(_canonical_status(chart, args.tol_canonical))
+            statuses.append(_canonical_status(chart, args, tolerances))
         nat = natural_residual(chart)
         statuses.append(_status("natural_residual", {"max_abs": nat.max_abs, "l2": nat.l2}))
 
-    return _finish(args, "analyze", src.inputs,
-                   {"tol_iso": tol_iso, "tol_normal": tol_normal,
-                    "tol_ref": tol_ref, "tol_canonical": args.tol_canonical},
-                   checks, statuses)
+    return _finish(args, "analyze", src.inputs, tolerances, checks, statuses)
 
 
 # -- canonicalize --------------------------------------------------------------
 
 def cmd_canonicalize(args):
+    tolerances = {}
+    tol = _tolerance(args, "tol_canonical", tolerances)
     src = _Source(args)
     chart = src.chart()
     if chart.L is None or chart.N is None:
@@ -305,15 +324,15 @@ def cmd_canonicalize(args):
     nu, nv = (args.canon_nodes,) * 2 if args.canon_nodes else chart.shape
     cu = grid_through(float(umap(chart.u0)), *umap.range, nu)
     cv = grid_through(float(vmap(chart.v0)), *vmap.range, nv)
-    out = resample_to_canonical(chart, maps, cu, cv, tol=args.tol_canonical)
-    rep = verify_canonical(out, tol=args.tol_canonical)
+    out = resample_to_canonical(chart, maps, cu, cv, tol=tol)
+    rep = verify_canonical(out, tol=tol)
     write_chart(out, args.output)
     return _finish(
         args, "canonicalize", dict(src.inputs, tilde_u0=args.tilde_u0, tilde_v0=args.tilde_v0),
-        {"tol_canonical": args.tol_canonical},
+        tolerances,
         [_check("canonical", {"max_dev_L": rep.max_dev_L, "max_dev_N": rep.max_dev_N,
                               "eps1": rep.eps1, "eps2": rep.eps2, "base": list(rep.base)},
-                args.tol_canonical, rep.passed)],
+                tol, rep.passed)],
         [_status("canonical_maps", {"u_range": list(umap.range), "v_range": list(vmap.range),
                                     "canonical_grid": [int(cu.size), int(cv.size)]})],
         output_chart=args.output)
@@ -368,12 +387,16 @@ def _refinement(coarse, fine):
 
 
 def cmd_residual(args):
+    if args.min_order is not None and not (args.refine or args.refined):
+        raise ChartError("--min-order applies to --refine or --refined only; "
+                         "one grid gives no order estimate")
     src = _Source(args)
     chart = src.chart()
     fine = src.chart(args.refine or 1, args.refined) if args.refine or args.refined else None
     factor = None if fine is None else _refinement(chart, fine)
     rep = _residual_for(chart, args.mode)
     tol = args.tol if args.tol is not None else REL_TOL * rep.scale
+    tolerances = {"tol": tol}
 
     checks = [_check("residual", {"max_abs": rep.max_abs, "l2": rep.l2,
                                   "scale": rep.scale}, tol, within([rep.max_abs], tol))]
@@ -384,11 +407,11 @@ def cmd_residual(args):
         # null, it passes only when the finer grid's residual is exactly zero.
         # A defined order passes when min_order <= order, both finite.
         defined = finite(order)
+        min_order = _tolerance(args, "min_order", tolerances)
         checks.append(_check("order", {"order_estimate": order if defined else None},
-                             args.min_order, within([args.min_order], order)
+                             min_order, within([min_order], order)
                              if defined else rep2.max_abs == 0.0))
-    return _finish(args, "residual", dict(src.inputs, mode=args.mode),
-                   {"tol": tol, "min_order": args.min_order}, checks, [])
+    return _finish(args, "residual", dict(src.inputs, mode=args.mode), tolerances, checks, [])
 
 
 # -- reconstruct ----------------------------------------------------------------
@@ -429,7 +452,6 @@ def _result_status(tag, res):
         "natural_residual_max_abs": res.natural_max_abs,
         "natural_warning": res.natural_warning,
         "eps1": res.eps1, "eps2": res.eps2,
-        "transpose_diff": res.transpose_diff,
     })
 
 
@@ -442,13 +464,14 @@ def cmd_reconstruct(args):
     if args.pair and (args.eps1 is not None or args.eps2 is not None):
         raise ChartError("--pair fixes the signs of both pair members itself; "
                          "drop --eps1/--eps2")
-    if args.pair and args.transpose_probe:
-        raise ChartError("--transpose-probe applies to a single reconstruction, not --pair")
     if args.force and not args.pair:
         raise ChartError("--force applies to --pair only; a single reconstruction warns")
+    if args.tol_congruence is not None and not args.pair:
+        raise ChartError("--tol-congruence applies to --pair only; "
+                         "a single reconstruction has no congruence test")
     src = _Source(args)
     chart = src.chart()
-    statuses = []
+    statuses, tolerances = [], {}
     warning = False
     seed = _load_seed(args.seed)
     with warnings.catch_warnings():
@@ -464,22 +487,22 @@ def cmd_reconstruct(args):
             _export_mesh(res_m, args.mesh + "_m", f"cmc pair, eps=({res_m.eps1},{res_m.eps2})")
             statuses.append(_result_status("reconstruction_p", res_p))
             statuses.append(_result_status("reconstruction_m", res_m))
-            cong = congruence_check(res_p.mesh, res_m.mesh, chart.u_grid, chart.v_grid,
-                                    tol=args.tol_congruence)
+            tol = _tolerance(args, "tol_congruence", tolerances)
+            cong = congruence_check(res_p.mesh, res_m.mesh, chart.u_grid, chart.v_grid, tol=tol)
             statuses.append(_status("pair_congruence", {
                 "verdict": cong.verdict.value,
                 "mismatch": cong.mismatch, "mismatch_flipped": cong.mismatch_flipped,
-                "tolerance": args.tol_congruence}))
+                "tolerance": tol}))
             warning = res_p.natural_warning or res_m.natural_warning
         else:
-            res = reconstruct(chart, seed=seed, transpose_probe=args.transpose_probe)
+            res = reconstruct(chart, seed=seed)
             _export_mesh(res, args.mesh, f"eps=({res.eps1},{res.eps2})")
             statuses.append(_result_status("reconstruction", res))
             warning = res.natural_warning
 
     return _finish(args, "reconstruct",
                    dict(src.inputs, pair=bool(args.pair), seed=args.seed or "standard"),
-                   {"tol_congruence": args.tol_congruence}, [], statuses,
+                   tolerances, [], statuses,
                    warning=bool(warning), mesh_prefix=args.mesh)
 
 
@@ -517,6 +540,13 @@ def _add_source_args(p):
     p.add_argument("--report", default=None, help="report JSON path (default: stdout)")
 
 
+def _add_tolerance(p, flag, text):
+    """A float flag whose default, stated in its help, _tolerance applies where it is read."""
+    name = flag[2:].replace("-", "_")
+    p.add_argument(flag, type=float, default=None, dest=name,
+                   help=f"{text} (default: {_DEFAULTS[name]:g})")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lorsurf",
@@ -527,19 +557,19 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="fundamental forms, invariants, classification")
     _add_source_args(p)
-    p.add_argument("--tol-canonical", type=float, default=1e-6, dest="tol_canonical")
+    _add_tolerance(p, "--tol-canonical", "tolerance of the canonical status")
     p.add_argument("--mesh", default=None, help="mesh export prefix (corpus sources)")
-    p.add_argument("--tol-iso", type=float, default=1e-8, dest="tol_iso",
-                   help="tolerance on |E|/|x_u|^2 and |G|/|x_v|^2; F/(|x_u||x_v|) must exceed it")
-    p.add_argument("--tol-normal", type=float, default=1e-9, dest="tol_normal",
-                   help="tolerance on |l^2 - 1|/|l|^2, |<x_u,l>|/(|x_u||l|), |<x_v,l>|/(|x_v||l|)")
-    p.add_argument("--tol-ref", type=float, default=1e-9, dest="tol_ref",
-                   help="tolerance on |field - reference| / scale, node by node (see README)")
+    _add_tolerance(p, "--tol-iso", "tolerance on |E|/|x_u|^2 and |G|/|x_v|^2; "
+                   "F/(|x_u||x_v|) must exceed it (corpus sources)")
+    _add_tolerance(p, "--tol-normal", "tolerance on |l^2 - 1|/|l|^2, |<x_u,l>|/(|x_u||l|), "
+                   "|<x_v,l>|/(|x_v||l|) (corpus sources)")
+    _add_tolerance(p, "--tol-ref", "tolerance on |field - reference| / scale, node by node "
+                   "(corpus sources, see README)")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("canonicalize", help="construct canonical coordinates")
     _add_source_args(p)
-    p.add_argument("--tol-canonical", type=float, default=1e-6, dest="tol_canonical")
+    _add_tolerance(p, "--tol-canonical", "tolerance of the canonical check")
     p.add_argument("--tilde-u0", type=float, default=0.0, dest="tilde_u0")
     p.add_argument("--tilde-v0", type=float, default=0.0, dest="tilde_v0")
     p.add_argument("--canon-nodes", type=_int_at_least(3), default=None, dest="canon_nodes",
@@ -553,7 +583,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=None,
                    help=f"tolerance of the residual max_abs (default: {REL_TOL:g} * the "
                         "report's scale, see README \"Zero rule\")")
-    p.add_argument("--min-order", type=float, default=1.9, dest="min_order")
+    _add_tolerance(p, "--min-order", "least passing order estimate (with --refine or --refined)")
     p.add_argument("--refine", type=_int_at_least(2), default=None,
                    help="refinement factor for a two-grid order estimate (corpus)")
     p.add_argument("--refined", default=None, help="refined chart file for the order estimate")
@@ -567,10 +597,8 @@ def build_parser():
                    help="reconstruct both members of the CMC pair from (K, H)")
     p.add_argument("--force", action="store_true",
                    help="reconstruct even when the natural equation is violated")
-    p.add_argument("--transpose-probe", action="store_true", dest="transpose_probe")
-    p.add_argument("--tol-congruence", type=float, default=1e-4, dest="tol_congruence",
-                   help="relative tolerance of the --pair congruence test: each of F, L, M, N "
-                        "against its scale at the node, see README \"Zero rule\" (default: 1e-4)")
+    _add_tolerance(p, "--tol-congruence", "relative tolerance of the --pair congruence test: "
+                   "each of F, L, M, N against its scale at the node, see README \"Zero rule\"")
     p.set_defaults(fn=cmd_reconstruct)
     for name in ("residual", "reconstruct"):  # the commands that use the chart signs
         for k in (1, 2):

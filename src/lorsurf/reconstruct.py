@@ -16,30 +16,25 @@ line; using the spline's own derivative for F_u/F keeps the frame
 invariants exact for the continuous system, so their drift measures pure
 integration error (order 4).
 
-One kernel (_RK4) makes every step of the base line, the columns and the
-transpose probe.  It works on component-major states (4, 3, m), in which
-each component of X, Y, l and x is one contiguous row of m lines, forms
-each node's and each midpoint's coefficient row once, and reuses its stage
-buffers.  It keeps every floating-point operation of the plain formulas in
-their order, so a line's states are the same bits however many lines march
-with it.
+One kernel (_RK4) makes every step of the base line and the columns.  It
+works on component-major states (4, 3, m), in which each component of X,
+Y, l and x is one contiguous row of m lines, forms each node's and each
+midpoint's coefficient row once, and reuses its stage buffers.  It keeps
+every floating-point operation of the plain formulas in their order, so a
+line's states are the same bits however many lines march with it.
 
 The form mismatch and congruence_check re-derive the forms from a mesh,
 one block of _BLOCK interior columns at a time, through the public
 jets_from_mesh and fundamental_forms: component-major jets from shared
 node differences, and forms on component planes, the same bits as the
-component-last formulas.  A warm 801^2 reconstruct of enneper1 takes
-0.79 s, against 0.88 s with component-last mesh forms; congruence_check of
-two 801^2 meshes takes 0.42 s against 0.54 s (medians of six alternating
-runs, each the min of 5, on a 2-vCPU Xeon VM).  Its per-node scales (see
-_form_scales), taken on the same component planes, add ~0.08 s to that.
+component-last formulas.  congruence_check takes its per-node scales (see
+_form_scales) on the same component planes.
 
 The column march is a stream: each column's frames are stored only until
 the slab of columns around it has given its mesh column, invariant drift
 and compatibility residuals, so no whole-grid frame array exists and the
-results hold no frames.  The transpose probe streams its own march in the
-same way.  Errors of a march name its stage (base line, columns or probe),
-the full-grid node (i, j) and its (u, v).
+results hold no frames.  Errors of a march name its stage (base line or
+columns), the full-grid node (i, j) and its (u, v).
 
 Frames are never re-orthonormalized during the march: invariant drift and
 the cross-derivative residual d_v X - d_u Y are diagnostics of input
@@ -54,7 +49,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -295,19 +290,20 @@ def _march(t, i0, F, P, Q, S0, place):
         yield n, S
 
 
-def _grid_march(u, v, F, L, M, N, i0, j0, S0, base, columns):
+def _grid_march(u, v, F, L, M, N, i0, j0, S0):
     """Stream the frame states marched from S0 (4, 3) at node (i0, j0), column by column.
 
     The base line v = v0 is marched first, as one line; the columns then
     march together from it on X/Y-swapped states (see _SWAP_XY).  Yields
     (j, S) in the order of _march, S (4, 3, nu) the swapped component-major
-    states of column j.  `base` and `columns` place the two marches.
+    states of column j.
     """
     line = slice(j0, j0 + 1)
     states = np.empty((4, 3, u.size))
+    base = _Place("base line", u, v, False, j0)
     for n, S in _march(u, i0, F[:, line], L[:, line], M[:, line], S0[..., None], base):
         states[..., n] = S[..., 0]
-    yield from _march(v, j0, F.T, N.T, M.T, states[_SWAP_XY, :], columns)
+    yield from _march(v, j0, F.T, N.T, M.T, states[_SWAP_XY, :], _Place("columns", u, v, True))
 
 
 def _slabs(columns, j0):
@@ -368,7 +364,6 @@ class ReconstructionResult:
     form_mismatch: FormMismatch
     natural_max_abs: float
     natural_warning: bool
-    transpose_diff: Optional[float] = None
 
 
 def _central(Arr, t, axis):
@@ -422,18 +417,18 @@ def _interior_form_blocks(mesh, u, v):
     return blocks()
 
 
-def reconstruct(chart, seed=None, transpose_probe=False):
+def reconstruct(chart, seed=None):
     """March the frame system over a chart and assemble all diagnostics.
 
-    The chart should satisfy the natural equation; a residual above
-    REL_TOL * scale only warns (the resulting diagnostics then exhibit the
-    inconsistency, which is the point of the probe).  Non-finite accumulated
-    L, M or N abort before the march.  The columns stream
-    from the march in slabs (see _slabs), and each slab's mesh columns,
-    invariant drift and compatibility residuals are stored before the next
-    is marched; no frame is kept beyond its slab.  The form mismatch then
-    runs over blocks of interior mesh columns.  `transpose_probe` marches
-    the columns first as well and records the largest mesh distance.
+    The chart should satisfy the natural equation, the integrability
+    condition of the frame system; a residual above REL_TOL * scale only
+    warns, and the compatibility residual max_compat (|d_v X - d_u Y|) then
+    exhibits the inconsistency.  Non-finite accumulated L, M or N abort
+    before the march.  The columns stream from the march in slabs (see
+    _slabs), and each slab's mesh columns, invariant drift and
+    compatibility residuals are stored before the next is marched; no frame
+    is kept beyond its slab.  The form mismatch then runs over blocks of
+    interior mesh columns.
     """
     chart.validate()
     acc = accumulate_LN(chart)
@@ -462,9 +457,7 @@ def reconstruct(chart, seed=None, transpose_probe=False):
     drift = np.empty((nu, nv))
     compat = np.empty((nu - 2, nv - 2))
     compat_l = np.empty((nu - 2, nv - 2))
-    S0 = seed.as_array()
-    columns = _grid_march(u, v, chart.F, acc.L, acc.M, acc.N, i0, j0, S0,
-                          _Place("base line", u, v, False, j0), _Place("columns", u, v, True))
+    columns = _grid_march(u, v, chart.F, acc.L, acc.M, acc.N, i0, j0, seed.as_array())
     # diagnostics that overflow on huge finite states are recorded, and fail a report
     with np.errstate(over="ignore", invalid="ignore"):
         for cols, S, new in _slabs(columns, j0):
@@ -502,13 +495,6 @@ def reconstruct(chart, seed=None, transpose_probe=False):
             h_max=float(dH.max()), h_l2=float(np.sqrt(np.mean(dH**2))),
             e_max=float(np.max(e_max)), g_max=float(np.max(g_max)))
 
-        transpose_diff = None
-        if transpose_probe:
-            rows = _grid_march(v, u, chart.F.T, acc.N.T, acc.M.T, acc.L.T, j0, i0,
-                               S0[_SWAP_XY, :], _Place("probe base line", u, v, True, i0),
-                               _Place("probe rows", u, v, False))
-            transpose_diff = float(max(np.max(_euclid(S[3].T - mesh[i])) for i, S in rows))
-
     return ReconstructionResult(
         u_grid=u.copy(), v_grid=v.copy(), mesh=mesh,
         eps1=chart.eps1, eps2=chart.eps2,
@@ -516,8 +502,7 @@ def reconstruct(chart, seed=None, transpose_probe=False):
         compat_residual=compat, max_compat=float(compat.max()),
         compat_residual_l=compat_l, max_compat_l=float(compat_l.max()),
         form_mismatch=mismatch,
-        natural_max_abs=nat.max_abs, natural_warning=bool(warning),
-        transpose_diff=transpose_diff)
+        natural_max_abs=nat.max_abs, natural_warning=bool(warning))
 
 
 def _cmc_chart(F, H, u, v, eps1, eps2):

@@ -724,16 +724,66 @@ def test_reconstruct_pair_refuses_the_H_fields_that_mode_minimal_accepts(capsys,
 
 
 @pytest.mark.parametrize("source, flags, message", [
-    ("cylinder", ["--pair", "--transpose-probe"],
-     "--transpose-probe applies to a single reconstruction, not --pair"),
     ("enneper1", ["--force"], "--force applies to --pair only; a single reconstruction warns"),
-], ids=["pair_with_transpose_probe", "force_without_pair"])
+    ("enneper1", ["--tol-congruence", "5"],
+     "--tol-congruence applies to --pair only; a single reconstruction has no congruence test"),
+], ids=["force_without_pair", "tol_congruence_without_pair"])
 def test_reconstruct_refuses_flags_that_would_do_nothing(capsys, tmp_path, source, flags, message):
     code = run("reconstruct", source, "--grid", "11x11", *flags, "--mesh", str(tmp_path / "m"))
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
     assert code == 2
     assert lines == [f"lorsurf: error: {message}"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_residual_refuses_flags_that_would_do_nothing(capsys, tmp_path):
+    # one grid gives no order estimate, so no check would read --min-order
+    code = run("residual", "enneper1", "--grid", "11x11", "--mode", "minimal",
+               "--min-order", "7", "--report", str(tmp_path / "r.json"))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert lines == ["lorsurf: error: --min-order applies to --refine or --refined only; "
+                     "one grid gives no order estimate"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--tol-iso", "--tol-normal", "--tol-ref"])
+def test_analyze_refuses_flags_that_would_do_nothing(capsys, tmp_path, flag):
+    # the isotropy, normal and reference checks need the jets of a corpus surface
+    path = tmp_path / "c.json"
+    ls.write_chart(enneper1_chart(11), str(path))
+    code = run("analyze", str(path), flag, "1e-3", "--report", str(tmp_path / "r.json"))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 2
+    assert lines == ["lorsurf: error: --tol-iso/--tol-normal/--tol-ref apply to corpus "
+                     "sources only; a chart file has no jets to check"]
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["analyze", "enneper1"], ["tol_iso", "tol_normal", "tol_ref", "tol_canonical"]),
+    (["analyze", "lorentz_sphere"], ["tol_iso", "tol_normal", "tol_ref"]),
+    (["analyze", "{plain}"], []),
+    (["analyze", "{forms}"], ["tol_canonical"]),
+    (["canonicalize", "hyperbolic_cone", "--output", "{tmp}/c.json"], ["tol_canonical"]),
+    (["residual", "enneper1", "--mode", "minimal"], ["tol"]),
+    (["residual", "enneper1", "--mode", "minimal", "--refine", "2"], ["tol", "min_order"]),
+    (["reconstruct", "enneper1", "--mesh", "{tmp}/m"], []),
+    (["reconstruct", "cylinder", "--pair", "--mesh", "{tmp}/m"], ["tol_congruence"]),
+], ids=["analyze_corpus", "analyze_no_canonical", "analyze_chart", "analyze_chart_LN",
+        "canonicalize", "residual", "residual_order", "reconstruct", "reconstruct_pair"])
+def test_reports_record_the_tolerances_that_were_read(tmp_path, argv, recorded):
+    g = np.linspace(1.0, 2.0, 11)
+    paths = {"plain": tmp_path / "plain.json", "forms": tmp_path / "forms.json"}
+    ls.write_chart(enneper1_chart(11), str(paths["plain"]))  # F and H only
+    ls.write_chart(ls.reference_chart("enneper1", g, g - 2.0), str(paths["forms"]))
+    argv = [a.format(tmp=tmp_path, **paths) for a in argv]
+    grid = ["--grid", "11x11"] if argv[1] in ls.names() else []
+    rep = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert run(*argv, *grid, "--report", str(rep)) in (0, 1)
+    assert list(load(str(rep))["effective_tolerances"]) == recorded
 
 
 def test_reconstruct_defective_chart_warns_but_succeeds(tmp_path):

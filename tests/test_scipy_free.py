@@ -39,8 +39,7 @@ runs = {
     "canonicalize chart": ["canonicalize", chart, "--canon-nodes", "15",
                            "--output", os.path.join(tmp, "again.json")],
     "analyze chart": ["analyze", chart],
-    "reconstruct probe": ["reconstruct", "enneper1", "--grid", "21x21", "--transpose-probe",
-                          "--mesh", os.path.join(tmp, "e1")],
+    "reconstruct": ["reconstruct", "enneper1", "--grid", "21x21", "--mesh", os.path.join(tmp, "e1")],
     "reconstruct pair": ["reconstruct", "cylinder", "--grid", "21x21", "--domain", "0:1,0:1",
                          "--pair", "--mesh", os.path.join(tmp, "cyl")],
 }
