@@ -9,6 +9,7 @@ its Frenet-type frame system.
 """
 
 from .canonical import (
+    CANONICAL_TOL,
     CanonicalReport,
     MonotoneMap,
     canonical_gauge_transform,
@@ -45,6 +46,7 @@ from .minkowski import (
     vec,
 )
 from .natural import (
+    MIN_ORDER,
     REL_TOL,
     F_from_K_cmc,
     ResidualReport,
@@ -66,6 +68,7 @@ from .reconstruct import (
     reconstruct,
 )
 from .surfaces import (
+    ISO_TOL,
     FundamentalData,
     KindReport,
     PseudoArcReport,

@@ -30,6 +30,7 @@ from .stencils import check_grid
 from .surfaces import SurfaceJet2, SurfaceProvider, fundamental_forms
 
 __all__ = [
+    "CANONICAL_TOL",
     "MonotoneMap",
     "canonical_maps",
     "canonical_maps_from_lines",
@@ -39,6 +40,10 @@ __all__ = [
     "canonical_gauge_transform",
     "reparametrize_provider",
 ]
+
+# The standard of canonicity: L on v = v0 and N on u = u0 are canonical when
+# they deviate from eps1 and eps2 by at most this.
+CANONICAL_TOL = 1e-6
 
 
 @dataclass
@@ -149,7 +154,7 @@ def canonical_maps(provider, u0, v0, u_grid, v_grid, tilde_u0=0.0, tilde_v0=0.0)
 
 
 def resample_to_canonical(chart, maps, canonical_u_grid, canonical_v_grid,
-                          tol=1e-6):
+                          tol=CANONICAL_TOL):
     """Pull a chart back through canonical maps onto canonical grids.
 
     Source fields are evaluated at (u, v) = (umap^-1(tu), vmap^-1(tv)) by
@@ -211,7 +216,7 @@ class CanonicalReport:
     base: tuple  # (u0, v0)
 
 
-def verify_canonical(chart, tol=1e-6):
+def verify_canonical(chart, tol=CANONICAL_TOL):
     """Deviation of L(., v0) from eps1 and N(u0, .) from eps2.
 
     Canonicity depends on the stored base point; the report names it.
@@ -226,7 +231,7 @@ def verify_canonical(chart, tol=1e-6):
         eps1=chart.eps1, eps2=chart.eps2, base=(chart.u0, chart.v0))
 
 
-def canonical_gauge_transform(chart, delta, c1, c2, swap=False, tol=1e-6):
+def canonical_gauge_transform(chart, delta, c1, c2, swap=False, tol=CANONICAL_TOL):
     """Apply the residual gauge freedom u = delta*tu + c1, v = delta*tv + c2.
 
     With `swap` the parameter numeration is exchanged first, which negates

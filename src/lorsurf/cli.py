@@ -6,7 +6,9 @@ aborted), 2 malformed input or violated precondition.  Reports are strict
 JSON documents (a non-finite number is written as the string "Infinity",
 "-Infinity" or "NaN") whose pass/fail verdicts are recomputable from the
 recorded numbers and tolerances; identical inputs and flags produce
-byte-identical files (timing goes to stderr, never into the report).  Every
+byte-identical files (timing goes to stderr, never into the report).  Each
+verdict has one standard, a named constant that no flag moves; a report
+records the ones its checks read under `effective_tolerances`.  Every
 verdict is `errors.within`, and one writer, `_finish`, passes a report only
 when its checks pass and every number it records is finite.
 
@@ -30,7 +32,8 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import minkowski as mk
-from .canonical import canonical_maps_from_lines, resample_to_canonical, verify_canonical
+from .canonical import (CANONICAL_TOL, canonical_maps_from_lines, resample_to_canonical,
+                        verify_canonical)
 from .chart import base_signs, grid_index, grid_through, same_node
 from .chartio import (
     digest_text,
@@ -45,6 +48,7 @@ from .chartio import (
 from .errors import (ChartError, DegenerateMetricError, DomainError, LorsurfError,
                      NotLorentzSurfaceError, finite, negligible, relative, within)
 from .natural import (
+    MIN_ORDER,
     REL_TOL,
     cmc_residual,
     convergence_order,
@@ -52,8 +56,8 @@ from .natural import (
     natural_residual,
 )
 from .reconstruct import FrameState, cmc_pair, congruence_check, reconstruct
-from .surfaces import (SurfaceKind, _curvature_scale, fundamental_forms, is_isotropic,
-                       is_minimal, kind_field)
+from .surfaces import (ISO_TOL, SurfaceKind, _curvature_scale, fundamental_forms,
+                       is_isotropic, is_minimal, kind_field)
 
 
 # -- argument helpers ---------------------------------------------------------
@@ -101,18 +105,14 @@ def _status(name, values):
     return {"name": name, "values": values, "tolerance": None, "pass": None}
 
 
-# The defaults of the tolerance flags.  A flag's default is applied where a
-# check or status reads it (_tolerance), so a report records a tolerance only
-# when the run read it.
-_DEFAULTS = {"tol_iso": 1e-8, "tol_normal": 1e-9, "tol_ref": 1e-9, "tol_canonical": 1e-6,
-             "min_order": 1.9, "tol_congruence": 1e-4}
-
-
-def _tolerance(args, name, tolerances):
-    """The flag `name`'s value, its default when not given, recorded in `tolerances`."""
-    value = getattr(args, name)
-    tolerances[name] = _DEFAULTS[name] if value is None else value
-    return tolerances[name]
+# Standards that only the command line reads, relative sizes in the sense of
+# the zero rule (README "Zero rule"): analyze's normal contract and reference
+# match of a corpus surface, and the reconstruct --pair congruence test.  A
+# command records each standard, these and the library's alike, where a check
+# or status reads it.
+NORMAL_TOL = 1e-9
+REFERENCE_TOL = 1e-9
+PAIR_CONGRUENCE_TOL = 1e-4
 
 
 def _finish(args, command, inputs, tolerances, checks, statuses, **summary):
@@ -199,8 +199,8 @@ def _largest(x, scale):
     return float(np.max(relative(x, scale)))
 
 
-def _canonical_status(chart, args, tolerances):
-    tol = _tolerance(args, "tol_canonical", tolerances)
+def _canonical_status(chart, tolerances):
+    tol = tolerances["tol_canonical"] = CANONICAL_TOL
     rep = verify_canonical(chart, tol=tol)
     return _status("canonical", {
         "status": "pass" if rep.passed else "fail",
@@ -210,12 +210,8 @@ def _canonical_status(chart, args, tolerances):
 
 def cmd_analyze(args):
     src = _Source(args)
-    if not src.is_corpus:
-        if args.mesh:
-            raise ChartError("mesh export requires a corpus source")
-        if any(t is not None for t in (args.tol_iso, args.tol_normal, args.tol_ref)):
-            raise ChartError("--tol-iso/--tol-normal/--tol-ref apply to corpus sources only; "
-                             "a chart file has no jets to check")
+    if args.mesh and not src.is_corpus:
+        raise ChartError("mesh export requires a corpus source")
     checks, statuses, tolerances = [], [], {}
 
     if src.is_corpus:
@@ -240,18 +236,17 @@ def cmd_analyze(args):
             exc.node = tuple(int(k) for k in np.argwhere(valid)[exc.node[0]])
             raise exc.at(u_grid, v_grid, what="grid node") from None
 
-        tol_iso, tol_normal, tol_ref = (_tolerance(args, name, tolerances)
-                                        for name in ("tol_iso", "tol_normal", "tol_ref"))
+        tolerances.update(tol_iso=ISO_TOL, tol_normal=NORMAL_TOL, tol_ref=REFERENCE_TOL)
         nxu, nxv, nl = (np.linalg.norm(t, axis=-1) for t in (jets.x_u, jets.x_v, fd.l))
         iso = {"max_abs_E": _largest(fd.E, nxu * nxu), "max_abs_G": _largest(fd.G, nxv * nxv),
                "min_F": float(np.min(fd.F / (nxu * nxv)))}
-        checks.append(_check("isotropic", iso, tol_iso, np.all(is_isotropic(fd, jets, tol_iso))))
+        checks.append(_check("isotropic", iso, ISO_TOL, np.all(is_isotropic(fd, jets, ISO_TOL))))
 
         normal = {"max_abs_l2_minus_1": _largest(mk.inner(fd.l, fd.l) - 1.0, nl * nl),
                   "max_abs_xu_l": _largest(mk.inner(jets.x_u, fd.l), nxu * nl),
                   "max_abs_xv_l": _largest(mk.inner(jets.x_v, fd.l), nxv * nl)}
-        checks.append(_check("normal_contract", normal, tol_normal,
-                             within(normal.values(), tol_normal)))
+        checks.append(_check("normal_contract", normal, NORMAL_TOL,
+                             within(normal.values(), NORMAL_TOL)))
 
         # deviations from the closed forms on the regular nodes, relative to their scales
         curv = _curvature_scale(fd.H, fd.K)
@@ -260,8 +255,8 @@ def cmd_analyze(args):
                   "N": np.linalg.norm(jets.x_vv, axis=-1) * nl, "K": curv, "H": np.sqrt(curv)}
         ref_devs = {name: _largest(getattr(fd, name) - getattr(entry.reference, name)(Uv, Vv),
                                    scale) for name, scale in scales.items()}
-        checks.append(_check("reference_match", ref_devs, tol_ref,
-                             within(ref_devs.values(), tol_ref)))
+        checks.append(_check("reference_match", ref_devs, REFERENCE_TOL,
+                             within(ref_devs.values(), REFERENCE_TOL)))
 
         base_ok, k0 = bool(valid[i0, j0]), at[i0, j0]  # a singular base node has no forms
         K0, H0 = fd.K[k0], fd.H[k0]
@@ -287,7 +282,7 @@ def cmd_analyze(args):
             # verify_canonical reads only the base lines, which are regular here
             forms = SimpleNamespace(L=fd.L[at], N=fd.N[at], u0_index=i0, v0_index=j0,
                                     u0=src.u0, v0=src.v0, eps1=signs[0], eps2=signs[1])
-            statuses.append(_canonical_status(forms, args, tolerances))
+            statuses.append(_canonical_status(forms, tolerances))
 
         if args.mesh:
             mesh = entry.position(U, V)
@@ -300,7 +295,7 @@ def cmd_analyze(args):
             # H^2 - K = LN/F^2 in null coordinates
             K = chart.K if chart.K is not None else chart.H**2 - chart.L * chart.N / chart.F**2
             statuses.append(_status("classification", _kind_counts(K, chart.H)))
-            statuses.append(_canonical_status(chart, args, tolerances))
+            statuses.append(_canonical_status(chart, tolerances))
         nat = natural_residual(chart)
         statuses.append(_status("natural_residual", {"max_abs": nat.max_abs, "l2": nat.l2}))
 
@@ -310,8 +305,6 @@ def cmd_analyze(args):
 # -- canonicalize --------------------------------------------------------------
 
 def cmd_canonicalize(args):
-    tolerances = {}
-    tol = _tolerance(args, "tol_canonical", tolerances)
     src = _Source(args)
     chart = src.chart()
     if chart.L is None or chart.N is None:
@@ -324,15 +317,15 @@ def cmd_canonicalize(args):
     nu, nv = (args.canon_nodes,) * 2 if args.canon_nodes else chart.shape
     cu = grid_through(float(umap(chart.u0)), *umap.range, nu)
     cv = grid_through(float(vmap(chart.v0)), *vmap.range, nv)
-    out = resample_to_canonical(chart, maps, cu, cv, tol=tol)
-    rep = verify_canonical(out, tol=tol)
+    out = resample_to_canonical(chart, maps, cu, cv, tol=CANONICAL_TOL)
+    rep = verify_canonical(out, tol=CANONICAL_TOL)
     write_chart(out, args.output)
     return _finish(
         args, "canonicalize", dict(src.inputs, tilde_u0=args.tilde_u0, tilde_v0=args.tilde_v0),
-        tolerances,
+        {"tol_canonical": CANONICAL_TOL},
         [_check("canonical", {"max_dev_L": rep.max_dev_L, "max_dev_N": rep.max_dev_N,
                               "eps1": rep.eps1, "eps2": rep.eps2, "base": list(rep.base)},
-                tol, rep.passed)],
+                CANONICAL_TOL, rep.passed)],
         [_status("canonical_maps", {"u_range": list(umap.range), "v_range": list(vmap.range),
                                     "canonical_grid": [int(cu.size), int(cv.size)]})],
         output_chart=args.output)
@@ -387,15 +380,12 @@ def _refinement(coarse, fine):
 
 
 def cmd_residual(args):
-    if args.min_order is not None and not (args.refine or args.refined):
-        raise ChartError("--min-order applies to --refine or --refined only; "
-                         "one grid gives no order estimate")
     src = _Source(args)
     chart = src.chart()
     fine = src.chart(args.refine or 1, args.refined) if args.refine or args.refined else None
     factor = None if fine is None else _refinement(chart, fine)
     rep = _residual_for(chart, args.mode)
-    tol = args.tol if args.tol is not None else REL_TOL * rep.scale
+    tol = REL_TOL * rep.scale
     tolerances = {"tol": tol}
 
     checks = [_check("residual", {"max_abs": rep.max_abs, "l2": rep.l2,
@@ -407,9 +397,9 @@ def cmd_residual(args):
         # null, it passes only when the finer grid's residual is exactly zero.
         # A defined order passes when min_order <= order, both finite.
         defined = finite(order)
-        min_order = _tolerance(args, "min_order", tolerances)
+        tolerances["min_order"] = MIN_ORDER
         checks.append(_check("order", {"order_estimate": order if defined else None},
-                             min_order, within([min_order], order)
+                             MIN_ORDER, within([MIN_ORDER], order)
                              if defined else rep2.max_abs == 0.0))
     return _finish(args, "residual", dict(src.inputs, mode=args.mode), tolerances, checks, [])
 
@@ -466,9 +456,6 @@ def cmd_reconstruct(args):
                          "drop --eps1/--eps2")
     if args.force and not args.pair:
         raise ChartError("--force applies to --pair only; a single reconstruction warns")
-    if args.tol_congruence is not None and not args.pair:
-        raise ChartError("--tol-congruence applies to --pair only; "
-                         "a single reconstruction has no congruence test")
     src = _Source(args)
     chart = src.chart()
     statuses, tolerances = [], {}
@@ -487,7 +474,7 @@ def cmd_reconstruct(args):
             _export_mesh(res_m, args.mesh + "_m", f"cmc pair, eps=({res_m.eps1},{res_m.eps2})")
             statuses.append(_result_status("reconstruction_p", res_p))
             statuses.append(_result_status("reconstruction_m", res_m))
-            tol = _tolerance(args, "tol_congruence", tolerances)
+            tol = tolerances["tol_congruence"] = PAIR_CONGRUENCE_TOL
             cong = congruence_check(res_p.mesh, res_m.mesh, chart.u_grid, chart.v_grid, tol=tol)
             statuses.append(_status("pair_congruence", {
                 "verdict": cong.verdict.value,
@@ -540,13 +527,6 @@ def _add_source_args(p):
     p.add_argument("--report", default=None, help="report JSON path (default: stdout)")
 
 
-def _add_tolerance(p, flag, text):
-    """A float flag whose default, stated in its help, _tolerance applies where it is read."""
-    name = flag[2:].replace("-", "_")
-    p.add_argument(flag, type=float, default=None, dest=name,
-                   help=f"{text} (default: {_DEFAULTS[name]:g})")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lorsurf",
@@ -557,19 +537,11 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="fundamental forms, invariants, classification")
     _add_source_args(p)
-    _add_tolerance(p, "--tol-canonical", "tolerance of the canonical status")
     p.add_argument("--mesh", default=None, help="mesh export prefix (corpus sources)")
-    _add_tolerance(p, "--tol-iso", "tolerance on |E|/|x_u|^2 and |G|/|x_v|^2; "
-                   "F/(|x_u||x_v|) must exceed it (corpus sources)")
-    _add_tolerance(p, "--tol-normal", "tolerance on |l^2 - 1|/|l|^2, |<x_u,l>|/(|x_u||l|), "
-                   "|<x_v,l>|/(|x_v||l|) (corpus sources)")
-    _add_tolerance(p, "--tol-ref", "tolerance on |field - reference| / scale, node by node "
-                   "(corpus sources, see README)")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("canonicalize", help="construct canonical coordinates")
     _add_source_args(p)
-    _add_tolerance(p, "--tol-canonical", "tolerance of the canonical check")
     p.add_argument("--tilde-u0", type=float, default=0.0, dest="tilde_u0")
     p.add_argument("--tilde-v0", type=float, default=0.0, dest="tilde_v0")
     p.add_argument("--canon-nodes", type=_int_at_least(3), default=None, dest="canon_nodes",
@@ -580,10 +552,6 @@ def build_parser():
     p = sub.add_parser("residual", help="natural-equation residuals")
     _add_source_args(p)
     p.add_argument("--mode", choices=("general", "cmc", "minimal"), required=True)
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"tolerance of the residual max_abs (default: {REL_TOL:g} * the "
-                        "report's scale, see README \"Zero rule\")")
-    _add_tolerance(p, "--min-order", "least passing order estimate (with --refine or --refined)")
     p.add_argument("--refine", type=_int_at_least(2), default=None,
                    help="refinement factor for a two-grid order estimate (corpus)")
     p.add_argument("--refined", default=None, help="refined chart file for the order estimate")
@@ -597,8 +565,6 @@ def build_parser():
                    help="reconstruct both members of the CMC pair from (K, H)")
     p.add_argument("--force", action="store_true",
                    help="reconstruct even when the natural equation is violated")
-    _add_tolerance(p, "--tol-congruence", "relative tolerance of the --pair congruence test: "
-                   "each of F, L, M, N against its scale at the node, see README \"Zero rule\"")
     p.set_defaults(fn=cmd_reconstruct)
     for name in ("residual", "reconstruct"):  # the commands that use the chart signs
         for k in (1, 2):

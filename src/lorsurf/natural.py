@@ -30,6 +30,7 @@ from .surfaces import _curvature_scale, kind_field
 
 __all__ = [
     "REL_TOL",
+    "MIN_ORDER",
     "ResidualReport",
     "accumulate_LN",
     "natural_residual",
@@ -40,10 +41,13 @@ __all__ = [
 ]
 
 # A residual max_abs above REL_TOL * scale violates the natural equation: the
-# default tolerance of `lorsurf residual`, the threshold of reconstruct's
+# tolerance of `lorsurf residual`, the threshold of reconstruct's
 # warning and of the cmc_pair / minimal_from_K refusals.  Each report's scale
 # (ResidualReport.scale) is in the units of its residual.
 REL_TOL = 1e-3
+# The least order of a two-grid residual estimate (convergence_order) that
+# shows the residual converging: the order check of `lorsurf residual`.
+MIN_ORDER = 1.9
 
 
 @dataclass

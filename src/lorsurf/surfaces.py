@@ -47,6 +47,7 @@ __all__ = [
     "classify",
     "kind_field",
     "is_minimal",
+    "ISO_TOL",
     "is_isotropic",
     "PseudoArcReport",
     "pseudo_arc_check",
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 KIND_TOL = 1e-8  # the relative size at which H^2 - K vanishes against H^2 + |K|
+ISO_TOL = 1e-8  # the relative size at which E and G vanish and F does not (is_isotropic)
 # the relative size, against max(|E|, |F|, |G|)^2, at which fundamental_forms finds
 # EG - F^2 vanishing or <w, w> not positive
 METRIC_TOL = 1e-12
@@ -308,7 +310,7 @@ def is_minimal(H, K):
     return bool(negligible(np.max(np.abs(H)), np.sqrt(np.max(_curvature_scale(H, K)))))
 
 
-def is_isotropic(fd, jet, tol=1e-8):
+def is_isotropic(fd, jet, tol=ISO_TOL):
     """Elementwise test for null coordinates at `tol`: E, G negligible against |x_u|^2, |x_v|^2
     (Euclidean lengths of the jet), and F positive and not negligible against |x_u||x_v|."""
     a, b = (np.linalg.norm(t, axis=-1) for t in (jet.x_u, jet.x_v))

@@ -266,8 +266,11 @@ def _pipeline(workdir):
                          "--tilde-v0", repr(float(CONE_TU0)),
                          "--output", "cone.json", "--report", "cone_rep.json"]) == 0
         assert cli_main(["residual", "enneper1", "--mode", "minimal",
-                         "--grid", "101x101", "--refine", "2", "--tol", "1e-3",
+                         "--grid", "101x101", "--refine", "2",
                          "--report", "residual_rep.json"]) == 0
+        with open("residual_rep.json") as fh:  # within REL_TOL * scale, and 1e-3 absolute
+            residual, = (c for c in json.load(fh)["checks"] if c["name"] == "residual")
+        assert residual["values"]["max_abs"] <= 1e-3
         ls.write_chart(enneper1_chart(101), "enneper_chart.json")
         assert cli_main(["reconstruct", "enneper_chart.json",
                          "--mesh", "enneper", "--report", "bonnet_rep.json"]) == 0

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lorsurf as ls
-from lorsurf import errors
+from lorsurf import cli, errors
 from lorsurf.cli import main
 
 from conftest import CONE_TU0, cone_canonical_chart, enneper1_chart, random_grid
@@ -26,6 +27,17 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def run(*argv):
     return main(list(argv))
+
+
+def refused(capsys, *argv):
+    """The exit code and stderr lines of a run, argparse's refusals included, less the
+    wall time and argparse's usage line."""
+    try:
+        code = run(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, [ln for ln in capsys.readouterr().err.splitlines()
+                  if "wall time" not in ln and not ln.startswith("usage: ")]
 
 
 def load(path):
@@ -270,7 +282,7 @@ def test_canonicalize_sphere_fails(tmp_path):
 def test_residual_cylinder_general(tmp_path):
     rep = tmp_path / "r.json"
     assert run("residual", "cylinder", "--mode", "general", "--grid", "31x31",
-               "--tol", "1e-12", "--report", str(rep)) == 0
+               "--report", str(rep)) == 0
     doc = load(str(rep))
     assert check(doc, "residual")["values"]["max_abs"] <= 1e-12
 
@@ -278,7 +290,7 @@ def test_residual_cylinder_general(tmp_path):
 def test_residual_minimal_enneper_with_order(tmp_path):
     rep = tmp_path / "r.json"
     code = run("residual", "enneper1", "--mode", "minimal", "--grid", "101x101",
-               "--refine", "2", "--tol", "1e-3", "--report", str(rep))
+               "--refine", "2", "--report", str(rep))
     assert code == 0
     doc = load(str(rep))
     assert check(doc, "residual")["values"]["max_abs"] <= 1e-3
@@ -444,13 +456,17 @@ def test_analyze_overflow_fails_instead_of_passing(tmp_path):
 
 # -- one pass rule, one report writer ---------------------------------------------
 
-def test_canonicalize_infinite_tolerance_fails(tmp_path):
+def test_canonicalize_infinite_tolerance_fails(monkeypatch, tmp_path):
     # no verdict passes on a non-finite tolerance, and the summary follows the check
+    monkeypatch.setattr(cli, "CANONICAL_TOL", math.inf)
     rep = tmp_path / "r.json"
-    assert run("canonicalize", "hyperbolic_cone", "--grid", "11x11", "--tol-canonical", "inf",
+    assert run("canonicalize", "hyperbolic_cone", "--grid", "11x11",
                "--output", str(tmp_path / "c.json"), "--report", str(rep)) == 1
     doc = load_strict(str(rep))
+    assert doc["effective_tolerances"] == {"tol_canonical": "Infinity"}
     assert check(doc, "canonical")["pass"] is False and doc["summary"]["passed"] is False
+    for tol in (math.inf, -math.inf, math.nan):  # whatever the verdict given to _check
+        assert cli._check("c", {"x": 0.0}, tol, True)["pass"] is False
 
 
 def huge_F_chart():
@@ -723,41 +739,41 @@ def test_reconstruct_pair_refuses_the_H_fields_that_mode_minimal_accepts(capsys,
     assert list(tmp_path.iterdir()) == [path]
 
 
+# Each verdict has one standard, a named constant that a report records, so a
+# tolerance flag would do nothing but move it: argparse refuses each one as an
+# unrecognized argument, even where a check reads that standard, before any
+# file is written.
+
 @pytest.mark.parametrize("source, flags, message", [
     ("enneper1", ["--force"], "--force applies to --pair only; a single reconstruction warns"),
-    ("enneper1", ["--tol-congruence", "5"],
-     "--tol-congruence applies to --pair only; a single reconstruction has no congruence test"),
-], ids=["force_without_pair", "tol_congruence_without_pair"])
+    ("enneper1", ["--tol-congruence", "5"], "unrecognized arguments: --tol-congruence 5"),
+    ("cylinder", ["--pair", "--tol-congruence", "5"], "unrecognized arguments: --tol-congruence 5"),
+], ids=["force_without_pair", "tol_congruence_without_pair", "tol_congruence_with_pair"])
 def test_reconstruct_refuses_flags_that_would_do_nothing(capsys, tmp_path, source, flags, message):
-    code = run("reconstruct", source, "--grid", "11x11", *flags, "--mesh", str(tmp_path / "m"))
-    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    code, lines = refused(capsys, "reconstruct", source, "--grid", "11x11", *flags,
+                          "--mesh", str(tmp_path / "m"))
     assert code == 2
     assert lines == [f"lorsurf: error: {message}"]
     assert list(tmp_path.iterdir()) == []
 
 
 def test_residual_refuses_flags_that_would_do_nothing(capsys, tmp_path):
-    # one grid gives no order estimate, so no check would read --min-order
-    code = run("residual", "enneper1", "--grid", "11x11", "--mode", "minimal",
-               "--min-order", "7", "--report", str(tmp_path / "r.json"))
-    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
-    assert code == 2
-    assert lines == ["lorsurf: error: --min-order applies to --refine or --refined only; "
-                     "one grid gives no order estimate"]
-    assert list(tmp_path.iterdir()) == []
+    for flag in ("--tol", "--min-order"):
+        code, lines = refused(capsys, "residual", "enneper1", "--grid", "11x11", "--mode",
+                              "minimal", "--refine", "2", flag, "7",
+                              "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        assert lines == [f"lorsurf: error: unrecognized arguments: {flag} 7"]
+        assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--tol-iso", "--tol-normal", "--tol-ref"])
+@pytest.mark.parametrize("flag", ["--tol-iso", "--tol-normal", "--tol-ref", "--tol-canonical"])
 def test_analyze_refuses_flags_that_would_do_nothing(capsys, tmp_path, flag):
-    # the isotropy, normal and reference checks need the jets of a corpus surface
-    path = tmp_path / "c.json"
-    ls.write_chart(enneper1_chart(11), str(path))
-    code = run("analyze", str(path), flag, "1e-3", "--report", str(tmp_path / "r.json"))
-    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    code, lines = refused(capsys, "analyze", "enneper1", "--grid", "11x11", flag, "1e-3",
+                          "--mesh", str(tmp_path / "m"), "--report", str(tmp_path / "r.json"))
     assert code == 2
-    assert lines == ["lorsurf: error: --tol-iso/--tol-normal/--tol-ref apply to corpus "
-                     "sources only; a chart file has no jets to check"]
-    assert list(tmp_path.iterdir()) == [path]
+    assert lines == [f"lorsurf: error: unrecognized arguments: {flag} 1e-3"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, recorded", [
@@ -1038,15 +1054,17 @@ def test_grid_through_keeps_two_nodes_from_three(lo, width, at, n):
 
 
 @pytest.mark.parametrize("argv", [["residual", "--mode", "cmc"],
-                                  ["reconstruct", "--mesh", "{tmp}/m"]],
+                                  ["reconstruct", "--mesh", "{tmp}/m"],
+                                  ["canonicalize", "--output", "{tmp}/c.json"]],
                          ids=lambda argv: argv[0])
 def test_tol_canonical_is_refused_where_nothing_reads_it(capsys, tmp_path, argv):
+    # canonicalize reads CANONICAL_TOL, which no flag moves, and the others read none
     command, *flags = (a.format(tmp=tmp_path) for a in argv)
     with pytest.raises(SystemExit) as exc:
         run(command, "cylinder", "--grid", "21x21", *flags, "--tol-canonical", "1")
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol-canonical 1" in capsys.readouterr().err
-    assert not (tmp_path / "m.obj").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reconstruct_eps_override_selects_pair_member(tmp_path):
@@ -1071,7 +1089,7 @@ def test_reconstruct_eps_override_selects_pair_member(tmp_path):
 def test_report_verdicts_recomputable(tmp_path):
     rep = tmp_path / "r.json"
     run("residual", "enneper1", "--mode", "minimal", "--grid", "81x81",
-        "--tol", "1e-2", "--report", str(rep))
+        "--refine", "2", "--report", str(rep))
     doc = load(str(rep))
     for c in doc["checks"]:
         if c["name"] == "residual":

@@ -779,17 +779,24 @@ PLANTS = ("none", "nan", "inf", "null tangent", "spacelike tangents")
 @example(nu=9, nv=66, k=0, plant="none", node=(0, 0), seed=0).via("two whole blocks")
 @example(nu=5, nv=35, k=-60, plant="nan", node=(2, 33), seed=1).via("a one-column last block")
 @example(nu=7, nv=40, k=60, plant="null tangent", node=(3, 35), seed=2).via("a late block")
+@example(nu=56, nv=61, k=0, plant="none", node=(0, 0), seed=0).via(
+    "node-wise noise over steps of ~0.01 made the mesh not Lorentz at node (22, 56)")
 def test_mesh_forms_equal_the_reference_formulas_bit_for_bit(nu, nv, k, plant, node, seed):
     # grid steps scaled by 2**k from underflow-prone to overflow-prone sizes;
     # a planted non-finite coordinate, or a timelike plane whose u-tangent
-    # turns null or spacelike on rows >= i of columns >= j, must fail alike
+    # turns null or spacelike on rows >= i of columns >= j, must fail alike.
+    # Unplanted, the mesh is enneper1 plus a smooth wave whose first and second
+    # derivatives (<= 4e-3 and 1.6e-2 per coordinate) stay far below enneper1's
+    # tangents (>= 0.5 long, F >= 0.5), so it is a Lorentz surface at every node.
     rng = np.random.default_rng(seed)
     u0, v0 = random_grid(rng, 1.0, 2.0, nu), random_grid(rng, -1.0, 0.0, nv)
     u, v = np.ldexp(u0, k), np.ldexp(v0, k)
     U, V = np.meshgrid(u0, v0, indexing="ij")
     i, j = node[0] % nu, node[1] % nv
     if plant in ("none", "nan", "inf"):
-        mesh = ls.get("enneper1").position(U, V) + 1e-3 * rng.standard_normal((nu, nv, 3))
+        ku, kv, phase = rng.uniform(-4.0, 4.0, (3, 3))
+        wave = 1e-3 * np.sin(U[..., None] * ku + V[..., None] * kv + phase)
+        mesh = ls.get("enneper1").position(U, V) + wave
         if plant != "none":
             mesh[i, j, rng.integers(3)] = np.nan if plant == "nan" else -np.inf
     else:
