@@ -37,21 +37,25 @@ for name in ls.names():
     entry = ls.get(name)
     a, b, c, d = entry.default_domain
     uc, vc = 0.5 * (a + b) + 0.01, 0.5 * (c + d) + 0.02
-    rep = ls.classify(entry.provider(uc, vc))
-    print(f"  {name:22s} H^2-K = {rep.h2_minus_k:+9.4f}  LN/F^2 = "
-          f"{rep.ln_over_f2:+9.4f}  -> {rep.kind.value}")
+    fd = ls.fundamental_forms(entry.provider(uc, vc))
+    kind = ls.SurfaceKind.of(ls.kind_field(fd.H, fd.K))
+    print(f"  {name:22s} H^2-K = {float(fd.H**2 - fd.K):+9.4f}  LN/F^2 = "
+          f"{float(fd.L * fd.N / fd.F**2):+9.4f}  -> {kind.value}")
 
 print()
-print("The second fundamental form squares to the pseudo arc-length condition")
-print("exactly when the coordinates are canonical:")
+print("In null coordinates <x_uu, x_uu> = L^2 on v = v0 and <x_vv, x_vv> = N^2 on")
+print("u = u0, so the pseudo arc-length condition is canonicity (L = eps1, N = eps2):")
 for name in ("enneper1", "hyperbolic_cone", "lorentz_sphere"):
     entry = ls.get(name)
     a, b, c, d = entry.default_domain
-    samples = np.linspace(a + 0.1, b - 0.1, 15)
-    rep = ls.pseudo_arc_check(entry.provider, 0.5 * (a + b), 0.5 * (c + d),
-                              samples, tol=1e-8,
-                              v_samples=np.linspace(c + 0.1, d - 0.1, 15))
-    verdict = ("canonical" if rep.passed else
-               "degenerate null curves" if rep.degenerate_u or rep.degenerate_v
-               else f"not canonical (deviation {max(rep.max_dev_u, rep.max_dev_v):.3f})")
+    u0, v0 = 0.5 * (a + b), 0.5 * (c + d)
+    u = ls.grid_through(u0, a + 0.1, b - 0.1, 15)
+    v = ls.grid_through(v0, c + 0.1, d - 0.1, 15)
+    try:
+        rep = ls.verify_canonical(ls.chart_from_provider(entry.provider, u, v, u0, v0))
+    except ls.NotGeneralTypeError:
+        verdict = "not of general type"
+    else:
+        verdict = ("canonical" if rep.passed else
+                   f"not canonical (deviation {max(rep.max_dev_L, rep.max_dev_N):.3f})")
     print(f"  {name:22s} {verdict}")

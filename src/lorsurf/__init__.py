@@ -31,7 +31,6 @@ from .errors import (
     MapRangeError,
     NaturalEquationError,
     NotGeneralTypeError,
-    NotIsotropicError,
     NotLorentzSurfaceError,
     ReconstructionAbort,
     StencilError,
@@ -70,19 +69,15 @@ from .reconstruct import (
 from .surfaces import (
     ISO_TOL,
     FundamentalData,
-    KindReport,
-    PseudoArcReport,
     SurfaceJet2,
     SurfaceKind,
     SurfaceProvider,
-    classify,
     fundamental_forms,
     is_isotropic,
     is_minimal,
     jet_from_position,
     jets_from_mesh,
     kind_field,
-    pseudo_arc_check,
     swap_parameters,
 )
 

@@ -153,8 +153,7 @@ def canonical_maps(provider, u0, v0, u_grid, v_grid, tilde_u0=0.0, tilde_v0=0.0)
                                      tilde_u0, tilde_v0)
 
 
-def resample_to_canonical(chart, maps, canonical_u_grid, canonical_v_grid,
-                          tol=CANONICAL_TOL):
+def resample_to_canonical(chart, maps, canonical_u_grid, canonical_v_grid):
     """Pull a chart back through canonical maps onto canonical grids.
 
     Source fields are evaluated at (u, v) = (umap^-1(tu), vmap^-1(tv)) by
@@ -163,8 +162,7 @@ def resample_to_canonical(chart, maps, canonical_u_grid, canonical_v_grid,
     invariant.  The canonical grids must contain the images of the base
     point and lie inside the map ranges.  Where the pulled-back F is not
     positive, ChartError names the first canonical node and its source
-    (u, v).  The result is flagged canonical when verify_canonical passes at
-    `tol`.
+    (u, v).  Whether the result is canonical is verify_canonical's answer.
     """
     for name in ("L", "M", "N"):
         if getattr(chart, name) is None:
@@ -194,15 +192,9 @@ def resample_to_canonical(chart, maps, canonical_u_grid, canonical_v_grid,
     L = pull("L") * (up**2)[:, None]
     M = pull("M") * np.outer(up, vp)
     N = pull("N") * (vp**2)[None, :]
-    out = _signed_chart(cu, cv, i0, j0, F=F, H=pull("H"), L=L, M=M, N=N,
-                        K=pull("K") if chart.K is not None else None,
-                        metadata=dict(chart.metadata, resampled=True))
-    report = verify_canonical(out, tol=tol)
-    out.canonical = report.passed
-    out.metadata["canonical_check"] = {
-        "max_dev_L": report.max_dev_L, "max_dev_N": report.max_dev_N,
-        "tol": tol, "passed": report.passed}
-    return out
+    return _signed_chart(cu, cv, i0, j0, F=F, H=pull("H"), L=L, M=M, N=N,
+                         K=pull("K") if chart.K is not None else None,
+                         metadata=dict(chart.metadata, resampled=True))
 
 
 @dataclass
@@ -236,8 +228,8 @@ def canonical_gauge_transform(chart, delta, c1, c2, swap=False, tol=CANONICAL_TO
 
     With `swap` the parameter numeration is exchanged first, which negates
     L, M, N (and hence H) and swaps the eps signs.  The input must pass
-    verify_canonical at `tol`, whatever its `canonical` flag says; the output
-    is canonical again with the transformed signs.  This is an exact
+    verify_canonical at `tol`, whatever its metadata says; the output is
+    canonical again with the transformed signs.  This is an exact
     index-level operation, no interpolation happens.
     """
     if delta not in (-1, 1):
@@ -274,7 +266,6 @@ def canonical_gauge_transform(chart, delta, c1, c2, swap=False, tol=CANONICAL_TO
         u_grid=new_u, v_grid=new_v, F=flip(F), H=flip(H),
         L=flip(L), M=flip(M), N=flip(N), K=flip(K),
         u0_index=new_i0, v0_index=new_j0, eps1=eps1, eps2=eps2,
-        canonical=True,
         metadata=dict(chart.metadata, gauge={"delta": delta, "c1": c1, "c2": c2, "swap": swap}))
     return out.validate()
 

@@ -88,7 +88,6 @@ class Chart:
     M: Optional[np.ndarray] = None
     N: Optional[np.ndarray] = None
     K: Optional[np.ndarray] = None
-    canonical: bool = False
     metadata: dict = field(default_factory=dict)
 
     @property

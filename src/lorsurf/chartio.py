@@ -106,7 +106,7 @@ def _chart_chunks(chart):
             yield f"{sep}[{inner}{row}{pad}]"
             sep = "," + pad
         yield "\n ]"
-    metadata = json.dumps(dict(chart.metadata, canonical=bool(chart.canonical)), indent=1)
+    metadata = json.dumps(chart.metadata, indent=1)
     yield ',\n "metadata": ' + metadata.replace("\n", "\n ") + "\n}\n"
 
 
@@ -254,18 +254,13 @@ def _parse_chart(text, path):
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ChartError("metadata must be a JSON object")
-    metadata = dict(metadata)
-    canonical = metadata.pop("canonical", False)
-    if not isinstance(canonical, bool):
-        raise ChartError("metadata.canonical must be true or false")
     try:
         chart = Chart(
             u_grid=grid("u_grid"), v_grid=grid("v_grid"),
             F=field("F"), H=field("H"),
             L=field("L"), M=field("M"), N=field("N"), K=field("K"),
             u0_index=_integer(doc, "u0_index"), v0_index=_integer(doc, "v0_index"),
-            eps1=_integer(doc, "eps1"), eps2=_integer(doc, "eps2"),
-            canonical=canonical, metadata=metadata)
+            eps1=_integer(doc, "eps1"), eps2=_integer(doc, "eps2"), metadata=metadata)
         return chart.validate()
     except (TypeError, ValueError, OverflowError) as exc:
         raise ChartError(f"malformed chart file {path!r}: {exc}") from exc

@@ -317,7 +317,7 @@ def cmd_canonicalize(args):
     nu, nv = (args.canon_nodes,) * 2 if args.canon_nodes else chart.shape
     cu = grid_through(float(umap(chart.u0)), *umap.range, nu)
     cv = grid_through(float(vmap(chart.v0)), *vmap.range, nv)
-    out = resample_to_canonical(chart, maps, cu, cv, tol=CANONICAL_TOL)
+    out = resample_to_canonical(chart, maps, cu, cv)
     rep = verify_canonical(out, tol=CANONICAL_TOL)
     write_chart(out, args.output)
     return _finish(
@@ -527,8 +527,16 @@ def _add_source_args(p):
     p.add_argument("--report", default=None, help="report JSON path (default: stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are one line, as lorsurf's own are; the
+    usage stays with --help.  Its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lorsurf",
         description="Lorentz surfaces in Minkowski 3-space: analysis in null "
                     "coordinates, canonical coordinates, natural-equation residuals "

@@ -96,10 +96,6 @@ class NotLorentzSurfaceError(LorsurfError):
     """The normal direction is not spacelike (induced metric not Lorentzian)."""
 
 
-class NotIsotropicError(LorsurfError):
-    """Operation requires null coordinates (E = G = 0, F > 0)."""
-
-
 class NotGeneralTypeError(LorsurfError):
     """H^2 - K vanishes or changes sign, or L or N vanishes: no canonical coordinates exist."""
 

@@ -27,11 +27,9 @@ from . import minkowski as mk
 from .errors import (
     DegenerateMetricError,
     DomainError,
-    NotIsotropicError,
     NotLorentzSurfaceError,
     negligible,
     refuse,
-    within,
 )
 from .stencils import _diffs, _stencils, check_grid
 
@@ -43,14 +41,10 @@ __all__ = [
     "jets_from_mesh",
     "fundamental_forms",
     "SurfaceKind",
-    "KindReport",
-    "classify",
     "kind_field",
     "is_minimal",
     "ISO_TOL",
     "is_isotropic",
-    "PseudoArcReport",
-    "pseudo_arc_check",
     "swap_parameters",
 ]
 
@@ -253,42 +247,9 @@ class SurfaceKind(Enum):
         return {1: cls.FIRST, -1: cls.SECOND, 0: cls.DEGENERATE}[int(code)]
 
 
-@dataclass
-class KindReport:
-    kind: SurfaceKind
-    h2_minus_k: float
-    ln_over_f2: float
-    tol: float
-
-
 def _curvature_scale(H, K):
     """H^2 + |K|, the scale of H^2 - K and of K; its square root is the scale of H."""
     return H**2 + np.abs(K)
-
-
-def classify(jet):
-    """Classify one isotropic point of a jet as first kind, second kind or not of general type.
-
-    kind_field decides; the report also carries LN/F^2, which must agree
-    with H^2 - K (they coincide identically in null coordinates).
-    """
-    fd = fundamental_forms(jet)
-    if not np.all(is_isotropic(fd, jet)):
-        raise NotIsotropicError("classification requires null coordinates (E, G negligible, F > 0)")
-    E, F, G = float(fd.E), float(fd.F), float(fd.G)
-    L, M, N = float(fd.L), float(fd.M), float(fd.N)
-    H, K = float(fd.H), float(fd.K)
-    tol = KIND_TOL * _curvature_scale(H, K)
-    h2k = H**2 - K
-    ln_f2 = L * N / F**2
-    # first-order contamination of H^2 - K by nonzero E, G, plus a quadratic cushion
-    allowed = tol + 8.0 * abs(M) * (abs(N) * abs(E) + abs(L) * abs(G)) / F**3 \
-        + 8.0 * (abs(E) + abs(G)) ** 2 * (L * L + M * M + N * N) / F**4
-    if abs(h2k - ln_f2) > allowed:
-        raise ValueError(
-            f"H^2 - K = {h2k:.6g} disagrees with LN/F^2 = {ln_f2:.6g} beyond tolerance {allowed:.3g}")
-    return KindReport(kind=SurfaceKind.of(kind_field(H, K)), h2_minus_k=h2k,
-                      ln_over_f2=ln_f2, tol=tol)
 
 
 def kind_field(H, K):
@@ -316,43 +277,6 @@ def is_isotropic(fd, jet, tol=ISO_TOL):
     a, b = (np.linalg.norm(t, axis=-1) for t in (jet.x_u, jet.x_v))
     return (negligible(fd.E, a * a, tol) & negligible(fd.G, b * b, tol) & (fd.F > 0.0)
             & ~negligible(fd.F, a * b, tol))
-
-
-@dataclass
-class PseudoArcReport:
-    """Deviation of <x_uu, x_uu> and <x_vv, x_vv> from 1 along the base lines."""
-
-    max_dev_u: float
-    max_dev_v: float
-    passed: bool
-    degenerate_u: bool
-    degenerate_v: bool
-    tol: float
-
-
-def pseudo_arc_check(provider, u0, v0, samples, tol=1e-8, v_samples=None):
-    """Check whether (u, v) are natural parameters of the base null curves.
-
-    Evaluates <x_uu, x_uu> along v = v0 at `samples` and <x_vv, x_vv> along
-    u = u0 at `v_samples` (defaults to `samples`).  Both must equal 1 within
-    tol for the coordinates to be canonical with initial point (u0, v0); a
-    value <= tol flags a degenerate null curve (surface not of general type
-    along that line).
-    """
-    su = np.asarray(samples, dtype=float)
-    sv = su if v_samples is None else np.asarray(v_samples, dtype=float)
-    jet_u = provider(su, np.full_like(su, v0))
-    jet_v = provider(np.full_like(sv, u0), sv)
-    q_u = mk.inner(jet_u.x_uu, jet_u.x_uu)
-    q_v = mk.inner(jet_v.x_vv, jet_v.x_vv)
-    deg_u = bool(np.any(q_u <= tol))
-    deg_v = bool(np.any(q_v <= tol))
-    dev_u = float(np.max(np.abs(q_u - 1.0)))
-    dev_v = float(np.max(np.abs(q_v - 1.0)))
-    return PseudoArcReport(
-        max_dev_u=dev_u, max_dev_v=dev_v,
-        passed=not (deg_u or deg_v) and within([dev_u, dev_v], tol),
-        degenerate_u=deg_u, degenerate_v=deg_v, tol=tol)
 
 
 def swap_parameters(provider):

@@ -111,7 +111,7 @@ def test_resample_cone_reproduces_closed_forms():
     cu = ls.grid_through(CONE_TU0, *umap.range, n)
     cv = ls.grid_through(CONE_TU0, *vmap.range, n)
     out = ls.resample_to_canonical(src, (umap, vmap), cu, cv)
-    assert out.canonical
+    assert ls.verify_canonical(out).passed
     TU, TV = np.meshgrid(cu, cv, indexing="ij")
     F_exact = TU**3 * TV**3 / 1152.0
     H_exact = -48.0 * np.sqrt(3.0) / (TU**2 * TV**2)
@@ -129,7 +129,7 @@ def test_resample_identity_keeps_chart():
                              derivative=np.ones_like(chart.v_grid))
     out = ls.resample_to_canonical(chart, (ident_u, ident_v),
                                    chart.u_grid, chart.v_grid)
-    assert out.canonical
+    assert ls.verify_canonical(out).passed
     np.testing.assert_allclose(out.F, chart.F, atol=1e-10)
     np.testing.assert_allclose(out.H, chart.H, atol=1e-12)
 
@@ -140,7 +140,7 @@ def test_resample_shift_keeps_cylinder_constant():
     shift_u = ls.MonotoneMap(knots=g, values=g + 4.0, derivative=np.ones_like(g))
     shift_v = ls.MonotoneMap(knots=g, values=g - 1.0, derivative=np.ones_like(g))
     out = ls.resample_to_canonical(chart, (shift_u, shift_v), g + 4.0, g - 1.0)
-    assert out.canonical
+    assert ls.verify_canonical(out).passed
     np.testing.assert_allclose(out.F, 2.0, atol=1e-10)
     np.testing.assert_allclose(out.H, 0.5, atol=1e-12)
 
@@ -174,6 +174,13 @@ def test_verify_canonical_enneper_variants():
                                 np.linspace(0.5, 1.5, 31))
     rep2 = ls.verify_canonical(chart2, tol=1e-12)
     assert rep2.passed and (rep2.eps1, rep2.eps2) == (1, -1)
+
+
+def test_enneper1_provider_chart_is_canonical():
+    # L = N = 1 exactly; the forms of the provider's jets round to within 1e-12
+    u, v = np.linspace(1.1, 1.9, 17), np.linspace(-0.9, -0.1, 17)
+    rep = ls.verify_canonical(ls.chart_from_provider(ls.get("enneper1").provider, u, v, 1.5, -0.5))
+    assert rep.passed and max(rep.max_dev_L, rep.max_dev_N) <= 1e-12
 
 
 def test_verify_canonical_raw_cone_fails_with_known_deviation():
@@ -240,10 +247,10 @@ def test_gauge_requires_canonical_chart():
 def test_gauge_verifies_a_chart_whose_file_claims_canonical(tmp_path):
     u = np.linspace(-1.0, 1.0, 21)
     raw_cone = ls.chart_from_provider(ls.get("hyperbolic_cone").provider, u, u, 0.0, 0.0)
-    raw_cone.canonical = True
+    raw_cone.metadata["canonical"] = True  # the claim that older chart files carry
     ls.write_chart(raw_cone, str(tmp_path / "c.json"))
     claimed = ls.read_chart(str(tmp_path / "c.json"))
-    assert claimed.canonical and not ls.verify_canonical(claimed).passed
+    assert claimed.metadata["canonical"] is True and not ls.verify_canonical(claimed).passed
     with pytest.raises(ls.ChartError, match="requires a canonical chart"):
         ls.canonical_gauge_transform(claimed, 1, 0.5, 0.5)
 
@@ -276,18 +283,19 @@ def test_non_affine_reparametrization_fails_verification():
     cu = np.linspace(tu[0], tu[-1], 61)
     cu[np.argmin(np.abs(cu - umap(chart.u0)))] = float(umap(chart.u0))
     out = ls.resample_to_canonical(chart, (umap, vmap), cu, chart.v_grid)
-    assert not out.canonical
     rep = ls.verify_canonical(out, tol=1e-6)
     assert not rep.passed
     assert rep.max_dev_L > 0.05  # L = (1 + 2 a tu)^2 deviates at order a
 
 
-# -- composition: maps + reparametrized surface pass the pseudo arc check ------------
+# -- composition: maps + reparametrized surface give a canonical chart ---------------
 
 def test_composition_cone_becomes_canonical():
     (umap, vmap), _ = cone_maps(201)
     provider = ls.reparametrize_provider(ls.get("hyperbolic_cone").provider, umap, vmap)
     lo, hi = umap.range
-    samples = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 33)
-    rep = ls.pseudo_arc_check(provider, CONE_TU0, CONE_TU0, samples, tol=1e-6)
-    assert rep.passed, (rep.max_dev_u, rep.max_dev_v)
+    g = ls.grid_through(CONE_TU0, lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 33)
+    rep = ls.verify_canonical(ls.chart_from_provider(provider, g, g, CONE_TU0, CONE_TU0))
+    assert rep.passed and (rep.eps1, rep.eps2) == (1, 1)
+    # |L^2 - 1| <= 1e-6, the pseudo arc-length condition, in L: |L - 1| <= 5e-7
+    assert max(rep.max_dev_L, rep.max_dev_N) <= 5e-7, (rep.max_dev_L, rep.max_dev_N)

@@ -31,13 +31,12 @@ def run(*argv):
 
 def refused(capsys, *argv):
     """The exit code and stderr lines of a run, argparse's refusals included, less the
-    wall time and argparse's usage line."""
+    wall time."""
     try:
         code = run(*argv)
     except SystemExit as exc:
         code = exc.code
-    return code, [ln for ln in capsys.readouterr().err.splitlines()
-                  if "wall time" not in ln and not ln.startswith("usage: ")]
+    return code, [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
 
 
 def load(path):
@@ -224,7 +223,7 @@ def test_canonicalize_cone(tmp_path):
     doc = load(str(rep))
     assert check(doc, "canonical")["pass"] is True
     chart = ls.read_chart(str(out))
-    assert chart.canonical
+    assert ls.verify_canonical(chart).passed
     TU, TV = np.meshgrid(chart.u_grid, chart.v_grid, indexing="ij")
     np.testing.assert_allclose(chart.F, TU**3 * TV**3 / 1152.0, rtol=1e-6)
 
@@ -1031,6 +1030,29 @@ def test_canon_nodes_2_is_refused_before_any_work(monkeypatch, capsys, tmp_path)
     assert err.splitlines()[-1] == ("lorsurf canonicalize: error: argument --canon-nodes: "
                                     "expected an integer >= 3, got 2")
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "enneper1", "--bogus"], "lorsurf: error: unrecognized arguments: --bogus"),
+    (["analyze", "enneper1", "--grid", "1x1"],
+     "lorsurf analyze: error: argument --grid: expected an integer >= 2, got 1"),
+    (["residual", "enneper1"],
+     "lorsurf residual: error: the following arguments are required: --mode"),
+    (["corpus", "show"], "lorsurf: error: corpus show requires a surface name"),
+], ids=["unknown_flag", "grid_1x1", "missing_mode", "corpus_show_without_name"])
+def test_argparse_refusals_are_one_line(capsys, argv, message):
+    # one line, as lorsurf's own refusals are, and no usage: that is --help's
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_help_still_prints_the_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("residual", "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lorsurf residual [-h]")
 
 
 def test_canon_nodes_3_gives_a_two_node_canonical_chart(tmp_path):

@@ -44,6 +44,18 @@ def test_chart_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "chart2.json"
     ls.write_chart(back, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+    # so does a file whose metadata ends with the "canonical" flag that write_chart
+    # once added, after the "canonical_check" block of resample_to_canonical
+    doc = json.loads(path.read_text())
+    doc["metadata"].update(resampled=True, canonical_check={
+        "max_dev_L": 2.220446049250313e-16, "max_dev_N": 0.0, "tol": 1e-06, "passed": True},
+        canonical=True)
+    old = json.dumps(doc, indent=1) + "\n"
+    path.write_text(old)
+    back = ls.read_chart(str(path))
+    assert back.metadata["canonical"] is True and back.metadata["canonical_check"]["passed"]
+    ls.write_chart(back, str(path2))
+    assert path2.read_text() == old
 
 
 def test_chart_file_is_row_major_by_v(tmp_path):
@@ -84,7 +96,6 @@ def test_chart_file_optional_fields_absent(tmp_path):
     lambda d: d["H"][1].__setitem__(2, "1.5"),  # numpy parsed the string
     lambda d: d["u_grid"].__setitem__(slice(2), ["0.1", True]),  # an increasing grid
     lambda d: d["v_grid"].__setitem__(0, "-2"),         # numpy parsed the string
-    lambda d: d["metadata"].update(canonical="no"),     # bool() read it as canonical
     lambda d: d.update(schema_version=True),            # True == 1 passed the check
     lambda d: d["F"][0].__setitem__(0, 10**400),        # OverflowError, a traceback
     lambda d: json.dumps(d).encode()[:-1] + b" \xff}",   # UnicodeDecodeError, a traceback
@@ -134,7 +145,6 @@ def charts(draw):
         F=field(awkward_or(positive).filter(lambda x: x > 0.0)), H=field(),
         u0_index=draw(st.integers(0, nu - 1)), v0_index=draw(st.integers(0, nv - 1)),
         eps1=draw(st.sampled_from((-1, 1))), eps2=draw(st.sampled_from((-1, 1))),
-        canonical=draw(st.booleans()),
         metadata=draw(st.dictionaries(st.text(max_size=3), json_metadata, max_size=3)),
         **optional).validate()
 
@@ -154,7 +164,7 @@ def chart_doc(chart):
         arr = getattr(chart, name)
         if arr is not None:
             doc[name] = arr.T.tolist()
-    doc["metadata"] = dict(chart.metadata, canonical=bool(chart.canonical))
+    doc["metadata"] = dict(chart.metadata)
     return doc
 
 
@@ -223,10 +233,6 @@ def reference_read_chart(path):
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ls.ChartError("metadata must be a JSON object")
-    metadata = dict(metadata)
-    canonical = metadata.pop("canonical", False)
-    if not isinstance(canonical, bool):
-        raise ls.ChartError("metadata.canonical must be true or false")
     try:
         chart = ls.Chart(
             u_grid=grid("u_grid"), v_grid=grid("v_grid"),
@@ -235,7 +241,7 @@ def reference_read_chart(path):
             u0_index=chartio._integer(doc, "u0_index"),
             v0_index=chartio._integer(doc, "v0_index"),
             eps1=chartio._integer(doc, "eps1"), eps2=chartio._integer(doc, "eps2"),
-            canonical=canonical, metadata=metadata)
+            metadata=metadata)
         return chart.validate()
     except (TypeError, ValueError, OverflowError) as exc:
         raise ls.ChartError(f"malformed chart file {path!r}: {exc}") from exc

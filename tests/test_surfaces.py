@@ -106,45 +106,26 @@ def test_orientation_swap_law(name, rng):
     assert np.allclose(fd_s.N, -fd.L, atol=1e-12)
 
 
-def test_classify_examples():
-    rep1 = ls.classify(ls.get("enneper1").provider(1.0, 0.0))
-    assert rep1.kind is ls.SurfaceKind.FIRST
-    assert np.isclose(rep1.h2_minus_k, 4.0)
-    assert np.isclose(rep1.ln_over_f2, 4.0)
-
-    rep2 = ls.classify(ls.get("enneper2").provider(1.0, 0.0))
-    assert rep2.kind is ls.SurfaceKind.SECOND
-    assert np.isclose(rep2.h2_minus_k, -4.0)
-
-    rep3 = ls.classify(ls.get("lorentz_sphere").provider(0.3, -0.1))
-    assert rep3.kind is ls.SurfaceKind.DEGENERATE
+def test_kind_field_examples():
+    for name, (u, v), code, h2k in (("enneper1", (1.0, 0.0), 1, 4.0),
+                                    ("enneper2", (1.0, 0.0), -1, -4.0),
+                                    ("lorentz_sphere", (0.3, -0.1), 0, 0.0)):
+        fd = forms_at(ls.get(name), u, v)
+        assert ls.kind_field(fd.H, fd.K) == code
+        assert np.isclose(fd.H**2 - fd.K, h2k)
+        assert np.isclose(fd.L * fd.N / fd.F**2, h2k)
 
 
-def test_classify_takes_its_kind_from_kind_field():
-    # classify's kind is kind_field's, and its tolerance KIND_TOL * (H^2 + |K|): an
-    # H^2 - K planted (by a shift of K) at 2, 1/2 and -2 tolerances is +1, 0 and -1
-    for name, u, v in (("enneper1", 1.0, 0.0), ("enneper2", 1.0, 0.0),
-                       ("lorentz_sphere", 0.3, -0.1), ("hyperbolic_cone", 0.2, -0.3)):
-        jet = ls.get(name).provider(u, v)
-        fd = ls.fundamental_forms(jet)
-        rep = ls.classify(jet)
-        assert rep.kind is ls.SurfaceKind.of(ls.kind_field(fd.H, fd.K))
-        assert rep.tol == surfaces.KIND_TOL * (fd.H**2 + abs(fd.K))
+def test_kind_field_tolerance_is_KIND_TOL_of_the_curvature_scale():
+    # an H^2 - K planted (by a shift of K) at 2, 1/2 and -2 times
+    # KIND_TOL * (H^2 + |K|) is +1, 0 and -1
     scale = 2.0 * 0.25  # H = 0.5, K ~ 0.25
     kinds = [ls.kind_field(0.5, 0.25 - r * surfaces.KIND_TOL * scale) for r in (2.0, 0.5, -2.0)]
     assert kinds == [1, 0, -1]
     assert [ls.SurfaceKind.of(code) for code in (1, -1, 0)] == list(ls.SurfaceKind)
 
 
-def test_classify_rejects_non_isotropic():
-    jet = ls.SurfaceJet2(
-        x=np.zeros(3), x_u=np.array([1.0, 0.0, 0.0]), x_v=np.array([0.0, 1.0, 0.0]),
-        x_uu=np.zeros(3), x_uv=np.zeros(3), x_vv=np.zeros(3))
-    with pytest.raises(ls.NotIsotropicError):
-        ls.classify(jet)
-
-
-def test_kind_field_matches_classify(rng):
+def test_kind_field_of_enneper2_is_second_kind(rng):
     entry = ls.get("enneper2")
     u, v = interior_points(entry, rng, 20)
     fd = forms_at(entry, u, v)
@@ -228,32 +209,6 @@ def test_fd_domain_error():
 def test_fd_rejects_bad_step():
     with pytest.raises(ValueError):
         ls.jet_from_position(lambda u, v: np.zeros(3), (0, 1, 0, 1), h=0.0)
-
-
-# -- pseudo arc-length checks ---------------------------------------------------
-
-def test_pseudo_arc_enneper1_passes():
-    rep = ls.pseudo_arc_check(ls.get("enneper1").provider, 1.5, -0.5,
-                              np.linspace(1.1, 1.9, 17),
-                              v_samples=np.linspace(-0.9, -0.1, 17), tol=1e-10)
-    assert rep.passed
-    assert rep.max_dev_u <= 1e-12 and rep.max_dev_v <= 1e-12
-
-
-def test_pseudo_arc_cone_fails_with_known_deviation():
-    samples = np.linspace(-0.9, 0.9, 25)
-    rep = ls.pseudo_arc_check(ls.get("hyperbolic_cone").provider, 0.0, 0.0,
-                              samples, tol=1e-8)
-    assert not rep.passed and not rep.degenerate_u
-    # <x_uu, x_uu> = L^2 = (3/4) e^(u + v); along v = 0 that is (3/4) e^u
-    expected = np.max(np.abs(0.75 * np.exp(samples) - 1.0))
-    assert np.isclose(rep.max_dev_u, expected, rtol=1e-12)
-
-
-def test_pseudo_arc_sphere_degenerate():
-    rep = ls.pseudo_arc_check(ls.get("lorentz_sphere").provider, 0.0, 0.0,
-                              np.linspace(-0.8, 0.8, 9), tol=1e-8)
-    assert rep.degenerate_u and rep.degenerate_v and not rep.passed
 
 
 # -- F > 0 convention -----------------------------------------------------------
