@@ -45,6 +45,15 @@ __all__ = [
 # they deviate from eps1 and eps2 by at most this.
 CANONICAL_TOL = 1e-6
 
+# Metadata keys of chart files from earlier versions: a canonicity verdict
+# frozen at one tolerance.  A derived chart does not inherit them.
+_STALE_KEYS = ("canonical", "canonical_check")
+
+
+def _derived_metadata(chart, **keys):
+    """`chart`'s metadata without the stale canonicity keys, updated with `keys`."""
+    return {k: val for k, val in chart.metadata.items() if k not in _STALE_KEYS} | keys
+
 
 @dataclass
 class MonotoneMap:
@@ -162,7 +171,9 @@ def resample_to_canonical(chart, maps, canonical_u_grid, canonical_v_grid):
     invariant.  The canonical grids must contain the images of the base
     point and lie inside the map ranges.  Where the pulled-back F is not
     positive, ChartError names the first canonical node and its source
-    (u, v).  Whether the result is canonical is verify_canonical's answer.
+    (u, v).  Whether the result is canonical is verify_canonical's answer;
+    the `canonical` and `canonical_check` keys of older chart files are
+    not carried over.
     """
     for name in ("L", "M", "N"):
         if getattr(chart, name) is None:
@@ -194,7 +205,7 @@ def resample_to_canonical(chart, maps, canonical_u_grid, canonical_v_grid):
     N = pull("N") * (vp**2)[None, :]
     return _signed_chart(cu, cv, i0, j0, F=F, H=pull("H"), L=L, M=M, N=N,
                          K=pull("K") if chart.K is not None else None,
-                         metadata=dict(chart.metadata, resampled=True))
+                         metadata=_derived_metadata(chart, resampled=True))
 
 
 @dataclass
@@ -229,7 +240,8 @@ def canonical_gauge_transform(chart, delta, c1, c2, swap=False, tol=CANONICAL_TO
     With `swap` the parameter numeration is exchanged first, which negates
     L, M, N (and hence H) and swaps the eps signs.  The input must pass
     verify_canonical at `tol`, whatever its metadata says; the output is
-    canonical again with the transformed signs.  This is an exact
+    canonical again with the transformed signs, and drops the `canonical`
+    and `canonical_check` keys of older chart files.  This is an exact
     index-level operation, no interpolation happens.
     """
     if delta not in (-1, 1):
@@ -266,7 +278,8 @@ def canonical_gauge_transform(chart, delta, c1, c2, swap=False, tol=CANONICAL_TO
         u_grid=new_u, v_grid=new_v, F=flip(F), H=flip(H),
         L=flip(L), M=flip(M), N=flip(N), K=flip(K),
         u0_index=new_i0, v0_index=new_j0, eps1=eps1, eps2=eps2,
-        metadata=dict(chart.metadata, gauge={"delta": delta, "c1": c1, "c2": c2, "swap": swap}))
+        metadata=_derived_metadata(
+            chart, gauge={"delta": delta, "c1": c1, "c2": c2, "swap": swap}))
     return out.validate()
 
 

@@ -31,9 +31,10 @@ component-last formulas.  congruence_check takes its per-node scales (see
 _form_scales) on the same component planes.
 
 The column march is a stream: each column's frames are stored only until
-the slab of columns around it has given its mesh column, invariant drift
-and compatibility residuals, so no whole-grid frame array exists and the
-results hold no frames.  Errors of a march name its stage (base line or
+the slab of columns around it has given its mesh column and folded its
+invariant drift and compatibility residuals into running maxima, so no
+whole-grid frame or diagnostic array exists, and the result holds the mesh
+and three maxima.  Errors of a march name its stage (base line or
 columns), the full-grid node (i, j) and its (u, v).
 
 Frames are never re-orthonormalized during the march: invariant drift and
@@ -350,17 +351,16 @@ class FormMismatch:
 
 @dataclass
 class ReconstructionResult:
+    """The mesh of a reconstruction and the maxima of its diagnostics."""
+
     u_grid: np.ndarray
     v_grid: np.ndarray
     mesh: np.ndarray               # (nu, nv, 3)
     eps1: int
     eps2: int
-    invariant_drift: np.ndarray    # (nu, nv)
-    max_invariant_drift: float
-    compat_residual: np.ndarray    # (nu-2, nv-2), |d_v X - d_u Y|
-    max_compat: float
-    compat_residual_l: np.ndarray  # (nu-2, nv-2), u-equation residual of l
-    max_compat_l: float
+    max_invariant_drift: float     # over all nodes
+    max_compat: float              # over interior nodes, |d_v X - d_u Y|
+    max_compat_l: float            # over interior nodes, u-equation residual of l
     form_mismatch: FormMismatch
     natural_max_abs: float
     natural_warning: bool
@@ -425,9 +425,10 @@ def reconstruct(chart, seed=None):
     warns, and the compatibility residual max_compat (|d_v X - d_u Y|) then
     exhibits the inconsistency.  Non-finite accumulated L, M or N abort
     before the march.  The columns stream from the march in slabs (see
-    _slabs), and each slab's mesh columns, invariant drift and
-    compatibility residuals are stored before the next is marched; no frame
-    is kept beyond its slab.  The form mismatch then runs over blocks of
+    _slabs): each slab stores its mesh columns and folds its invariant
+    drift and compatibility residuals into running maxima before the next
+    is marched.  No frame is kept beyond its slab, and of the diagnostics
+    only their maxima are kept.  The form mismatch then runs over blocks of
     interior mesh columns.
     """
     chart.validate()
@@ -445,18 +446,20 @@ def reconstruct(chart, seed=None):
         seed = initial_frame(F0, X=seed.X, Y=seed.Y, l=seed.l, x=seed.x)
 
     nat = natural_residual(chart, acc)
-    warning = not within([nat.max_abs], REL_TOL * nat.scale)
+    nat_max_abs, nat_scale = nat.max_abs, nat.scale
+    del nat  # its residual field is not held through the march
+    warning = not within([nat_max_abs], REL_TOL * nat_scale)
     if warning:
         warnings.warn(
-            f"chart violates the natural equation (max residual {nat.max_abs:.3g}, "
-            f"scale {nat.scale:.3g}); reconstruction diagnostics will reflect this",
+            f"chart violates the natural equation (max residual {nat_max_abs:.3g}, "
+            f"scale {nat_scale:.3g}); reconstruction diagnostics will reflect this",
             stacklevel=2)
 
     nu, nv = u.size, v.size
     mesh = np.empty((nu, nv, 3))
-    drift = np.empty((nu, nv))
-    compat = np.empty((nu - 2, nv - 2))
-    compat_l = np.empty((nu - 2, nv - 2))
+    # per-slab maxima; a maximum is exact, so their maximum is the whole grid's,
+    # and a NaN or inf in any slab propagates as in ndarray.max
+    drift, compat, compat_l = [], [], []
     columns = _grid_march(u, v, chart.F, acc.L, acc.M, acc.N, i0, j0, seed.as_array())
     # diagnostics that overflow on huge finite states are recorded, and fail a report
     with np.errstate(over="ignore", invalid="ignore"):
@@ -465,21 +468,22 @@ def reconstruct(chart, seed=None):
             # is a contiguous row; the frame rows of the march are X/Y-swapped
             Y, X, l, x = S.transpose(1, 0, 3, 2)
             fresh = cols[new:]
-            mesh[:, fresh] = x[new:].swapaxes(0, 1)
-            drift[:, fresh] = functools.reduce(np.maximum, _frame_errors(
-                X[new:], Y[new:], l[new:], chart.F[:, fresh].T).values()).T
+            if fresh.size:
+                mesh[:, fresh] = x[new:].swapaxes(0, 1)
+                drift.append(functools.reduce(np.maximum, _frame_errors(
+                    X[new:], Y[new:], l[new:], chart.F[:, fresh].T).values()).max())
             if cols.size < 3:
                 continue
             # a slab in decreasing v gives the same central differences bit for bit:
             # IEEE a - b = -(b - a) and (-x) / (-y) = x / y exactly
             mid = cols[1:-1]
             D = _central(X[:, 1:-1], v[cols], axis=0) - _central(Y[1:-1], u, axis=1)
-            compat[:, mid - 1] = _euclid(D).T
+            compat.append(_euclid(D).max())
             Fi = chart.F[1:-1, mid].T[..., None]
             Dl = _central(l[1:-1], u, axis=1) \
                 + (acc.M[1:-1, mid].T[..., None] / Fi) * X[1:-1, 1:-1] \
                 + (acc.L[1:-1, mid].T[..., None] / Fi) * Y[1:-1, 1:-1]
-            compat_l[:, mid - 1] = _euclid(Dl).T
+            compat_l.append(_euclid(Dl).max())
 
         dF = np.empty((nu - 2, nv - 2))
         dH = np.empty((nu - 2, nv - 2))
@@ -498,11 +502,9 @@ def reconstruct(chart, seed=None):
     return ReconstructionResult(
         u_grid=u.copy(), v_grid=v.copy(), mesh=mesh,
         eps1=chart.eps1, eps2=chart.eps2,
-        invariant_drift=drift, max_invariant_drift=float(drift.max()),
-        compat_residual=compat, max_compat=float(compat.max()),
-        compat_residual_l=compat_l, max_compat_l=float(compat_l.max()),
-        form_mismatch=mismatch,
-        natural_max_abs=nat.max_abs, natural_warning=bool(warning))
+        max_invariant_drift=float(np.max(drift)), max_compat=float(np.max(compat)),
+        max_compat_l=float(np.max(compat_l)), form_mismatch=mismatch,
+        natural_max_abs=nat_max_abs, natural_warning=bool(warning))
 
 
 def _cmc_chart(F, H, u, v, eps1, eps2):

@@ -231,8 +231,11 @@ def test_gauge_swap_flips_eps_and_H():
 def test_gauge_reflection_on_cylinder():
     g = np.linspace(0.0, 2 * np.pi, 21)
     chart = ls.reference_chart("cylinder", g, g)
+    chart.metadata.update(canonical_check={"passed": True}, canonical=True)  # older files
     out = ls.canonical_gauge_transform(chart, -1, 0.0, 0.0)
     assert ls.verify_canonical(out, tol=1e-12).passed
+    assert out.metadata == {"source": "cylinder",
+                            "gauge": {"delta": -1, "c1": 0.0, "c2": 0.0, "swap": False}}
     assert np.all(out.F == 2.0) and np.all(out.H == 0.5)
     assert np.all(np.diff(out.u_grid) > 0)
 

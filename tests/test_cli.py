@@ -241,17 +241,25 @@ def test_canonicalize_enneper_identity(tmp_path):
 
 def test_canonicalize_reads_a_corpus_surface_as_its_reference_chart(tmp_path):
     # one path: the corpus source and its reference chart written to a file give
-    # the same canonical chart, byte for byte, and it names its source
+    # the same canonical chart, byte for byte, and it names its source; so does
+    # that chart in an older file format, whose stale claim it does not inherit
     u, v = np.linspace(-1.0, 1.0, 21), np.linspace(-0.5, 1.0, 31)
-    source = str(tmp_path / "src.json")
-    ls.write_chart(ls.reference_chart("hyperbolic_cone", u, v, u[7], v[20]), source)
+    raw = ls.reference_chart("hyperbolic_cone", u, v, u[7], v[20])
+    ls.write_chart(raw, str(tmp_path / "src.json"))
+    raw.metadata["canonical"] = False  # the flag that older chart files end with
+    ls.write_chart(raw, str(tmp_path / "old.json"))
     assert run("canonicalize", "hyperbolic_cone", "--grid", "21x31", "--domain=-1:1,-0.5:1",
                "--u0", repr(float(u[7])), "--v0", repr(float(v[20])),
                "--output", str(tmp_path / "a.json"), "--report", str(tmp_path / "ra.json")) == 0
-    assert run("canonicalize", source, "--output", str(tmp_path / "b.json"),
-               "--report", str(tmp_path / "rb.json")) == 0
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-    assert ls.read_chart(str(tmp_path / "a.json")).metadata["source"] == "hyperbolic_cone"
+    for source in ("src", "old"):
+        assert run("canonicalize", str(tmp_path / f"{source}.json"),
+                   "--output", str(tmp_path / "b.json"),
+                   "--report", str(tmp_path / "rb.json")) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert check(load(str(tmp_path / "rb.json")), "canonical")["pass"] is True
+    meta = ls.read_chart(str(tmp_path / "b.json")).metadata
+    assert meta["source"] == "hyperbolic_cone"
+    assert "canonical" not in meta and "canonical_check" not in meta
 
 
 @pytest.mark.parametrize("argv", [["canonicalize", "--output", "{tmp}/c.json"],
@@ -491,6 +499,8 @@ def test_reconstruct_non_finite_diagnostics_fail_without_runtime_warnings(capsys
     vals = status(doc, "reconstruction")["values"]
     assert vals["natural_warning"] is True
     assert vals["natural_residual_max_abs"] == "NaN" and vals["max_invariant_drift"] == "NaN"
+    assert vals["max_compat_residual"] == "Infinity"
+    assert vals["max_compat_residual_l"] == 0.003910127797582918
     assert doc["summary"]["passed"] is False and doc["summary"]["warning"] is True
 
 

@@ -642,9 +642,6 @@ def check_streamed_reconstruction(nu, nv, i0, j0, seed):
     S0 = ls.initial_frame(chart.F[i0, j0]).as_array()
     mesh, drift, compat, compat_l, mismatch = whole_grid_diagnostics(chart, S0)
     assert bits(res.mesh) == bits(mesh)
-    assert bits(res.invariant_drift) == bits(drift)
-    assert bits(res.compat_residual) == bits(compat)
-    assert bits(res.compat_residual_l) == bits(compat_l)
     assert bits(res.form_mismatch) == bits(mismatch)
     assert bits([res.max_invariant_drift, res.max_compat, res.max_compat_l]) == \
         bits([drift.max(), compat.max(), compat_l.max()])
@@ -835,16 +832,20 @@ def test_congruence_check_refuses_mismatched_meshes_and_short_grids():
 
 
 def test_reconstruct_peak_allocation_per_node():
-    # no frame outlives its slab of columns, so the peak is the mesh and the
-    # other result arrays, L, M, N and one march's spline samples (~150 B/node)
+    # no frame outlives its slab of columns and the diagnostics fold into
+    # maxima, so the peak is the mesh, L, M, N, one march's spline samples
+    # and one slab (~120 B/node)
     n = 401
     u, v = np.linspace(1.0, 2.0, n), np.linspace(-1.0, 0.0, n)
     chart = ls.reference_chart("enneper1", u, v)
     ls.reconstruct(ls.reference_chart("enneper1", u[:11], v[:11]))  # imports done
     tracemalloc.start()
     try:
-        ls.reconstruct(chart)
+        res = ls.reconstruct(chart)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (n * n) <= 170.0
+    assert peak / (n * n) <= 130.0
+    # the mesh is the result's only grid-sized array
+    held = sum(a.nbytes for a in vars(res).values() if isinstance(a, np.ndarray))
+    assert held == res.mesh.nbytes + u.nbytes + v.nbytes
