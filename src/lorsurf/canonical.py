@@ -119,13 +119,13 @@ def _check_general_type(line, grid, i0, label):
         k = int(np.argwhere(small)[0][0])
         raise NotGeneralTypeError(
             f"{label} vanishes on the base line at parameter {float(grid[k])!r} (node {k})")
-    s0 = np.sign(line[i0])
-    flips = np.sign(line) != s0
+    # past the test above no node is zero: the line crosses zero between the nodes of a flip
+    flips = np.sign(line[1:]) != np.sign(line[:-1])
     if np.any(flips):
         k = int(np.argwhere(flips)[0][0])
         raise NotGeneralTypeError(
-            f"{label} changes sign on the base line at parameter {float(grid[k])!r} (node {k}); "
-            "the surface changes kind there")
+            f"{label} changes sign on the base line between parameters {float(grid[k])!r} "
+            f"and {float(grid[k + 1])!r} (nodes {k} and {k + 1}); the surface changes kind there")
 
 
 def canonical_maps_from_lines(u_grid, L_line, v_grid, N_line, u0, v0,
@@ -219,8 +219,8 @@ class CanonicalReport:
     base: tuple  # (u0, v0)
 
 
-def verify_canonical(chart, tol=CANONICAL_TOL):
-    """Deviation of L(., v0) from eps1 and N(u0, .) from eps2.
+def verify_canonical(chart):
+    """Deviation of L(., v0) from eps1 and N(u0, .) from eps2, judged at CANONICAL_TOL.
 
     Canonicity depends on the stored base point; the report names it.
     """
@@ -230,23 +230,23 @@ def verify_canonical(chart, tol=CANONICAL_TOL):
     dev_N = float(np.max(np.abs(chart.N[chart.u0_index, :] - chart.eps2)))
     return CanonicalReport(
         max_dev_L=dev_L, max_dev_N=dev_N,
-        passed=within([dev_L, dev_N], tol), tol=tol,
+        passed=within([dev_L, dev_N], CANONICAL_TOL), tol=CANONICAL_TOL,
         eps1=chart.eps1, eps2=chart.eps2, base=(chart.u0, chart.v0))
 
 
-def canonical_gauge_transform(chart, delta, c1, c2, swap=False, tol=CANONICAL_TOL):
+def canonical_gauge_transform(chart, delta, c1, c2, swap=False):
     """Apply the residual gauge freedom u = delta*tu + c1, v = delta*tv + c2.
 
     With `swap` the parameter numeration is exchanged first, which negates
     L, M, N (and hence H) and swaps the eps signs.  The input must pass
-    verify_canonical at `tol`, whatever its metadata says; the output is
+    verify_canonical, whatever its metadata says; the output is
     canonical again with the transformed signs, and drops the `canonical`
     and `canonical_check` keys of older chart files.  This is an exact
     index-level operation, no interpolation happens.
     """
     if delta not in (-1, 1):
         raise ChartError("delta must be +1 or -1")
-    if not verify_canonical(chart, tol=tol).passed:
+    if not verify_canonical(chart).passed:
         raise ChartError("gauge transform requires a canonical chart")
 
     u_grid, v_grid = chart.u_grid, chart.v_grid

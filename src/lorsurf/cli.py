@@ -8,7 +8,9 @@ JSON documents (a non-finite number is written as the string "Infinity",
 recorded numbers and tolerances; identical inputs and flags produce
 byte-identical files (timing goes to stderr, never into the report).  Each
 verdict has one standard, a named constant that no flag moves; a report
-records the ones its checks read under `effective_tolerances`.  Every
+records the ones its checks read under `effective_tolerances`, taking the
+residual, canonicity and congruence verdicts and standards (`passed`,
+`tol`) from the library's reports rather than judging again.  Every
 verdict is `errors.within`, and one writer, `_finish`, passes a report only
 when its checks pass and every number it records is finite.
 
@@ -32,13 +34,12 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import minkowski as mk
-from .canonical import (CANONICAL_TOL, canonical_maps_from_lines, resample_to_canonical,
-                        verify_canonical)
+from .canonical import canonical_maps_from_lines, resample_to_canonical, verify_canonical
 from .chart import base_signs, grid_index, grid_through, same_node
 from .chartio import (
+    digest_bytes,
     digest_text,
     load_chart,
-    read_chart,
     report_json,
     write_chart,
     write_mesh_csv,
@@ -47,14 +48,8 @@ from .chartio import (
 )
 from .errors import (ChartError, DegenerateMetricError, DomainError, LorsurfError,
                      NotLorentzSurfaceError, finite, negligible, relative, within)
-from .natural import (
-    MIN_ORDER,
-    REL_TOL,
-    cmc_residual,
-    convergence_order,
-    minimal_residual,
-    natural_residual,
-)
+from .natural import (MIN_ORDER, cmc_residual, convergence_order, minimal_residual,
+                      natural_residual)
 from .reconstruct import FrameState, cmc_pair, congruence_check, reconstruct
 from .surfaces import (ISO_TOL, SurfaceKind, _curvature_scale, fundamental_forms,
                        is_isotropic, is_minimal, kind_field)
@@ -170,14 +165,21 @@ class _Source:
 
         A corpus surface is its reference chart on its grid with each step cut
         into `refine` equal steps (refine = 1 gives the grid's own bits); a
-        chart file has no finer grid to give.
+        chart file has no finer grid to give.  A finer chart is recorded in
+        `inputs`: `refine`, or the path `refined` with its file's sha256.
         """
         if path is not None:
-            chart = read_chart(path)
+            try:
+                chart, digest = load_chart(path)
+            except OSError as exc:
+                raise ChartError(f"cannot read chart file {path!r}: {exc}") from exc
+            self.inputs.update(refined=path, refined_digest=digest)
         elif self.is_corpus:
             u, v = (np.linspace(g[0], g[-1], (g.size - 1) * refine + 1)
                     for g in (self.u_grid, self.v_grid))
             chart = corpus_mod.reference_chart(self.entry.name, u, v, self.u0, self.v0)
+            if refine > 1:
+                self.inputs["refine"] = refine
         elif refine > 1:
             raise ChartError("--refine needs a corpus source; use --refined FILE for charts")
         else:
@@ -200,12 +202,12 @@ def _largest(x, scale):
 
 
 def _canonical_status(chart, tolerances):
-    tol = tolerances["tol_canonical"] = CANONICAL_TOL
-    rep = verify_canonical(chart, tol=tol)
+    rep = verify_canonical(chart)
+    tolerances["tol_canonical"] = rep.tol
     return _status("canonical", {
         "status": "pass" if rep.passed else "fail",
         "max_dev_L": rep.max_dev_L, "max_dev_N": rep.max_dev_N,
-        "eps1": rep.eps1, "eps2": rep.eps2, "tolerance": tol})
+        "eps1": rep.eps1, "eps2": rep.eps2, "tolerance": rep.tol})
 
 
 def cmd_analyze(args):
@@ -240,7 +242,7 @@ def cmd_analyze(args):
         nxu, nxv, nl = (np.linalg.norm(t, axis=-1) for t in (jets.x_u, jets.x_v, fd.l))
         iso = {"max_abs_E": _largest(fd.E, nxu * nxu), "max_abs_G": _largest(fd.G, nxv * nxv),
                "min_F": float(np.min(fd.F / (nxu * nxv)))}
-        checks.append(_check("isotropic", iso, ISO_TOL, np.all(is_isotropic(fd, jets, ISO_TOL))))
+        checks.append(_check("isotropic", iso, ISO_TOL, np.all(is_isotropic(fd, jets))))
 
         normal = {"max_abs_l2_minus_1": _largest(mk.inner(fd.l, fd.l) - 1.0, nl * nl),
                   "max_abs_xu_l": _largest(mk.inner(jets.x_u, fd.l), nxu * nl),
@@ -318,14 +320,14 @@ def cmd_canonicalize(args):
     cu = grid_through(float(umap(chart.u0)), *umap.range, nu)
     cv = grid_through(float(vmap(chart.v0)), *vmap.range, nv)
     out = resample_to_canonical(chart, maps, cu, cv)
-    rep = verify_canonical(out, tol=CANONICAL_TOL)
+    rep = verify_canonical(out)
     write_chart(out, args.output)
     return _finish(
         args, "canonicalize", dict(src.inputs, tilde_u0=args.tilde_u0, tilde_v0=args.tilde_v0),
-        {"tol_canonical": CANONICAL_TOL},
+        {"tol_canonical": rep.tol},
         [_check("canonical", {"max_dev_L": rep.max_dev_L, "max_dev_N": rep.max_dev_N,
                               "eps1": rep.eps1, "eps2": rep.eps2, "base": list(rep.base)},
-                CANONICAL_TOL, rep.passed)],
+                rep.tol, rep.passed)],
         [_status("canonical_maps", {"u_range": list(umap.range), "v_range": list(vmap.range),
                                     "canonical_grid": [int(cu.size), int(cv.size)]})],
         output_chart=args.output)
@@ -385,11 +387,9 @@ def cmd_residual(args):
     fine = src.chart(args.refine or 1, args.refined) if args.refine or args.refined else None
     factor = None if fine is None else _refinement(chart, fine)
     rep = _residual_for(chart, args.mode)
-    tol = REL_TOL * rep.scale
-    tolerances = {"tol": tol}
-
-    checks = [_check("residual", {"max_abs": rep.max_abs, "l2": rep.l2,
-                                  "scale": rep.scale}, tol, within([rep.max_abs], tol))]
+    tolerances = {"tol": rep.tol}
+    checks = [_check("residual", {"max_abs": rep.max_abs, "l2": rep.l2, "scale": rep.scale},
+                     rep.tol, rep.passed)]
     if fine is not None:
         rep2 = _residual_for(fine, args.mode)
         order = convergence_order(rep.max_abs, rep2.max_abs, factor)
@@ -407,12 +407,14 @@ def cmd_residual(args):
 # -- reconstruct ----------------------------------------------------------------
 
 def _load_seed(spec):
-    """The seed file's frame, unchecked: reconstruct validates it against its chart."""
+    """The seed file's frame, unchecked (reconstruct validates it against its chart),
+    and the report's inputs that name it: `seed`, and the sha256 of the file's bytes."""
     if spec in (None, "standard"):
-        return None
+        return None, {"seed": "standard"}
     try:
-        with open(spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(spec, "rb") as fh:
+            data = fh.read()
+        doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ChartError(f"seed file {spec!r} is not UTF-8 text: {exc}") from exc
     except (OSError, json.JSONDecodeError) as exc:
@@ -427,7 +429,7 @@ def _load_seed(spec):
         # initial_frame would read three Nones as "the standard seed"
         raise ChartError(f"seed file {spec!r} has null X, Y and l; "
                          "use --seed standard for the standard frame")
-    return seed
+    return seed, {"seed": spec, "seed_digest": digest_bytes(data)}
 
 
 def _result_status(tag, res):
@@ -460,7 +462,7 @@ def cmd_reconstruct(args):
     chart = src.chart()
     statuses, tolerances = [], {}
     warning = False
-    seed = _load_seed(args.seed)
+    seed, seed_inputs = _load_seed(args.seed)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         if args.pair:
@@ -474,12 +476,13 @@ def cmd_reconstruct(args):
             _export_mesh(res_m, args.mesh + "_m", f"cmc pair, eps=({res_m.eps1},{res_m.eps2})")
             statuses.append(_result_status("reconstruction_p", res_p))
             statuses.append(_result_status("reconstruction_m", res_m))
-            tol = tolerances["tol_congruence"] = PAIR_CONGRUENCE_TOL
-            cong = congruence_check(res_p.mesh, res_m.mesh, chart.u_grid, chart.v_grid, tol=tol)
+            cong = congruence_check(res_p.mesh, res_m.mesh, chart.u_grid, chart.v_grid,
+                                    tol=PAIR_CONGRUENCE_TOL)
+            tolerances["tol_congruence"] = cong.tol
             statuses.append(_status("pair_congruence", {
                 "verdict": cong.verdict.value,
                 "mismatch": cong.mismatch, "mismatch_flipped": cong.mismatch_flipped,
-                "tolerance": tol}))
+                "tolerance": cong.tol}))
             warning = res_p.natural_warning or res_m.natural_warning
         else:
             res = reconstruct(chart, seed=seed)
@@ -487,10 +490,8 @@ def cmd_reconstruct(args):
             statuses.append(_result_status("reconstruction", res))
             warning = res.natural_warning
 
-    return _finish(args, "reconstruct",
-                   dict(src.inputs, pair=bool(args.pair), seed=args.seed or "standard"),
-                   tolerances, [], statuses,
-                   warning=bool(warning), mesh_prefix=args.mesh)
+    return _finish(args, "reconstruct", dict(src.inputs, pair=bool(args.pair), **seed_inputs),
+                   tolerances, [], statuses, warning=bool(warning), mesh_prefix=args.mesh)
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -560,9 +561,11 @@ def build_parser():
     p = sub.add_parser("residual", help="natural-equation residuals")
     _add_source_args(p)
     p.add_argument("--mode", choices=("general", "cmc", "minimal"), required=True)
-    p.add_argument("--refine", type=_int_at_least(2), default=None,
-                   help="refinement factor for a two-grid order estimate (corpus)")
-    p.add_argument("--refined", default=None, help="refined chart file for the order estimate")
+    finer = p.add_mutually_exclusive_group()
+    finer.add_argument("--refine", type=_int_at_least(2), default=None,
+                       help="refinement factor for a two-grid order estimate (corpus)")
+    finer.add_argument("--refined", default=None,
+                       help="refined chart file for the order estimate")
     p.set_defaults(fn=cmd_residual)
 
     p = sub.add_parser("reconstruct", help="frame-system surface reconstruction")
@@ -591,6 +594,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "corpus" and args.action == "show" and not args.name:
         parser.error("corpus show requires a surface name")
+    if args.command == "corpus" and args.action == "list" and args.name is not None:
+        parser.error("corpus list takes no surface name")
     t0 = time.perf_counter()
     try:
         for flag in ("report", "mesh", "output"):  # before any work, so nothing is written

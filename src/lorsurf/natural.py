@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartError, NotGeneralTypeError, StencilError, refuse
+from .errors import ChartError, NotGeneralTypeError, StencilError, refuse, within
 from .stencils import _unit_steps, check_grid, cross_derivative, cumtrapz_from, gradient
 from .surfaces import _curvature_scale, kind_field
 
@@ -40,10 +40,10 @@ __all__ = [
     "convergence_order",
 ]
 
-# A residual max_abs above REL_TOL * scale violates the natural equation: the
-# tolerance of `lorsurf residual`, the threshold of reconstruct's
-# warning and of the cmc_pair / minimal_from_K refusals.  Each report's scale
-# (ResidualReport.scale) is in the units of its residual.
+# A residual max_abs above REL_TOL * scale violates the natural equation.  Each
+# report's scale (ResidualReport.scale) is in the units of its residual, and
+# the report carries the verdict (ResidualReport.passed) that `lorsurf
+# residual`, reconstruct's warning and the cmc_pair / minimal_from_K refusals read.
 REL_TOL = 1e-3
 # The least order of a two-grid residual estimate (convergence_order) that
 # shows the residual converging: the order check of `lorsurf residual`.
@@ -52,15 +52,15 @@ MIN_ORDER = 1.9
 
 @dataclass
 class ResidualReport:
-    """Discrete residual on the grid interior with summary norms."""
+    """Discrete residual on the grid interior, its summary norms and its verdict."""
 
     residual: np.ndarray       # (nu - 2, nv - 2)
     max_abs: float
     l2: float                  # area-weighted root mean square
-    u_interior: np.ndarray
-    v_interior: np.ndarray
     scale: float               # max|LN| + max M^2 (>= 1: |LN| = 1 at the base point),
                                # or max(H^2 + |K|), the kind rule's scale, for constant H
+    tol: float                 # REL_TOL * scale
+    passed: bool               # within([max_abs], tol): the data satisfy the equation
 
 
 def _trap_weights(t):
@@ -79,8 +79,10 @@ def _summarize(residual, u_int, v_int, scale):
     area = np.outer(wu, wv)
     with np.errstate(over="ignore"):  # an overflow gives l2 = inf, which fails every check
         l2 = float(np.sqrt(np.sum(residual**2 * area) / np.sum(area)))
-    return ResidualReport(residual=residual, max_abs=float(np.max(np.abs(residual))),
-                          l2=l2, u_interior=u_int, v_interior=v_int, scale=scale)
+    max_abs = float(np.max(np.abs(residual)))
+    tol = REL_TOL * scale
+    return ResidualReport(residual=residual, max_abs=max_abs, l2=l2, scale=scale, tol=tol,
+                          passed=within([max_abs], tol))
 
 
 def accumulate_LN(chart):

@@ -59,8 +59,7 @@ from .chart import _BLOCK, Chart
 from .errors import (ChartError, DegenerateMetricError, InvalidFrameError, NaturalEquationError,
                      NotLorentzSurfaceError, ReconstructionAbort, negligible, node_at, refuse,
                      relative, within)
-from .natural import (REL_TOL, F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual,
-                      natural_residual)
+from .natural import F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual, natural_residual
 from .splines import hermite_midpoints, notaknot_slopes
 from .stencils import check_grid
 from .surfaces import SurfaceJet2, fundamental_forms, is_minimal, jets_from_mesh
@@ -421,8 +420,8 @@ def reconstruct(chart, seed=None):
     """March the frame system over a chart and assemble all diagnostics.
 
     The chart should satisfy the natural equation, the integrability
-    condition of the frame system; a residual above REL_TOL * scale only
-    warns, and the compatibility residual max_compat (|d_v X - d_u Y|) then
+    condition of the frame system; a residual that fails it only warns,
+    and the compatibility residual max_compat (|d_v X - d_u Y|) then
     exhibits the inconsistency.  Non-finite accumulated L, M or N abort
     before the march.  The columns stream from the march in slabs (see
     _slabs): each slab stores its mesh columns and folds its invariant
@@ -446,9 +445,8 @@ def reconstruct(chart, seed=None):
         seed = initial_frame(F0, X=seed.X, Y=seed.Y, l=seed.l, x=seed.x)
 
     nat = natural_residual(chart, acc)
-    nat_max_abs, nat_scale = nat.max_abs, nat.scale
+    nat_max_abs, nat_scale, warning = nat.max_abs, nat.scale, not nat.passed
     del nat  # its residual field is not held through the march
-    warning = not within([nat_max_abs], REL_TOL * nat_scale)
     if warning:
         warnings.warn(
             f"chart violates the natural equation (max residual {nat_max_abs:.3g}, "
@@ -515,8 +513,8 @@ def _cmc_chart(F, H, u, v, eps1, eps2):
 
 
 def _refuse_violation(res, which, force):
-    """NaturalEquationError, unless `force`, when `res.max_abs` is not within REL_TOL * scale."""
-    if not (force or within([res.max_abs], REL_TOL * res.scale)):
+    """NaturalEquationError, unless `force`, when the residual report `res` fails."""
+    if not (force or res.passed):
         raise NaturalEquationError(
             f"K violates the {which} natural equation (max residual {res.max_abs:.3g}); "
             "pass --force (force=True in the library) to reconstruct anyway")
@@ -605,7 +603,10 @@ def congruence_check(mesh_a, mesh_b, u_grid, v_grid, tol=1e-6):
     coefficient at the node (see _form_scales), so the verdict does not depend
     on the size of the surface.  All four matching within the relative `tol`
     means congruent up to a proper motion; F matching while (L, M, N) match
-    with a global sign flip indicates a non-proper motion.
+    with a global sign flip indicates a non-proper motion.  `tol` is a
+    parameter because two standards are in use: 1e-6, the default, for a
+    rebuilt mesh against its closed form, and 1e-4 for the two members of a
+    CMC pair (`lorsurf reconstruct --pair`).  The report records it.
     """
     diff = dict.fromkeys("FLMN", -np.inf)
     summ = dict.fromkeys("LMN", -np.inf)

@@ -271,12 +271,12 @@ def is_minimal(H, K):
     return bool(negligible(np.max(np.abs(H)), np.sqrt(np.max(_curvature_scale(H, K)))))
 
 
-def is_isotropic(fd, jet, tol=ISO_TOL):
-    """Elementwise test for null coordinates at `tol`: E, G negligible against |x_u|^2, |x_v|^2
-    (Euclidean lengths of the jet), and F positive and not negligible against |x_u||x_v|."""
+def is_isotropic(fd, jet):
+    """Elementwise test for null coordinates at ISO_TOL: E, G negligible against |x_u|^2,
+    |x_v|^2 (Euclidean jet lengths), and F positive and not negligible against |x_u||x_v|."""
     a, b = (np.linalg.norm(t, axis=-1) for t in (jet.x_u, jet.x_v))
-    return (negligible(fd.E, a * a, tol) & negligible(fd.G, b * b, tol) & (fd.F > 0.0)
-            & ~negligible(fd.F, a * b, tol))
+    return (negligible(fd.E, a * a, ISO_TOL) & negligible(fd.G, b * b, ISO_TOL) & (fd.F > 0.0)
+            & ~negligible(fd.F, a * b, ISO_TOL))
 
 
 def swap_parameters(provider):

@@ -13,6 +13,7 @@ import pytest
 
 import lorsurf as ls
 from lorsurf.cli import main as cli_main
+from lorsurf.errors import within
 
 from conftest import CONE_TU0, cone_canonical_chart, enneper1_chart, interior_points
 
@@ -186,7 +187,8 @@ def test_criterion_6_gauge_invariance(rng):
         c1, c2 = rng.uniform(-2.0, 2.0, 2)
         swap = bool(rng.integers(0, 2))
         out = ls.canonical_gauge_transform(chart, delta, float(c1), float(c2), swap=swap)
-        gauges_ok += ls.verify_canonical(out, tol=1e-9).passed
+        rep = ls.verify_canonical(out)
+        gauges_ok += within([rep.max_dev_L, rep.max_dev_N], 1e-9)
 
     def identity_map(grid):
         return ls.MonotoneMap(knots=grid, values=grid.copy(),
@@ -212,7 +214,7 @@ def test_criterion_6_gauge_invariance(rng):
             g[np.argmin(np.abs(g - base))] = base
             grids.append(g)
         out = ls.resample_to_canonical(chart, (umap, vmap), grids[0], grids[1])
-        nonaffine_failed += not ls.verify_canonical(out, tol=1e-6).passed
+        nonaffine_failed += not ls.verify_canonical(out).passed  # CANONICAL_TOL = 1e-6
     dt = time.perf_counter() - t0
     criterion(6, "gauge invariance",
               gauges_ok == 20 and nonaffine_failed == 20 and dt < 2.0,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorsurf as ls
+from lorsurf.errors import within
 
 from conftest import CONE_TU0, cone_canonical_chart, enneper1_chart
 
@@ -95,11 +96,17 @@ def test_maps_reject_degenerate_lines():
 
 
 def test_maps_reject_sign_change():
-    g = np.linspace(-1.0, 1.0, 21)
-    L_line = g.copy()          # crosses zero
+    # no node at zero: L crosses it between nodes 9 and 10, far from the end nodes
+    g = np.linspace(-1.0, 1.0, 20)
+    L_line = g.copy()
     N_line = np.ones_like(g)
-    with pytest.raises(ls.NotGeneralTypeError):
-        ls.canonical_maps_from_lines(g, L_line, g, N_line, 0.5, 0.0)
+    with pytest.raises(ls.NotGeneralTypeError) as err:
+        ls.canonical_maps_from_lines(g, L_line, g, N_line, float(g[15]), float(g[3]))
+    assert str(err.value) == (
+        f"L changes sign on the base line between parameters {float(g[9])!r} and "
+        f"{float(g[10])!r} (nodes 9 and 10); the surface changes kind there")
+    with pytest.raises(ls.NotGeneralTypeError, match=r"^N changes sign .* \(nodes 9 and 10\)"):
+        ls.canonical_maps_from_lines(g, N_line, g, -L_line, float(g[3]), float(g[15]))
 
 
 # -- resampling -----------------------------------------------------------------
@@ -163,17 +170,23 @@ def test_resample_range_error():
 
 # -- canonicity verification -------------------------------------------------------
 
+def canonical_within(chart, tol):
+    """verify_canonical's deviations judged at `tol` rather than CANONICAL_TOL."""
+    rep = ls.verify_canonical(chart)
+    return within([rep.max_dev_L, rep.max_dev_N], tol)
+
+
 def test_verify_canonical_enneper_variants():
     chart1 = ls.reference_chart("enneper1", np.linspace(1.0, 2.0, 31),
                                 np.linspace(-1.0, 0.0, 31))
-    rep1 = ls.verify_canonical(chart1, tol=1e-12)
-    assert rep1.passed and rep1.max_dev_L == 0.0 and rep1.max_dev_N == 0.0
+    rep1 = ls.verify_canonical(chart1)
+    assert canonical_within(chart1, 1e-12) and rep1.max_dev_L == 0.0 and rep1.max_dev_N == 0.0
     assert (rep1.eps1, rep1.eps2) == (1, 1)
 
     chart2 = ls.reference_chart("enneper2", np.linspace(0.5, 1.5, 31),
                                 np.linspace(0.5, 1.5, 31))
-    rep2 = ls.verify_canonical(chart2, tol=1e-12)
-    assert rep2.passed and (rep2.eps1, rep2.eps2) == (1, -1)
+    rep2 = ls.verify_canonical(chart2)
+    assert canonical_within(chart2, 1e-12) and (rep2.eps1, rep2.eps2) == (1, -1)
 
 
 def test_enneper1_provider_chart_is_canonical():
@@ -186,17 +199,20 @@ def test_enneper1_provider_chart_is_canonical():
 def test_verify_canonical_raw_cone_fails_with_known_deviation():
     u = np.linspace(-1.0, 1.0, 41)
     chart = ls.chart_from_provider(ls.get("hyperbolic_cone").provider, u, u, 0.0, 0.0)
-    rep = ls.verify_canonical(chart, tol=1e-6)
-    assert not rep.passed
+    rep = ls.verify_canonical(chart)  # CANONICAL_TOL = 1e-6
+    assert not rep.passed and rep.tol == 1e-6
     expected = np.max(np.abs(0.5 * np.sqrt(3.0) * np.exp(u / 2.0) - 1.0))
     assert np.isclose(rep.max_dev_L, expected, rtol=1e-10)
 
 
-def test_verify_canonical_fails_a_non_finite_tolerance():
+def test_verify_canonical_fails_a_non_finite_tolerance(monkeypatch):
+    # the standard is read at each call, so a patched one is the one recorded
     chart = ls.reference_chart("enneper1", np.linspace(1.0, 2.0, 11), np.linspace(-1.0, 0.0, 11))
-    assert ls.verify_canonical(chart, tol=0.0).passed
+    monkeypatch.setattr("lorsurf.canonical.CANONICAL_TOL", 0.0)
+    assert ls.verify_canonical(chart).passed
     for tol in (np.inf, np.nan):
-        assert not ls.verify_canonical(chart, tol=tol).passed
+        monkeypatch.setattr("lorsurf.canonical.CANONICAL_TOL", tol)
+        assert not ls.verify_canonical(chart).passed
 
 
 def test_verify_canonical_requires_fields():
@@ -216,7 +232,7 @@ def test_gauge_identity():
     out = ls.canonical_gauge_transform(chart, 1, 0.0, 0.0)
     np.testing.assert_array_equal(out.u_grid, chart.u_grid)
     np.testing.assert_array_equal(out.F, chart.F)
-    assert ls.verify_canonical(out, tol=1e-12).passed
+    assert canonical_within(out, 1e-12)
 
 
 def test_gauge_swap_flips_eps_and_H():
@@ -225,7 +241,7 @@ def test_gauge_swap_flips_eps_and_H():
     assert (out.eps1, out.eps2) == (-chart.eps2, -chart.eps1)
     np.testing.assert_array_equal(out.H, -chart.H.T)
     np.testing.assert_array_equal(out.L, -chart.N.T)
-    assert ls.verify_canonical(out, tol=1e-12).passed
+    assert canonical_within(out, 1e-12)
 
 
 def test_gauge_reflection_on_cylinder():
@@ -233,7 +249,7 @@ def test_gauge_reflection_on_cylinder():
     chart = ls.reference_chart("cylinder", g, g)
     chart.metadata.update(canonical_check={"passed": True}, canonical=True)  # older files
     out = ls.canonical_gauge_transform(chart, -1, 0.0, 0.0)
-    assert ls.verify_canonical(out, tol=1e-12).passed
+    assert canonical_within(out, 1e-12)
     assert out.metadata == {"source": "cylinder",
                             "gauge": {"delta": -1, "c1": 0.0, "c2": 0.0, "swap": False}}
     assert np.all(out.F == 2.0) and np.all(out.H == 0.5)
@@ -286,8 +302,8 @@ def test_non_affine_reparametrization_fails_verification():
     cu = np.linspace(tu[0], tu[-1], 61)
     cu[np.argmin(np.abs(cu - umap(chart.u0)))] = float(umap(chart.u0))
     out = ls.resample_to_canonical(chart, (umap, vmap), cu, chart.v_grid)
-    rep = ls.verify_canonical(out, tol=1e-6)
-    assert not rep.passed
+    rep = ls.verify_canonical(out)  # CANONICAL_TOL = 1e-6
+    assert not rep.passed and rep.tol == 1e-6
     assert rep.max_dev_L > 0.05  # L = (1 + 2 a tu)^2 deviates at order a
 
 

@@ -1,6 +1,7 @@
 import builtins
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -210,6 +211,19 @@ def test_analyze_unknown_source():
     assert run("analyze", "/no/such/file.json") == 2
 
 
+def test_analyze_corpus_mesh_export_is_the_surface_position(tmp_path):
+    assert run("analyze", "cylinder", "--grid", "7x5", "--mesh", str(tmp_path / "P"),
+               "--report", str(tmp_path / "r.json")) == 0
+    entry = ls.get("cylinder")
+    dom = entry.default_domain
+    u, v = np.linspace(dom[0], dom[1], 7), np.linspace(dom[2], dom[3], 5)
+    mesh = entry.position(*np.meshgrid(u, v, indexing="ij"))
+    ls.write_mesh_obj(mesh, u, v, str(tmp_path / "Q.obj"), comments=["source corpus:cylinder"])
+    ls.write_mesh_csv(mesh, u, v, str(tmp_path / "Q.csv"))
+    for ext in ("obj", "csv"):
+        assert (tmp_path / f"P.{ext}").read_bytes() == (tmp_path / f"Q.{ext}").read_bytes()
+
+
 # -- canonicalize -----------------------------------------------------------------
 
 def test_canonicalize_cone(tmp_path):
@@ -380,6 +394,40 @@ def test_residual_refined_signs_are_compared_after_the_override(tmp_path):
         1.603, abs=1e-3)
 
 
+def test_residual_inputs_name_the_refinement(tmp_path):
+    # --refine 2 and 3 estimate different orders, so their reports differ in their inputs
+    inputs = {}
+    for refine in (None, 2, 3):
+        rep = tmp_path / f"r{refine}.json"
+        flags = ["--refine", str(refine)] if refine else []
+        run("residual", "enneper1", "--grid", "21x21", "--mode", "minimal", *flags,
+            "--report", str(rep))
+        inputs[refine] = load(str(rep))["inputs"]
+    assert "refine" not in inputs[None]
+    assert inputs[2] == dict(inputs[None], refine=2) and inputs[3] == dict(inputs[None], refine=3)
+
+
+def test_residual_inputs_record_the_refined_file_read_once(monkeypatch, tmp_path):
+    coarse = _enneper1_file(tmp_path, "c.json", 21, 21)
+    fine = _enneper1_file(tmp_path, "f.json", 41, 41)
+    with open(fine, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == fine:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    rep = tmp_path / "r.json"
+    assert run("residual", coarse, "--mode", "minimal", "--refined", fine,
+               "--report", str(rep)) == 1
+    inputs = load(str(rep))["inputs"]
+    assert inputs["refined"] == fine and inputs["refined_digest"] == digest
+    assert "refine" not in inputs and len(opened) == 1
+
+
 @pytest.mark.parametrize("argv", [["residual", "--mode", "cmc"],
                                   ["reconstruct", "--pair", "--mesh", "{tmp}/p"]],
                          ids=["residual_cmc", "reconstruct_pair"])
@@ -465,7 +513,7 @@ def test_analyze_overflow_fails_instead_of_passing(tmp_path):
 
 def test_canonicalize_infinite_tolerance_fails(monkeypatch, tmp_path):
     # no verdict passes on a non-finite tolerance, and the summary follows the check
-    monkeypatch.setattr(cli, "CANONICAL_TOL", math.inf)
+    monkeypatch.setattr("lorsurf.canonical.CANONICAL_TOL", math.inf)
     rep = tmp_path / "r.json"
     assert run("canonicalize", "hyperbolic_cone", "--grid", "11x11",
                "--output", str(tmp_path / "c.json"), "--report", str(rep)) == 1
@@ -774,6 +822,16 @@ def test_residual_refuses_flags_that_would_do_nothing(capsys, tmp_path):
         assert code == 2
         assert lines == [f"lorsurf: error: unrecognized arguments: {flag} 7"]
         assert list(tmp_path.iterdir()) == []
+    # a refined file and a refinement factor: one of the two would be ignored
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    coarse, fine = (_enneper1_file(inputs, f"c{n}.json", n, n) for n in (21, 41))
+    code, lines = refused(capsys, "residual", coarse, "--mode", "minimal", "--refined", fine,
+                          "--refine", "5", "--report", str(tmp_path / "r.json"))
+    assert code == 2
+    assert lines == ["lorsurf residual: error: argument --refine: not allowed with argument "
+                     "--refined"]
+    assert list(tmp_path.iterdir()) == [inputs]
 
 
 @pytest.mark.parametrize("flag", ["--tol-iso", "--tol-normal", "--tol-ref", "--tol-canonical"])
@@ -843,6 +901,21 @@ def test_reconstruct_seed_file(tmp_path):
                                     "l": [0.0, 0.0, 1.0]}))
     assert run("reconstruct", "cylinder", "--grid", "21x21", "--domain", "0:1,0:1",
                "--seed", str(bad_seed), "--mesh", str(tmp_path / "m2")) == 2
+
+
+def test_reconstruct_inputs_record_the_seed_file_digest(tmp_path):
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"X": [1.0, 1.0, 0.0], "Y": [-1.0, 1.0, 0.0],
+                                "l": [0.0, 0.0, 1.0]}))
+    digest = hashlib.sha256(seed.read_bytes()).hexdigest()
+    for flags, recorded in ((["--seed", str(seed)], {"seed": str(seed), "seed_digest": digest}),
+                            (["--seed", "standard"], {"seed": "standard"}),
+                            ([], {"seed": "standard"})):
+        rep = tmp_path / "r.json"
+        assert run("reconstruct", "cylinder", "--grid", "11x11", "--domain", "0:1,0:1", *flags,
+                   "--mesh", str(tmp_path / "m"), "--report", str(rep)) == 0
+        inputs = load(str(rep))["inputs"]
+        assert {k: inputs[k] for k in inputs if k.startswith("seed")} == recorded
 
 
 def test_reconstruct_refuses_seed_file_without_a_frame(capsys, tmp_path):
@@ -1049,13 +1122,38 @@ def test_canon_nodes_2_is_refused_before_any_work(monkeypatch, capsys, tmp_path)
     (["residual", "enneper1"],
      "lorsurf residual: error: the following arguments are required: --mode"),
     (["corpus", "show"], "lorsurf: error: corpus show requires a surface name"),
-], ids=["unknown_flag", "grid_1x1", "missing_mode", "corpus_show_without_name"])
+    (["corpus", "list", "enneper1"], "lorsurf: error: corpus list takes no surface name"),
+], ids=["unknown_flag", "grid_1x1", "missing_mode", "corpus_show_without_name",
+        "corpus_list_with_name"])
 def test_argparse_refusals_are_one_line(capsys, argv, message):
     # one line, as lorsurf's own refusals are, and no usage: that is --help's
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["residual", "{chart}", "--mode", "general", "--refine", "2"],
+     "--refine needs a corpus source; use --refined FILE for charts"),
+    (["reconstruct", "{chart}", "--pair", "--mesh", "{out}/m"], "--pair requires a K field"),
+    (["residual", "{chart}", "--mode", "cmc"], "mode cmc requires a K field"),
+    (["residual", "{chart}", "--mode", "minimal"], "mode minimal requires a K field"),
+    (["canonicalize", "{chart}", "--output", "{out}/c.json"],
+     "canonicalize needs a chart carrying L and N fields"),
+    (["analyze", "enneper1", "--domain", "1:1.0000001,1:1.0000001", "--grid", "2x2"],
+     "every grid node lies on the singular set"),
+], ids=["refine_chart_file", "pair_without_K", "cmc_without_K", "minimal_without_K",
+        "canonicalize_without_LN", "analyze_all_singular"])
+def test_what_a_command_needs_is_refused_in_one_line(capsys, tmp_path, argv, message):
+    chart = tmp_path / "plain.json"  # F and H only
+    ls.write_chart(enneper1_chart(11), str(chart))
+    out = tmp_path / "out"
+    out.mkdir()
+    code, lines = refused(capsys, *(a.format(chart=chart, out=out) for a in argv),
+                          "--report", str(out / "r.json"))
+    assert code == 2 and lines == [f"lorsurf: error: {message}"]
+    assert list(out.iterdir()) == []
 
 
 def test_help_still_prints_the_usage(capsys):

@@ -3,6 +3,8 @@ rule (`errors.within`, `errors.finite`), and source guards that keep every
 module on them."""
 
 import ast
+import dataclasses
+import inspect
 import math
 import os
 
@@ -117,3 +119,22 @@ def test_one_pass_rule_and_one_report_writer():
              if (isinstance(node, ast.Name) and node.id in gone)
              or (isinstance(node, ast.FunctionDef) and node.name in gone)]
     assert found == []
+
+
+def test_one_home_per_verdict_standard():
+    # the natural equation's and canonicity's standards are read where their
+    # reports are made; every caller reads the report's `tol` and `passed`
+    users = {}
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            used = node.id if isinstance(node, ast.Name) else \
+                node.name if isinstance(node, ast.alias) else None
+            if used in ("REL_TOL", "CANONICAL_TOL"):
+                users.setdefault(used, set()).add(
+                    (name, "import" if isinstance(node, ast.alias) else "read"))
+    assert users == {"REL_TOL": {("natural.py", "read"), ("__init__.py", "import")},
+                     "CANONICAL_TOL": {("canonical.py", "read"), ("__init__.py", "import")}}
+    for fn in (ls.verify_canonical, ls.canonical_gauge_transform, ls.is_isotropic):
+        assert "tol" not in inspect.signature(fn).parameters
+    fields = {f.name for f in dataclasses.fields(ls.ResidualReport)}
+    assert {"tol", "passed"} <= fields and not {"u_interior", "v_interior"} & fields
