@@ -10,17 +10,21 @@ exactly the bytes of `json.dumps(doc, indent=1) + "\n"`.
 All writes are atomic and streamed: the text goes into a temporary file in
 the target directory one grid row at a time, then the file is renamed onto
 the target, so no writer holds a whole file in memory.  Files are UTF-8
-whatever the locale.  The reader reads a chart file once, drops its bytes
-once hashed and decoded, and decodes the text one field at a time.
+whatever the locale.  The reader reads a chart file forward in chunks,
+hashing and decoding each as it comes, and converts a field to float64 a
+block of rows at a time: it holds a window of the text and one block of
+rows, never the whole file.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import itertools
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -137,60 +141,148 @@ def _is_rows(value):
     return isinstance(value, list) and bool(value) and all(isinstance(r, list) for r in value)
 
 
-def _field_array(rows):
-    """A field member as its float64 array in memory layout [i, j], if it is a
-    non-empty list of lists of numbers that numpy reads as a 2-D array;
-    otherwise `rows` itself, for the schema checks to name what is wrong."""
-    if not _is_rows(rows) or _non_numbers(itertools.chain.from_iterable(rows)):
-        return rows
-    try:
-        return np.asarray(rows, dtype=float).T  # file stores row index = v
-    except (ValueError, OverflowError):  # ragged, or an int beyond float range
-        return rows
-
-
+_CHUNK = 1 << 16   # bytes read at a time
+_SLACK = 64        # a value ending this near the window's end may be cut: scan it again
+_BLOCK = 1 << 13   # floats of a field converted to float64 at a time
 _DECODER = json.JSONDecoder()
 _SPACE = json.decoder.WHITESPACE.match
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL).match  # a string that closes
 
 
-def _decode(text):
-    """The chart document in `text`, decoded one top-level member at a time.
+class _Unstreamable(ValueError):
+    """The streamed walk cannot take this file; one json.loads of it decides."""
 
-    Each field member becomes its array (see _field_array) as soon as it is
-    read, so a single field's tree of boxed floats is alive at a time, not
-    the whole file's.  The walk accepts exactly the JSON objects that
-    json.loads accepts, with the same last-wins duplicate keys and NaN and
-    Infinity tokens; anything else (a syntax error anywhere, or a top level
-    that is not an object) is handed to json.loads, which then raises the
-    same error or returns the same document.
+
+class _Window:
+    """A forward window of a chart file's text.
+
+    Each refill hashes and decodes the next chunk of bytes and drops the
+    text before `pos`, so the window holds what the walk has not passed.
     """
-    scan, pos = _DECODER.scan_once, _SPACE(text, 0).end()
-    doc = {}
+
+    def __init__(self, fh):
+        self.fh, self.hash = fh, hashlib.sha256()
+        self.decoder = codecs.getincrementaldecoder("utf-8")()
+        self.text, self.pos, self.eof = "", 0, False
+
+    def refill(self):
+        """Append the next chunk; False at end of file.  A value longer than the
+        chunk doubles the read, so no value is scanned more than ~log times."""
+        if self.eof:
+            return False
+        data = self.fh.read(max(_CHUNK, len(self.text) - self.pos))
+        self.hash.update(data)
+        self.eof = not data
+        self.text = self.text[self.pos:] + self.decoder.decode(data, final=self.eof)
+        self.pos = 0
+        return True
+
+    def skip(self):
+        """Move past whitespace; the next character, or "" at end of file."""
+        while True:
+            self.pos = _SPACE(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self.refill():
+                return self.text[self.pos:self.pos + 1]
+
+    def expect(self, char):
+        """Move past whitespace and `char`, which must come next."""
+        if self.skip() != char:
+            raise _Unstreamable(f"no {char!r}")
+        self.pos += 1
+
+    def value(self):
+        """The JSON value after whitespace, with `pos` moved past it.
+
+        A value that ends within _SLACK characters of the window's end may
+        be cut (a number cut to "1.5e" stops short without raising) and is
+        scanned again after a refill, as is one that fails there or in a
+        string that runs to the end.  Any other error is the file's.
+        """
+        self.skip()
+        while True:
+            try:
+                value, end = _DECODER.scan_once(self.text, self.pos)
+                if self.eof or end <= len(self.text) - _SLACK:
+                    self.pos = end
+                    return value
+            except StopIteration as exc:
+                self._cut_at(exc.value)
+            except json.JSONDecodeError as exc:
+                self._cut_at(exc.pos)
+            self.refill()
+
+    def _cut_at(self, pos):
+        """Refuse the file unless the window's end may have cut the value that
+        failed at `pos`: `pos` lies within _SLACK of the end, or a string
+        starts there that does not close before it."""
+        text = self.text
+        if self.eof or not (pos >= len(text) - _SLACK
+                            or text[pos] == '"' and not _STRING(text, pos)):
+            raise _Unstreamable("syntax error")
+
+
+def _block(rows):
+    """Rows of a field as a float64 array, if they are equally long lists of numbers."""
+    if _non_numbers(itertools.chain.from_iterable(rows)):
+        raise _Unstreamable("not numbers")
     try:
-        if text[pos:pos + 1] != "{":
-            raise ValueError("not an object")
-        pos = _SPACE(text, pos + 1).end()
-        closed = text[pos:pos + 1] == "}"
-        while not closed:
-            if text[pos:pos + 1] != '"':
-                raise ValueError("no key")
-            key, pos = json.decoder.scanstring(text, pos + 1)
-            pos = _SPACE(text, pos).end()
-            if text[pos:pos + 1] != ":":
-                raise ValueError("no colon")
-            value, pos = scan(text, _SPACE(text, pos + 1).end())
-            doc[key] = _field_array(value) if key in _FIELDS else value
-            del value  # or the next member's tree is built beside this one
-            pos = _SPACE(text, pos).end()
-            closed = text[pos:pos + 1] == "}"
-            if not closed:
-                if text[pos:pos + 1] != ",":
-                    raise ValueError("no delimiter")
-                pos = _SPACE(text, pos + 1).end()
-        if _SPACE(text, pos + 1).end() != len(text):
-            raise ValueError("extra data")
-    except (ValueError, StopIteration):  # json.JSONDecodeError is a ValueError
-        return json.loads(text)
+        return np.asarray(rows, dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged, or an int beyond float range
+        raise _Unstreamable("not a 2-D array of floats") from exc
+
+
+def _field(win):
+    """A field member read one file row at a time, as its float64 array [i, j]."""
+    win.expect("[")
+    blocks, rows, count = [], [], 0
+    while True:
+        while win.text.find("]", win.pos, len(win.text) - _SLACK) < 0 and win.refill():
+            pass  # the row's end is in the window, so its scan is not cut short
+        row = win.value()
+        if not (isinstance(row, list) and row):
+            raise _Unstreamable("not a row")
+        rows.append(row)
+        count += len(row)
+        if count >= _BLOCK:
+            blocks.append(_block(rows))
+            rows, count = [], 0
+        sep = win.skip()
+        win.pos += 1
+        if sep == "]":
+            break
+        if sep != ",":
+            raise _Unstreamable("no ','")
+    if rows:
+        blocks.append(_block(rows))
+    try:
+        return np.concatenate(blocks).T  # file stores row index = v
+    except ValueError as exc:  # blocks of unequal row lengths
+        raise _Unstreamable("rows of unequal length") from exc
+
+
+def _stream(win):
+    """The chart document of the file behind `win`, read forward to its end.
+
+    The walk takes a non-empty top-level object, with json.loads's
+    last-wins duplicate keys and NaN and Infinity tokens, whose fields
+    are non-empty lists of equally long, non-empty lists of numbers; a
+    field's rows are converted to float64 _BLOCK floats at a time.
+    Anything else raises _Unstreamable.
+    """
+    doc = {}
+    win.expect("{")
+    while True:
+        if win.skip() != '"':
+            raise _Unstreamable("no key")
+        key = win.value()
+        win.expect(":")
+        doc[key] = _field(win) if key in _FIELDS else win.value()
+        if win.skip() == "}":
+            break
+        win.expect(",")
+    win.pos += 1
+    if win.skip():
+        raise _Unstreamable("extra data")
     return doc
 
 
@@ -204,9 +296,23 @@ def read_chart(path):
 
 def load_chart(path):
     """(chart, digest) of a chart file: the parsed, validated chart and the
-    sha256 of the file's bytes.  The file is read once; its bytes are
-    dropped once hashed and decoded, so the parse holds the text and one
-    field at a time.  OSError from reading is left to the caller to name."""
+    sha256 of the file's bytes.
+
+    The file is read forward in _CHUNK-byte chunks, each hashed and decoded
+    as it comes, so the read holds a window of text and one block of a
+    field's rows, never the whole file.  A file the walk cannot take (not
+    UTF-8, a syntax error, trailing data, a field that is not a 2-D array
+    of numbers) is read again whole and decoded by one json.loads, which
+    gives its chart or its error.  OSError from reading is left to the
+    caller to name."""
+    with open(path, "rb") as fh:
+        win = _Window(fh)
+        try:
+            doc = _stream(win)
+        except ValueError:  # _Unstreamable, or UnicodeDecodeError at a chunk's position
+            doc = None
+    if doc is not None:
+        return _parse_chart(doc, path), win.hash.hexdigest()
     with open(path, "rb") as fh:
         data = fh.read()
     digest = digest_bytes(data)
@@ -215,15 +321,15 @@ def load_chart(path):
     except UnicodeDecodeError as exc:
         raise ChartError(f"chart file {path!r} is not UTF-8 text: {exc}") from exc
     del data
-    return _parse_chart(text, path), digest
-
-
-def _parse_chart(text, path):
-    """Parse and validate the text of a chart file; `path` names it in errors."""
     try:
-        doc = _decode(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChartError(f"chart file {path!r} is not valid JSON: {exc}") from exc
+    return _parse_chart(doc, path), digest
+
+
+def _parse_chart(doc, path):
+    """Validate a decoded chart document; `path` names the file in errors."""
     if not isinstance(doc, dict):
         raise ChartError("chart file must contain a JSON object")
     version = doc.get("schema_version")
@@ -244,7 +350,7 @@ def _parse_chart(text, path):
         if name not in doc:
             return None
         rows = doc[name]
-        if isinstance(rows, np.ndarray):  # converted by _decode
+        if isinstance(rows, np.ndarray):  # converted by _field
             return rows
         if not _is_rows(rows):
             raise ChartError(f"field {name} must be a 2-D array")

@@ -23,6 +23,7 @@ Every command runs on numpy alone (lorsurf.splines); none loads scipy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -452,6 +453,18 @@ def _export_mesh(res, prefix, note):
     write_mesh_csv(res.mesh, res.u_grid, res.v_grid, prefix + ".csv")
 
 
+@contextlib.contextmanager
+def _warnings_as_lines():
+    """Print each warning raised inside as one `lorsurf: warning: ...` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for w in caught:
+                print(f"lorsurf: warning: {w.message}", file=sys.stderr)
+
+
 def cmd_reconstruct(args):
     if args.pair and (args.eps1 is not None or args.eps2 is not None):
         raise ChartError("--pair fixes the signs of both pair members itself; "
@@ -463,8 +476,7 @@ def cmd_reconstruct(args):
     statuses, tolerances = [], {}
     warning = False
     seed, seed_inputs = _load_seed(args.seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
+    with _warnings_as_lines():
         if args.pair:
             if chart.K is None:
                 raise ChartError("--pair requires a K field")

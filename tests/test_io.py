@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from lorsurf.chartio import report_json, write_mesh_csv, write_mesh_obj
 AWKWARD = (-0.0, 5e-324, 1e16, 1e-5, 0.1, 1.7976931348623157e308)
 
 
-def awkward_chart():
+def awkward_chart(note="awkward floats"):
     u = np.array([0.1, np.pi / 3, 1.7, np.e, 3.9])
     v = np.array([-2.0, -1.0 / 3.0, 0.77, 2.0])
     U, V = np.meshgrid(u, v, indexing="ij")
@@ -27,7 +28,7 @@ def awkward_chart():
     H = np.cos(U * V) / 7.0
     return ls.Chart(u_grid=u, v_grid=v, F=F, H=H, L=F * 0.5, M=F * H, N=np.cos(V) + 2.0,
                     K=np.sin(U + V), u0_index=2, v0_index=1, eps1=1, eps2=-1,
-                    metadata={"origin": "test", "note": "awkward floats"}).validate()
+                    metadata={"origin": "test", "note": note}).validate()
 
 
 def test_chart_round_trip_bit_exact(tmp_path):
@@ -194,8 +195,8 @@ def test_chart_write_read_write_is_byte_identical(tmp_path_factory, chart):
 def reference_read_chart(path):
     """The chart reader as one json.loads of the whole file.
 
-    This is the oracle of chartio's reader, which decodes one top-level
-    member at a time: on any file both give the same chart or the same error.
+    This is the oracle of chartio's reader, which streams the file through a
+    window of text: on any file both give the same chart or the same error.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -308,21 +309,59 @@ AWKWARD_OPEN = AWKWARD_TEXT[:-len("\n}\n")]
 DOUBLED_F = json.dumps((2.0 * awkward_chart().F).T.tolist())
 
 
+# the reader's (chunk bytes, block floats) under test: tiny chunks put the
+# window's edges inside keys, numbers, NaN and Infinity tokens, rows and
+# trailing whitespace, and tiny blocks split every field into many
+TINY = (16, 1)
+SIZES = (TINY, (256, 7), (chartio._CHUNK, chartio._BLOCK))
+
+
+def streamed_read(path, sizes):
+    """load_chart of `path` with the reader's chunk and block sizes set to `sizes`."""
+    chunk, block = sizes
+    with mock.patch.object(chartio, "_CHUNK", chunk), \
+            mock.patch.object(chartio, "_BLOCK", block):
+        return chartio.load_chart(path)
+
+
 @settings(max_examples=50, deadline=None)
-@given(data=chart_files())
-@example(data=(AWKWARD_OPEN + ',\n "F": [[1.0, 2.0]]\n}\n').encode())  # F again, 1x2
-@example(data=(AWKWARD_OPEN + f',\n "F": {DOUBLED_F}\n}}\n').encode())  # F again, valid
-@example(data=('{"F": "no field", ' + AWKWARD_TEXT[1:]).encode())  # a bad F overwritten
-@example(data=(AWKWARD_OPEN + ',\n "eps1": -1, "eps1": 3}').encode())
-@example(data=(AWKWARD_OPEN + ",\n}\n").encode())  # a trailing comma
-@example(data=(AWKWARD_TEXT + "x").encode())
-@example(data=(AWKWARD_TEXT + "{}").encode())
-@example(data=(AWKWARD_TEXT + " \r\n").encode())
-def test_streamed_reader_equals_one_json_loads(tmp_path_factory, data):
+@given(data=chart_files(), sizes=st.sampled_from(SIZES))
+@example(data=(AWKWARD_OPEN + ',\n "F": [[1.0, 2.0]]\n}\n').encode(), sizes=TINY)  # F again, 1x2
+@example(data=(AWKWARD_OPEN + f',\n "F": {DOUBLED_F}\n}}\n').encode(), sizes=TINY)  # F again
+@example(data=('{"F": "no field", ' + AWKWARD_TEXT[1:]).encode(), sizes=TINY)  # bad F overwritten
+@example(data=(AWKWARD_OPEN + ',\n "eps1": -1, "eps1": 3}').encode(), sizes=TINY)
+@example(data=(AWKWARD_OPEN + ",\n}\n").encode(), sizes=TINY)  # a trailing comma
+@example(data=(AWKWARD_TEXT + "x").encode(), sizes=TINY)
+@example(data=(AWKWARD_TEXT + "{}").encode(), sizes=TINY)
+@example(data=(AWKWARD_TEXT + " \r\n").encode(), sizes=TINY)
+def test_streamed_reader_equals_one_json_loads(tmp_path_factory, data, sizes):
     path = str(tmp_path_factory.mktemp("read") / "c.json")
     with open(path, "wb") as fh:
         fh.write(data)
-    assert read_outcome(ls.read_chart, path) == read_outcome(reference_read_chart, path)
+    digests = []
+
+    def read(path):
+        chart, digest = streamed_read(path, sizes)
+        digests.append(digest)
+        return chart
+
+    assert read_outcome(read, path) == read_outcome(reference_read_chart, path)
+    # the digest covers every byte, the whitespace after the closing brace included
+    assert digests in ([], [chartio.digest_bytes(data)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(chart=charts(), sizes=st.sampled_from(SIZES))
+@example(chart=awkward_chart(note="a string that runs past the window's end " * 4), sizes=TINY)
+def test_valid_charts_never_reach_the_fallback(tmp_path_factory, chart, sizes):
+    # the fallback is one json.loads of the whole file; a valid chart is streamed
+    path = str(tmp_path_factory.mktemp("valid") / "c.json")
+    ls.write_chart(chart, path)
+    with mock.patch.object(chartio.json, "loads", side_effect=AssertionError("fallback")):
+        back, digest = streamed_read(path, sizes)
+    assert read_outcome(lambda _: back, path) == read_outcome(reference_read_chart, path)
+    with open(path, "rb") as fh:
+        assert digest == chartio.digest_bytes(fh.read())
 
 
 def test_chart_integral_float_index_is_accepted(tmp_path):
@@ -484,16 +523,16 @@ def test_writers_hold_no_whole_file_in_memory(tmp_path, grid_201):
         assert peak < os.path.getsize(target) / 4, (path, peak, os.path.getsize(target))
 
 
-def test_reader_holds_one_copy_of_the_file(tmp_path, grid_201):
-    # The bytes and their decoded text (ASCII, one byte a character) meet
-    # only while decoding: 2x the file.  A reader holding the bytes, the text
-    # and json.loads's whole tree peaks at ~3.5x, and one that walks the
-    # fields but keeps the bytes at ~2.6x.
+def test_reader_holds_a_window_and_one_block_of_rows(tmp_path, grid_201):
+    # The six float64 arrays are 0.36x this file; the streamed read adds a
+    # window of a few 64 KiB chunks and one block of ~8k boxed floats, and
+    # peaks at ~0.48x.  A reader holding the file's bytes or its decoded text
+    # whole peaks at >= 2x; 1 MiB chunks give ~1.1x.
     _, chart, _ = grid_201
     path = str(tmp_path / "c.json")
     ls.write_chart(chart, path)
     peak = _peak_bytes(ls.read_chart, path)
-    assert peak < 2.25 * os.path.getsize(path), (peak, os.path.getsize(path))
+    assert peak <= 0.75 * os.path.getsize(path), (peak, os.path.getsize(path))
 
 
 def test_a_write_failing_mid_stream_leaves_the_target_untouched(tmp_path):
