@@ -166,8 +166,9 @@ class _Source:
 
         A corpus surface is its reference chart on its grid with each step cut
         into `refine` equal steps (refine = 1 gives the grid's own bits); a
-        chart file has no finer grid to give.  A finer chart is recorded in
-        `inputs`: `refine`, or the path `refined` with its file's sha256.
+        chart file has no finer grid to give, and its chart is given once.  A
+        finer chart is recorded in `inputs`: `refine`, or the path `refined`
+        with its file's sha256.
         """
         if path is not None:
             try:
@@ -184,7 +185,8 @@ class _Source:
         elif refine > 1:
             raise ChartError("--refine needs a corpus source; use --refined FILE for charts")
         else:
-            chart = self._chart
+            # handed over, not kept: a caller may drop fields it does not read
+            chart, self._chart = self._chart, None
         return chart.with_fields(**self.signs).validate() if self.signs else chart
 
 
@@ -497,6 +499,9 @@ def cmd_reconstruct(args):
                 "tolerance": cong.tol}))
             warning = res_p.natural_warning or res_m.natural_warning
         else:
+            # reconstruct reads F and H alone; the stored L, M, N and K are not
+            # held through its march
+            chart = chart.with_fields(L=None, M=None, N=None, K=None)
             res = reconstruct(chart, seed=seed)
             _export_mesh(res, args.mesh, f"eps=({res.eps1},{res.eps2})")
             statuses.append(_result_status("reconstruction", res))

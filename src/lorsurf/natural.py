@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chart import _BLOCK
 from .errors import ChartError, NotGeneralTypeError, StencilError, refuse, within
 from .stencils import _unit_steps, check_grid, cross_derivative, cumtrapz_from, gradient
 from .surfaces import _curvature_scale, kind_field
@@ -98,14 +99,30 @@ def accumulate_LN(chart):
     chart.validate()
     if min(chart.shape) < 3:
         raise StencilError("residual stencils need at least 3 nodes per axis")
+    # each integrand and integral is built in place (a * b and a + b round as
+    # b * a and b + a), and each integrand is freed once integrated
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        H_u = gradient(chart.H, chart.u_grid, axis=0)
-        H_v = gradient(chart.H, chart.v_grid, axis=1)
-        L = chart.eps1 + cumtrapz_from(chart.F * H_u, chart.v_grid, chart.v0_index, axis=1)
-        N = chart.eps2 + cumtrapz_from(chart.F * H_v, chart.u_grid, chart.u0_index, axis=0)
+        FH_u = gradient(chart.H, chart.u_grid, axis=0)
+        FH_u *= chart.F
+        L = cumtrapz_from(FH_u, chart.v_grid, chart.v0_index, axis=1)
+        del FH_u
+        L += chart.eps1
+        FH_v = gradient(chart.H, chart.v_grid, axis=1)
+        FH_v *= chart.F
+        N = cumtrapz_from(FH_v, chart.u_grid, chart.u0_index, axis=0)
+        del FH_v
+        N += chart.eps2
         M = chart.F * chart.H
     return chart.with_fields(L=L, M=M, N=N,
                              metadata=dict(chart.metadata, accumulated_LN=True))
+
+
+def _blocked_max(f, *fields):
+    """float(np.max(f(*fields))) over blocks of _BLOCK rows: a maximum is exact, so the
+    blocks give its bits, a NaN included, with no whole-grid temporary."""
+    n = fields[0].shape[0]
+    return float(np.max([np.max(f(*(a[i:i + _BLOCK] for a in fields)))
+                         for i in range(0, n, _BLOCK)]))
 
 
 def natural_residual(chart, acc=None):
@@ -120,17 +137,27 @@ def natural_residual(chart, acc=None):
         acc = accumulate_LN(chart)
     u, v = chart.u_grid, chart.v_grid
     F = chart.F
+    inner = (slice(1, -1), slice(1, -1))
+    Fi = F[inner]
     # an overflow or underflowing stencil denominators here yield a non-finite
-    # residual, which every verdict fails
+    # residual, which every verdict fails.  lhs and rhs are each one interior
+    # buffer built in place, in the order of (Fi F_uv - F_u F_v) / Fi - (L N - M^2):
+    # a * b rounds as b * a.  The residual is lhs, laid out as F.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        F_u = gradient(F, u, axis=0)[1:-1, 1:-1]
-        F_v = gradient(F, v, axis=1)[1:-1, 1:-1]
-        F_uv = cross_derivative(F, u, v)
-        Fi = F[1:-1, 1:-1]
-        lhs = (Fi * F_uv - F_u * F_v) / Fi
-        rhs = acc.L[1:-1, 1:-1] * acc.N[1:-1, 1:-1] - acc.M[1:-1, 1:-1] ** 2
-        scale = float(np.max(np.abs(acc.L * acc.N))) + float(np.max(acc.M**2))
-        residual = lhs - rhs
+        FuFv = gradient(F, u, axis=0)[inner]
+        FuFv *= gradient(F, v, axis=1)[inner]
+        lhs = cross_derivative(F, u, v)
+        lhs *= Fi
+        lhs -= FuFv
+        del FuFv
+        lhs /= Fi
+        rhs = np.multiply(acc.L[inner], acc.N[inner])
+        rhs -= np.square(acc.M[inner])
+        residual = lhs
+        residual -= rhs
+        del rhs
+        scale = _blocked_max(lambda L, N: np.abs(L * N), acc.L, acc.N) \
+            + _blocked_max(np.square, acc.M)
     return _summarize(residual, u[1:-1], v[1:-1], scale)
 
 

@@ -34,8 +34,10 @@ The column march is a stream: each column's frames are stored only until
 the slab of columns around it has given its mesh column and folded its
 invariant drift and compatibility residuals into running maxima, so no
 whole-grid frame or diagnostic array exists, and the result holds the mesh
-and three maxima.  Errors of a march name its stage (base line or
-columns), the full-grid node (i, j) and its (u, v).
+and three maxima.  Of its splines the march keeps the knot slopes, and it
+forms the midpoint coefficients one block of intervals at a time.  Errors
+of a march name its stage (base line or columns), the full-grid node
+(i, j) and its (u, v).
 
 Frames are never re-orthonormalized during the march: invariant drift and
 the cross-derivative residual d_v X - d_u Y are diagnostics of input
@@ -225,51 +227,56 @@ class _Place(NamedTuple):
         return (m, n) if self.along_v else (n, m)
 
 
-def _spline_samples(t, F, P, Q):
-    """Unchecked samples: dF at the nodes, and (F, dF, P, Q) at interval midpoints.
+def _midpoints(t, lines, slopes, start, stop):
+    """(F, dF, P, Q) at the midpoints of the intervals start..stop-1 of the lines.
 
-    The not-a-knot splines of all lines are fitted together, one field at
-    a time, and sampled in closed form from their knot values and slopes.
+    `lines` are the (n, m) arrays F, P, Q, `slopes` their not-a-knot knot
+    slopes (dF, dP, dQ); each result is (stop - start, m).  hermite_midpoints
+    of the knots start..stop forms every value by the same elementwise
+    expression as of the whole lines, so each block gives the same bits.
     """
-    dF = notaknot_slopes(t, F)
-    smid = (hermite_midpoints(t, F, dF), hermite_midpoints(t, F, dF, nu=1),
-            hermite_midpoints(t, P, notaknot_slopes(t, P)),
-            hermite_midpoints(t, Q, notaknot_slopes(t, Q)))
-    return dF, smid
+    k = slice(start, stop + 1)
+    (F, P, Q), (dF, dP, dQ) = ([a[k] for a in lines], [a[k] for a in slopes])
+    return (hermite_midpoints(t[k], F, dF), hermite_midpoints(t[k], F, dF, nu=1),
+            hermite_midpoints(t[k], P, dP), hermite_midpoints(t[k], Q, dQ))
 
 
-def _sample_coeffs(t, F, P, Q, place):
-    """dF at the nodes and the coefficients (F, dF, P, Q) at interval midpoints.
-
-    F, P, Q are (n, m) arrays holding m lines with the marching direction
-    along axis 0; at the nodes the march reads them as given.  dF is the
-    exact derivative of the interpolating spline, which keeps
-    d<X,Y>/dt = (dF/F) <X,Y> consistent with the sampled F.  A spline
-    F <= 0 at a midpoint aborts, naming its place.
-    """
-    dF, smid = _spline_samples(t, F, P, Q)
-    bad = smid[0] <= 0.0
-    if np.any(bad):
+def _refuse_nonpositive_midpoints(t, F, dF, place):
+    """ReconstructionAbort at the first spline midpoint, in C order of (interval,
+    line), where F <= 0; the midpoints are scanned _BLOCK intervals at a time."""
+    for start in range(0, t.size - 1, _BLOCK):
+        knots = slice(start, min(start + _BLOCK, t.size - 1) + 1)
+        bad = hermite_midpoints(t[knots], F[knots], dF[knots]) <= 0.0
+        if not np.any(bad):
+            continue
         k, line = map(int, np.argwhere(bad)[0])
-        (i, j), (i2, j2) = place.node(k, line), place.node(k + 1, line)
+        (i, j), (i2, j2) = place.node(start + k, line), place.node(start + k + 1, line)
         um, vm = 0.5 * (place.u[i] + place.u[i2]), 0.5 * (place.v[j] + place.v[j2])
         raise ReconstructionAbort(
             f"F <= 0 in the {place.stage} spline at (u, v) = ({float(um)!r}, {float(vm)!r}), "
             f"between nodes ({i}, {j}) and ({i2}, {j2})", node=(i, j))
-    return dF, smid
 
 
 def _march(t, i0, F, P, Q, S0, place):
     """Yield (n, S): the states S (4, 3, m) of m lines marched from S0 at node i0 (see _RK4).
 
-    F, P, Q are the lines' u-family coefficients, (n, m) with t along axis 0.
-    (i0, S0) comes first, then the march runs forward to the last node and
-    backward from i0 to node 0.  Each node's and each midpoint's coefficient
-    row is formed once.  `place` names the nodes in errors; when several
-    lines turn non-finite in one step, the lowest line is named.
+    F, P, Q are the lines' u-family coefficients, (n, m) with t along axis 0;
+    at the nodes the march reads them as given.  The not-a-knot splines of
+    all lines are fitted together, one field at a time, and only their knot
+    slopes are kept: dF, the spline's exact derivative, keeps d<X,Y>/dt =
+    (dF/F) <X,Y> consistent with the sampled F.  The midpoint coefficients
+    are formed for one block of _BLOCK intervals at a time (see _midpoints).
+    A spline F <= 0 at a midpoint aborts before the first step, naming its
+    place.  (i0, S0) comes first, then the march runs forward to the last
+    node and backward from i0 to node 0.  Each node's and each midpoint's
+    coefficient row is formed once.  `place` names the nodes in errors; when
+    several lines turn non-finite in one step, the lowest line is named.
     """
-    dF, mids = _sample_coeffs(t, F, P, Q, place)
-    nodes = (F, dF, P, Q)
+    lines = (F, P, Q)
+    slopes = tuple(notaknot_slopes(t, c) for c in lines)
+    _refuse_nonpositive_midpoints(t, F, slopes[0], place)
+    nodes = (F, slopes[0], P, Q)
+    block, mids = None, None
     rk4 = _RK4(S0.shape[-1])
     yield i0, S0
     forward = zip(range(i0, t.size - 1), range(i0 + 1, t.size))
@@ -278,9 +285,13 @@ def _march(t, i0, F, P, Q, S0, place):
         if k == i0:
             # each direction starts from the base node
             S, c0 = S0, _coeffs(*(c[k] for c in nodes))
+        mid = min(k, n)
+        if block != mid - mid % _BLOCK:
+            block = mid - mid % _BLOCK
+            mids = _midpoints(t, lines, slopes, block, min(block + _BLOCK, t.size - 1))
         c1 = _coeffs(*(c[n] for c in nodes))
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite states abort below
-            S = rk4.step(S, t[n] - t[k], c0, _coeffs(*(c[min(k, n)] for c in mids)), c1)
+            S = rk4.step(S, t[n] - t[k], c0, _coeffs(*(c[mid - block] for c in mids)), c1)
         c0 = c1
         if not np.isfinite(S).all():
             line = int(np.argmin(np.isfinite(S).all(axis=(0, 1))))
@@ -315,23 +326,27 @@ def _slabs(columns, j0):
     column except the two ends of a run is inside some slab with both of
     its neighbours.  The forward run starts at column j0; the backward run
     starts from columns j0 + 1 and j0, so its slabs run in decreasing v.
+    Each column's state is copied into one slab buffer as it arrives, so
+    cols and S are views that the next slab overwrites.
     """
-    run, seeds, new = [], [], 0
-
-    def slab():
-        return np.array([j for j, _ in run]), np.stack([S for _, S in run]), new
-
+    cols, buf, k, new, seeds = np.empty(_BLOCK + 2, dtype=int), None, 0, 0, []
     for j, S in columns:
+        if buf is None:  # after the column march has fitted its splines, not beside them
+            buf = np.empty((_BLOCK + 2,) + S.shape)
         if j == j0 - 1:  # the forward run is done
-            yield slab()
-            run, new = seeds[::-1], len(seeds)
-        run.append((j, S))
+            yield cols[:k], buf[:k], new
+            k = new = len(seeds)
+            for m, (seed_j, seed_S) in enumerate(reversed(seeds)):
+                cols[m], buf[m] = seed_j, seed_S
+        cols[k], buf[k] = j, S
+        k += 1
         if j0 <= j <= j0 + 1:
             seeds.append((j, S))
-        if len(run) == _BLOCK + 2:
-            yield slab()
-            run, new = run[-2:], 2
-    yield slab()
+        if k == _BLOCK + 2:
+            yield cols[:k], buf[:k], new
+            cols[:2], buf[:2] = cols[-2:], buf[-2:]
+            k, new = 2, 2
+    yield cols[:k], buf[:k], new
 
 
 # -- results and diagnostics --------------------------------------------------
@@ -427,8 +442,11 @@ def reconstruct(chart, seed=None):
     _slabs): each slab stores its mesh columns and folds its invariant
     drift and compatibility residuals into running maxima before the next
     is marched.  No frame is kept beyond its slab, and of the diagnostics
-    only their maxima are kept.  The form mismatch then runs over blocks of
-    interior mesh columns.
+    only their maxima are kept.  The march holds the knot slopes of its
+    splines and one block of midpoint coefficients (see _march).  The form
+    mismatch then runs over blocks of interior mesh columns, after the
+    accumulated L, M, N are released: reconstruct reads only the chart's F
+    and H, so a caller may pass a chart without its other fields.
     """
     chart.validate()
     acc = accumulate_LN(chart)
@@ -482,6 +500,7 @@ def reconstruct(chart, seed=None):
                 + (acc.M[1:-1, mid].T[..., None] / Fi) * X[1:-1, 1:-1] \
                 + (acc.L[1:-1, mid].T[..., None] / Fi) * Y[1:-1, 1:-1]
             compat_l.append(_euclid(Dl).max())
+        del acc  # the form mismatch reads only the mesh, F and H
 
         dF = np.empty((nu - 2, nv - 2))
         dH = np.empty((nu - 2, nv - 2))
@@ -507,7 +526,7 @@ def reconstruct(chart, seed=None):
 
 def _cmc_chart(F, H, u, v, eps1, eps2):
     nu, nv = F.shape
-    return Chart(u_grid=u, v_grid=v, F=F, H=np.full((nu, nv), float(H)),
+    return Chart(u_grid=u, v_grid=v, F=F, H=np.broadcast_to(float(H), (nu, nv)),
                  u0_index=(nu - 1) // 2, v0_index=(nv - 1) // 2,
                  eps1=eps1, eps2=eps2).validate()
 

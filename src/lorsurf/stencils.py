@@ -147,17 +147,23 @@ def _cumtrapz(f, t, axis=-1):
 
     The same expression and memory layout as scipy.integrate.cumulative_trapezoid(
     f, x=t, axis=axis, initial=0.0), so the results agree bit for bit and
-    later reductions over them sum in the same order.
+    later reductions over them sum in the same order.  The steps and their
+    running sum are built in place in the one output array.
     """
     shape = [1] * f.ndim
     shape[axis] = -1
     hi = [slice(None)] * f.ndim
     lo = list(hi)
-    hi[axis], lo[axis] = slice(1, None), slice(None, -1)
-    steps = np.diff(t).reshape(shape) * (f[tuple(hi)] + f[tuple(lo)]) / 2.0
-    first = list(f.shape)
-    first[axis] = 1
-    return np.concatenate([np.zeros(first), np.cumsum(steps, axis=axis)], axis=axis)
+    first = list(hi)
+    hi[axis], lo[axis], first[axis] = slice(1, None), slice(None, -1), slice(0, 1)
+    out = np.empty_like(f, dtype=float)
+    steps = out[tuple(hi)]
+    np.add(f[tuple(hi)], f[tuple(lo)], out=steps)
+    steps *= np.diff(t).reshape(shape)  # a * b rounds as b * a
+    steps /= 2.0
+    np.cumsum(steps, axis=axis, out=steps)
+    out[tuple(first)] = 0.0
+    return out
 
 
 def cumtrapz_from(f, t, i0, axis=0):
@@ -168,6 +174,5 @@ def cumtrapz_from(f, t, i0, axis=0):
     """
     f = np.asarray(f, dtype=float)
     g = _cumtrapz(f, t, axis=axis)
-    anchor = np.take(g, [i0], axis=axis)
-    return g - anchor
-
+    g -= np.take(g, [i0], axis=axis)
+    return g

@@ -761,6 +761,27 @@ def test_reconstruct_pair(tmp_path):
         assert (tmp_path / ("cyl" + suffix)).exists()
 
 
+def test_reconstruct_hands_the_library_only_the_fields_it_reads(monkeypatch, tmp_path):
+    # a single reconstruction reads F and H alone, so a chart file's L, M, N and
+    # K are not held through its march; --pair reads K
+    g = np.linspace(0.0, 1.0, 21)
+    path = str(tmp_path / "c.json")
+    stored = ls.reference_chart("cylinder", g, g)
+    ls.write_chart(stored, path)
+    calls = {}
+    for name in ("reconstruct", "cmc_pair"):
+        def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] = args
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    assert run("reconstruct", path, "--mesh", str(tmp_path / "m")) == 0
+    chart = calls["reconstruct"][0]
+    assert (chart.L, chart.M, chart.N, chart.K) == (None, None, None, None)
+    assert np.array_equal(chart.F, stored.F) and np.array_equal(chart.H, stored.H)
+    assert run("reconstruct", path, "--pair", "--mesh", str(tmp_path / "p")) == 0
+    assert np.array_equal(calls["cmc_pair"][0], stored.K)
+
+
 def test_reconstruct_pair_refuses_zero_H(capsys, tmp_path):
     # a minimal surface has no pair: cmc_pair's ValueError must not escape
     code = run("reconstruct", "enneper1", "--grid", "21x21", "--pair",

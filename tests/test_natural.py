@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -169,6 +171,32 @@ def test_gauss_equation_equivalence():
            - gradient(F, u, axis=0)[1:-1, 1:-1] * gradient(F, v, axis=1)[1:-1, 1:-1]) / Fi
     rhs = acc.L[1:-1, 1:-1] * acc.N[1:-1, 1:-1] - acc.M[1:-1, 1:-1] ** 2
     np.testing.assert_array_equal(rep.residual, lhs - rhs)
+
+
+def _peak_per_node(fn, *args):
+    """The tracemalloc peak of fn(*args), per node of its chart (args[0])."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / np.prod(args[0].shape)
+
+
+def test_natural_residual_peak_allocation_per_node():
+    # accumulate_LN builds each integrand and integral in place: its peak is
+    # L, M, N and one gradient (33.3 B/node at 401^2; 56.0 with whole-grid
+    # temporaries).  natural_residual builds lhs and rhs in one interior buffer
+    # each and takes its scale over row blocks: its peak is F_u F_v and one
+    # gradient (33.3 B/node; 63.6 with whole-grid temporaries)
+    n = 401
+    u, v = np.linspace(1.0, 2.0, n), np.linspace(-1.0, 0.0, n)
+    chart = ls.reference_chart("enneper1", u, v)
+    ls.natural_residual(ls.reference_chart("enneper1", u[:11], v[:11]))  # imports done
+    assert _peak_per_node(ls.accumulate_LN, chart) <= 34.0
+    acc = ls.accumulate_LN(chart)
+    assert _peak_per_node(ls.natural_residual, chart, acc) <= 34.0
 
 
 def test_codazzi_consistency_order():

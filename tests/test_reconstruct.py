@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import lorsurf as ls
 import lorsurf.minkowski as mk
 from lorsurf.errors import node_at, refuse, relative
-from lorsurf.reconstruct import (_SWAP_XY, FormMismatch, _interior_form_blocks, _march, _Place,
-                                  _spline_samples)
+from lorsurf.chart import _BLOCK
+from lorsurf.reconstruct import (_SWAP_XY, FormMismatch, _interior_form_blocks, _march,
+                                  _midpoints, _Place)
+from lorsurf.splines import hermite_midpoints, notaknot_slopes
 from lorsurf.surfaces import FundamentalData, SurfaceJet2
 
 from conftest import enneper1_chart, random_grid
@@ -338,6 +340,49 @@ def test_abort_on_F_spline_undershoot():
     assert err.node == (1, 0)
 
 
+def _spiked_chart(nu, nv, i0, j0, spikes):
+    """A flat chart on unit steps whose F is 60 at the nodes `spikes`: each spike
+    drags the spline along its line below 0 in the intervals beside it."""
+    F = np.ones((nu, nv))
+    F[tuple(np.transpose(spikes))] = 60.0
+    return ls.Chart(u_grid=np.arange(float(nu)), v_grid=np.arange(float(nv)), F=F,
+                    H=np.zeros((nu, nv)), u0_index=i0, v0_index=j0, eps1=1, eps2=1).validate()
+
+
+@pytest.mark.parametrize("nu, nv, i0, j0, spikes, between", [
+    (5, 80, 0, 40, [(3, 70), (1, 50), (4, 20), (2, 20)], ((2, 18), (2, 19))),
+    (5, 80, 0, 40, [(3, 70), (1, 66), (0, 66)], ((0, 64), (0, 65))),
+    (5, 80, 0, 79, [(3, 33), (1, 31)], ((1, 29), (1, 30))),
+    (80, 5, 50, 2, [(70, 2), (40, 2)], ((38, 2), (39, 2))),
+    (80, 5, 79, 2, [(33, 2)], ((31, 2), (32, 2))),
+], ids=["backward_run_lowest_line", "block_edge", "backward_only", "base_line",
+        "base_line_backward"])
+def test_abort_names_the_first_nonpositive_midpoint_in_c_order(nu, nv, i0, j0, spikes, between):
+    # every midpoint is tested before the first step, across blocks of _BLOCK
+    # intervals, and the first in (interval, line) order is named, whichever
+    # run of the march would meet it first
+    err = _abort(_spiked_chart(nu, nv, i0, j0, spikes))
+    (i, j), (i2, j2) = between
+    stage = "base line" if nv == 5 else "columns"
+    assert str(err) == (f"F <= 0 in the {stage} spline at (u, v) = ({(i + i2) / 2!r}, "
+                        f"{(j + j2) / 2!r}), between nodes ({i}, {j}) and ({i2}, {j2})")
+    assert err.node == (i, j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 70])
+@pytest.mark.parametrize("m", [1, 5])
+def test_blocked_midpoints_equal_whole_line_midpoints_bit_for_bit(n, m):
+    rng = np.random.default_rng(n * m)
+    t = random_grid(rng, 0.0, 1.0, n)
+    lines = tuple(rng.standard_normal((3, n, m)) + [[[3.0]], [[0.0]], [[0.0]]])
+    slopes = [notaknot_slopes(t, c) for c in lines]
+    whole = whole_line_samples(t, *lines)
+    assert bits(slopes[0]) == bits(whole[0])
+    blocks = [_midpoints(t, lines, slopes, k, min(k + _BLOCK, n - 1))
+              for k in range(0, n - 1, _BLOCK)]
+    assert bits(tuple(np.concatenate(c) for c in zip(*blocks))) == bits(whole[1])
+
+
 def _late_H():
     H = np.zeros((7, 7))
     H[:, 4:] = 1e100  # M = F H overflows the columns' states, not the base line's
@@ -543,9 +588,17 @@ def _rk4_step(S, h, c0, cm, c1):
     return S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def whole_line_samples(t, F, P, Q):
+    """dF at the nodes, and (F, dF, P, Q) at every interval midpoint of the whole lines."""
+    dF = notaknot_slopes(t, F)
+    return dF, (hermite_midpoints(t, F, dF), hermite_midpoints(t, F, dF, nu=1),
+                hermite_midpoints(t, P, notaknot_slopes(t, P)),
+                hermite_midpoints(t, Q, notaknot_slopes(t, Q)))
+
+
 def reference_march(t, i0, F, P, Q, S0):
     """Yield (n, S): states S (m, 4, 3) of m lines marched from S0 at node i0, in march order."""
-    dF, mids = _spline_samples(t, F, P, Q)  # every line at once
+    dF, mids = whole_line_samples(t, F, P, Q)  # every line at once
     nodes = (F, dF, P, Q)
     yield i0, S0
     steps = list(zip(range(i0, t.size - 1), range(i0 + 1, t.size))) \
@@ -660,11 +713,15 @@ def test_blocked_diagnostics_equal_whole_grid_bit_for_bit(nu, nv, i0, j0, seed):
     acc = ls.accumulate_LN(chart)
     u, v = chart.u_grid, chart.v_grid
     # the splines of all columns are fitted together: each equals its own line's
-    dF, mids = _spline_samples(v, chart.F.T, acc.N.T, acc.M.T)
+    lines = (chart.F.T, acc.N.T, acc.M.T)
+    slopes = [notaknot_slopes(v, c) for c in lines]
+    mids = _midpoints(v, lines, slopes, 0, nv - 1)
     for i in {0, nu // 2, nu - 1}:
-        line = slice(i, i + 1)
-        one = _spline_samples(v, chart.F.T[:, line], acc.N.T[:, line], acc.M.T[:, line])
-        assert bits((dF[:, line],) + tuple(c[:, line] for c in mids)) == bits((one[0],) + one[1])
+        one = [c[:, i:i + 1] for c in lines]
+        one_slopes = [notaknot_slopes(v, c) for c in one]
+        assert bits(tuple(c[:, i:i + 1] for c in slopes)) == bits(tuple(one_slopes))
+        assert bits(tuple(c[:, i:i + 1] for c in mids)) == bits(_midpoints(v, one, one_slopes,
+                                                                           0, nv - 1))
 
     U, V = np.meshgrid(u, v, indexing="ij")
     closed = ls.get("enneper1").position(U, V)
@@ -675,11 +732,14 @@ def test_blocked_diagnostics_equal_whole_grid_bit_for_bit(nu, nv, i0, j0, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(3, 41), m=st.integers(1, 41), i0=st.integers(0, 40),
+@given(n=st.integers(3, 70), m=st.integers(1, 41), i0=st.integers(0, 69),
        columns=st.booleans(), top=st.sampled_from([0.0, 200.0, 306.0]),
        seed=st.integers(0, 2**32 - 1))
 @example(n=41, m=1, i0=20, columns=False, top=306.0, seed=0).via("one line aborts at node 31")
 @example(n=9, m=41, i0=4, columns=True, top=306.0, seed=51).via("lines 16 and 21 abort at once")
+@example(n=70, m=1, i0=32, columns=False, top=0.0, seed=4).via("one line from a block edge")
+@example(n=66, m=7, i0=65, columns=True, top=0.0, seed=5).via("backward over two block edges")
+@example(n=66, m=7, i0=0, columns=True, top=0.0, seed=6).via("forward into a one-interval block")
 def test_march_equals_the_reference_kernel_bit_for_bit(n, m, i0, columns, top, seed):
     # per-line magnitudes up to 1e306 and coefficients up to 1e3: states near
     # overflow, and lines that turn non-finite at different or equal steps
@@ -832,9 +892,11 @@ def test_congruence_check_refuses_mismatched_meshes_and_short_grids():
 
 
 def test_reconstruct_peak_allocation_per_node():
-    # no frame outlives its slab of columns and the diagnostics fold into
-    # maxima, so the peak is the mesh, L, M, N, one march's spline samples
-    # and one slab (~120 B/node)
+    # no frame outlives its slab of columns, the diagnostics fold into maxima
+    # and the march keeps three spline slopes per node, so the peak is the
+    # mesh, L, M, N, the column march's slopes and one slab buffer (96.5 B/node
+    # at 401^2; 119.8 with whole-grid midpoint samples and a stacked copy of
+    # each slab)
     n = 401
     u, v = np.linspace(1.0, 2.0, n), np.linspace(-1.0, 0.0, n)
     chart = ls.reference_chart("enneper1", u, v)
@@ -845,7 +907,7 @@ def test_reconstruct_peak_allocation_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (n * n) <= 130.0
+    assert peak / (n * n) <= 100.0
     # the mesh is the result's only grid-sized array
     held = sum(a.nbytes for a in vars(res).values() if isinstance(a, np.ndarray))
     assert held == res.mesh.nbytes + u.nbytes + v.nbytes

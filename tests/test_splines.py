@@ -18,7 +18,7 @@ from scipy.interpolate import (CubicHermiteSpline, CubicSpline, PchipInterpolato
                                RectBivariateSpline)
 
 import lorsurf as ls
-from lorsurf.reconstruct import _spline_samples
+from lorsurf.reconstruct import _midpoints
 from lorsurf.splines import (CubicHermite, cumsimpson_from, grid_interpolant, hermite_midpoints,
                              notaknot_slopes, pchip_slopes)
 
@@ -111,7 +111,8 @@ def test_midpoints_and_spline_samples_match_scipy(case, data):
                                atol=RTOL * dscale)
     # the march's samples: F, P, Q splines at the midpoints and dF at the knots
     F, P, Q = y + 2e3, y[::-1].copy(), 2.0 * y
-    dF, (Fm, dFm, Pm, Qm) = _spline_samples(x, F, P, Q)
+    slopes = [notaknot_slopes(x, c) for c in (F, P, Q)]
+    dF, (Fm, dFm, Pm, Qm) = slopes[0], _midpoints(x, (F, P, Q), slopes, 0, x.size - 1)
     sF = CubicSpline(x, F, axis=0)
     scale, dscale = _scales(x, np.concatenate([F, P, Q]))
     for ours, ref, tol in ((dF, sF(x, 1), dscale), (Fm, sF(mids), scale),
