@@ -18,18 +18,12 @@ import numpy as np
 from .errors import (ChartError, DegenerateMetricError, DomainError, NotGeneralTypeError,
                      NotLorentzSurfaceError, negligible, node_at, refuse)
 from .splines import grid_interpolant
-from .stencils import check_grid
+from .stencils import _BLOCK, check_grid
 from .surfaces import KIND_TOL, fundamental_forms
 
 __all__ = ["Chart", "grid_index", "grid_through", "base_signs", "chart_from_provider"]
 
 _OPTIONAL_FIELDS = ("L", "M", "N", "K")
-
-# Grid lines per block wherever a whole-grid stage is split to bound its
-# transient memory at O(_BLOCK * n) floats: the provider rows of
-# chart_from_provider, and the column slabs and mesh diagnostics of
-# lorsurf.reconstruct.
-_BLOCK = 32
 
 
 # the relative size, against the span of a grid, within which a value is a node

@@ -30,11 +30,18 @@ _SQRT3 = np.sqrt(3.0)
 
 
 def _field(fn):
-    """Vectorize a closed form so constants broadcast like the inputs."""
+    """Vectorize a closed form on broadcasting (u, v), e.g. a grid's open axes.
+
+    A field that varies over the broadcast shape of u and v is a new array;
+    one that does not (a constant) is a read-only np.broadcast_to view of
+    that shape, with zero strides and no buffer of its own.
+    """
     def g(u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        return np.broadcast_arrays(np.asarray(fn(u, v), dtype=float), u + v)[0].copy()
+        f = np.asarray(fn(u, v), dtype=float)
+        shape = np.broadcast_shapes(u.shape, v.shape)
+        return f if f.shape == shape else np.broadcast_to(f, shape)
     return g
 
 
@@ -288,12 +295,14 @@ def reference_chart(name, u_grid, v_grid, u0=None, v0=None):
     The grid must lie in the entry's domain and avoid its singular set (the
     provider's DomainError).  eps1, eps2 come from the signs
     of the reference L and N at the base point, which defaults to the grid
-    node nearest the domain center.
+    node nearest the domain center.  The closed forms are evaluated on the
+    grid's open axes, so a constant field is a read-only zero-stride view
+    (see _field): copy it before writing into it.
     """
     entry = get(name)
     u_grid = check_grid(np.asarray(u_grid, dtype=float), "u_grid")
     v_grid = check_grid(np.asarray(v_grid, dtype=float), "v_grid")
-    U, V = np.meshgrid(u_grid, v_grid, indexing="ij")
+    U, V = u_grid[:, None], v_grid[None, :]
     entry.provider.check(U, V)
     i0 = (u_grid.size - 1) // 2 if u0 is None else grid_index(u_grid, u0, "u_grid")
     j0 = (v_grid.size - 1) // 2 if v0 is None else grid_index(v_grid, v0, "v_grid")

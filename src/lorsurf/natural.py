@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import _BLOCK
 from .errors import ChartError, NotGeneralTypeError, StencilError, refuse, within
-from .stencils import _unit_steps, check_grid, cross_derivative, cumtrapz_from, gradient
+from .stencils import _BLOCK, _unit_steps, check_grid, cross_derivative, cumtrapz_from, gradient
 from .surfaces import _curvature_scale, kind_field
 
 __all__ = [

@@ -57,13 +57,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import minkowski as mk
-from .chart import _BLOCK, Chart
+from .chart import Chart
 from .errors import (ChartError, DegenerateMetricError, InvalidFrameError, NaturalEquationError,
                      NotLorentzSurfaceError, ReconstructionAbort, negligible, node_at, refuse,
                      relative, within)
 from .natural import F_from_K_cmc, accumulate_LN, cmc_residual, minimal_residual, natural_residual
 from .splines import hermite_midpoints, notaknot_slopes
-from .stencils import check_grid
+from .stencils import _BLOCK, check_grid
 from .surfaces import SurfaceJet2, fundamental_forms, is_minimal, jets_from_mesh
 
 __all__ = [

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StencilError
-from .stencils import _cumtrapz
+from .stencils import _BLOCK, _cumtrapz
 
 __all__ = [
     "notaknot_slopes",
@@ -72,35 +72,50 @@ def _tridiagonal(x):
     return w, piv, np.asarray(upper, dtype=float)
 
 
+def _secants(x, y, start, stop):
+    """(y[k + 1] - y[k]) / (x[k + 1] - x[k]) for the intervals start <= k < stop."""
+    s = np.diff(y[start:stop + 1], axis=0)
+    s /= _column(np.diff(x[start:stop + 1]), y.ndim)
+    return s
+
+
 def notaknot_slopes(x, y):
     """Knot slopes of the not-a-knot cubic splines through the lines y[:, ...] on x.
 
-    x is a strictly increasing array of n >= 2 knots, y an (n, ...) array;
-    the result is a new C-ordered array of y's shape.
+    x is a strictly increasing array of n >= 2 knots, y an (n, ...) array of
+    any layout; the result is a new C-ordered array of y's shape.  The
+    secants and the interior right-hand side are formed for one block of
+    _BLOCK knot intervals at a time, by the same elementwise expressions as
+    on the whole lines, so the transient memory beside the result is
+    O(_BLOCK) lines.
     """
     y = np.asarray(y, dtype=float)
     n = x.size
-    h = np.diff(x)
-    hh = _column(h, y.ndim)
-    secant = np.diff(y, axis=0)
-    secant /= hh
+    hh = _column(np.diff(x), y.ndim)
     r = np.empty(y.shape)
     if n == 2:
+        secant = _secants(x, y, 0, 1)
         r[0] = secant[0]
         r[1] = secant[0]
     elif n == 3:
+        secant = _secants(x, y, 0, 2)
         r[0] = 2 * secant[0]
         r[1] = 3 * (hh[0] * secant[1] + hh[1] * secant[0])
         r[2] = 2 * secant[1]
     else:
-        np.multiply(hh[1:], secant[:-1], out=r[1:-1])
-        r[1:-1] += hh[:-1] * secant[1:]
-        r[1:-1] *= 3
+        for a in range(1, n - 1, _BLOCK):
+            b = min(a + _BLOCK, n - 1)
+            secant = _secants(x, y, a - 1, b)
+            np.multiply(hh[a:b], secant[:-1], out=r[a:b])
+            secant[1:] *= hh[a - 1:b - 1]  # after its last read as secant[:-1]
+            r[a:b] += secant[1:]
+            r[a:b] *= 3
+        secant = _secants(x, y, 0, 2)
         d = x[2] - x[0]
         r[0] = ((hh[0] + 2 * d) * hh[1] * secant[0] + hh[0] ** 2 * secant[1]) / d
+        secant = _secants(x, y, n - 3, n - 1)
         d = x[-1] - x[-3]
         r[-1] = (hh[-1] ** 2 * secant[-2] + (2 * d + hh[-1]) * hh[-2] * secant[-1]) / d
-    del secant
     w, piv, upper = _tridiagonal(x)
     for i in range(1, n):
         r[i] -= w[i] * r[i - 1]

@@ -22,6 +22,13 @@ __all__ = [
     "cumtrapz_from",
 ]
 
+# Grid lines per block wherever a whole-grid stage is split to bound its
+# transient memory at O(_BLOCK * n) floats: the knot intervals of
+# lorsurf.splines.notaknot_slopes, the provider rows of
+# lorsurf.chart.chart_from_provider, and the column slabs and mesh
+# diagnostics of lorsurf.reconstruct.
+_BLOCK = 32
+
 
 def check_grid(t, name="grid", min_len=2):
     """Validate a strictly increasing 1-D coordinate array."""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import lorsurf as ls
 import lorsurf.minkowski as mk
 from lorsurf.errors import node_at, refuse, relative
-from lorsurf.chart import _BLOCK
+from lorsurf.stencils import _BLOCK
 from lorsurf.reconstruct import (_SWAP_XY, FormMismatch, _interior_form_blocks, _march,
                                   _midpoints, _Place)
 from lorsurf.splines import hermite_midpoints, notaknot_slopes
@@ -911,3 +911,26 @@ def test_reconstruct_peak_allocation_per_node():
     # the mesh is the result's only grid-sized array
     held = sum(a.nbytes for a in vars(res).values() if isinstance(a, np.ndarray))
     assert held == res.mesh.nbytes + u.nbytes + v.nbytes
+
+
+@pytest.mark.parametrize("name, build, bound", [
+    # cmc_pair keeps the first member's result while it marches the second
+    # (128.1 B/node at 401^2; 159.5 with a whole-grid H and reconstruct's
+    # temporaries), minimal_from_K marches one chart (103.6 B/node)
+    ("cylinder", lambda c, u, v: ls.cmc_pair(c.K, float(c.H[c.u0_index, c.v0_index]), u, v),
+     131.0),
+    ("enneper2", lambda c, u, v: ls.minimal_from_K(c.K, u, v), 106.0),
+], ids=["cmc_pair", "minimal_from_K"])
+def test_pair_and_minimal_peak_allocation_per_node(name, build, bound):
+    n = 401
+    (a, b, c, d) = ls.get(name).default_domain
+    u, v = np.linspace(a, b, n), np.linspace(c, d, n)
+    chart = ls.reference_chart(name, u, v)
+    build(ls.reference_chart(name, u[:11], v[:11]), u[:11], v[:11])  # imports done
+    tracemalloc.start()
+    try:
+        build(chart, u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * n) <= bound

@@ -8,6 +8,8 @@ data scale (the largest deviation seen over thousands of random grids with
 step ratios up to 100 is ~1e-11).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,8 +21,8 @@ from scipy.interpolate import (CubicHermiteSpline, CubicSpline, PchipInterpolato
 
 import lorsurf as ls
 from lorsurf.reconstruct import _midpoints
-from lorsurf.splines import (CubicHermite, cumsimpson_from, grid_interpolant, hermite_midpoints,
-                             notaknot_slopes, pchip_slopes)
+from lorsurf.splines import (CubicHermite, _tridiagonal, cumsimpson_from, grid_interpolant,
+                             hermite_midpoints, notaknot_slopes, pchip_slopes)
 
 RTOL = 1e-10
 
@@ -77,6 +79,76 @@ def test_notaknot_spline_reproduces_the_line_and_the_parabola():
     assert np.allclose(notaknot_slopes(x, x**2), 2.0 * x, rtol=0, atol=1e-15)
     x4 = np.array([0.0, 0.3, 1.0, 1.1, 2.5])
     assert np.allclose(notaknot_slopes(x4, x4**3), 3.0 * x4**2, rtol=0, atol=1e-12)
+
+
+def whole_array_notaknot_slopes(x, y):
+    """notaknot_slopes with whole-grid secants and right-hand side (the oracle of the blocks)."""
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    hh = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    secant = np.diff(y, axis=0)
+    secant /= hh
+    r = np.empty(y.shape)
+    if n == 2:
+        r[0] = secant[0]
+        r[1] = secant[0]
+    elif n == 3:
+        r[0] = 2 * secant[0]
+        r[1] = 3 * (hh[0] * secant[1] + hh[1] * secant[0])
+        r[2] = 2 * secant[1]
+    else:
+        np.multiply(hh[1:], secant[:-1], out=r[1:-1])
+        r[1:-1] += hh[:-1] * secant[1:]
+        r[1:-1] *= 3
+        d = x[2] - x[0]
+        r[0] = ((hh[0] + 2 * d) * hh[1] * secant[0] + hh[0] ** 2 * secant[1]) / d
+        d = x[-1] - x[-3]
+        r[-1] = (hh[-1] ** 2 * secant[-2] + (2 * d + hh[-1]) * hh[-2] * secant[-1]) / d
+    w, piv, upper = _tridiagonal(x)
+    for i in range(1, n):
+        r[i] -= w[i] * r[i - 1]
+    r[-1] /= piv[-1]
+    for i in range(n - 2, -1, -1):
+        r[i] -= upper[i] * r[i + 1]
+        r[i] /= piv[i]
+    return r
+
+
+LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "lines-stride-0": lambda a: np.broadcast_to(a[:, :1], a.shape),
+    "all-stride-0": lambda a: np.broadcast_to(a[0, 0], a.shape),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 32, 33, 34, 35, 65, 401])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_blocked_notaknot_slopes_equal_the_whole_array_bit_for_bit(n, layout):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+    y = LAYOUTS[layout](rng.standard_normal((n, 6)) * 100.0)
+    ours = notaknot_slopes(x, y)
+    assert ours.flags.c_contiguous and ours.shape == y.shape
+    assert bits(ours) == bits(whole_array_notaknot_slopes(x, y))
+    assert bits(notaknot_slopes(x, y[:, 2])) == bits(whole_array_notaknot_slopes(x, y[:, 2]))
+
+
+def test_notaknot_slopes_peak_allocation_above_the_result():
+    # the secants and right-hand side are formed a block of knot intervals at
+    # a time: at 401^2 the peak is 1.7 B/node above the 8.0 of the result
+    # (16.4 above it with whole-grid secants and products)
+    n = 401
+    x = np.linspace(0.0, 1.0, n) ** 2
+    y = np.random.default_rng(0).standard_normal((n, n))
+    notaknot_slopes(x[:11], y[:11, :11])
+    tracemalloc.start()
+    try:
+        notaknot_slopes(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - y.nbytes) / (n * n) <= 2.5
 
 
 @settings(max_examples=30, deadline=None)
