@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: analyze, canonicalize, residual, reconstruct, corpus.
-Exit codes: 0 all checks passed, 1 a check failed (or integration
-aborted), 2 malformed input or violated precondition.  Reports are strict
+Exit codes: 0 all checks passed, 1 a check failed (a violated natural
+equation included, which no flag overrides) or integration aborted, 2
+malformed input or violated precondition.  Reports are strict
 JSON documents (a non-finite number is written as the string "Infinity",
 "-Infinity" or "NaN") whose pass/fail verdicts are recomputable from the
 recorded numbers and tolerances; identical inputs and flags produce
@@ -450,11 +451,6 @@ def _result_status(tag, res):
     })
 
 
-def _export_mesh(res, prefix, note):
-    write_mesh_obj(res.mesh, res.u_grid, res.v_grid, prefix + ".obj", comments=[note])
-    write_mesh_csv(res.mesh, res.u_grid, res.v_grid, prefix + ".csv")
-
-
 @contextlib.contextmanager
 def _warnings_as_lines():
     """Print each warning raised inside as one `lorsurf: warning: ...` line."""
@@ -471,25 +467,35 @@ def cmd_reconstruct(args):
     if args.pair and (args.eps1 is not None or args.eps2 is not None):
         raise ChartError("--pair fixes the signs of both pair members itself; "
                          "drop --eps1/--eps2")
-    if args.force and not args.pair:
-        raise ChartError("--force applies to --pair only; a single reconstruction warns")
+    seed, seed_inputs = _load_seed(args.seed)  # a bad seed file is refused before the chart read
     src = _Source(args)
     chart = src.chart()
-    statuses, tolerances = [], {}
-    warning = False
-    seed, seed_inputs = _load_seed(args.seed)
+    checks, statuses, tolerances = [], [], {}
     with _warnings_as_lines():
         if args.pair:
             if chart.K is None:
                 raise ChartError("--pair requires a K field")
             # a field that --mode minimal accepts has H = 0, constant or not
             H0 = 0.0 if is_minimal(chart.H, chart.K) else _constant_H(chart, "--pair")
-            res_p, res_m = cmc_pair(chart.K, H0, chart.u_grid, chart.v_grid,
-                                    seed=seed, force=args.force)
-            _export_mesh(res_p, args.mesh + "_p", f"cmc pair, eps=({res_p.eps1},{res_p.eps2})")
-            _export_mesh(res_m, args.mesh + "_m", f"cmc pair, eps=({res_m.eps1},{res_m.eps2})")
-            statuses.append(_result_status("reconstruction_p", res_p))
-            statuses.append(_result_status("reconstruction_m", res_m))
+            members = dict(zip(("_p", "_m"), cmc_pair(chart.K, H0, chart.u_grid, chart.v_grid,
+                                                      seed=seed)))
+        else:
+            # reconstruct reads F and H alone; the stored L, M, N and K are not
+            # held through its march
+            chart = chart.with_fields(L=None, M=None, N=None, K=None)
+            members = {"": reconstruct(chart, seed=seed)}
+        for tag, res in members.items():
+            prefix, note = args.mesh + tag, f"eps=({res.eps1},{res.eps2})"
+            write_mesh_obj(res.mesh, res.u_grid, res.v_grid, prefix + ".obj",
+                           comments=[f"cmc pair, {note}" if args.pair else note])
+            write_mesh_csv(res.mesh, res.u_grid, res.v_grid, prefix + ".csv")
+            # a pair's members share F and a constant H (so L N = eps1 eps2): one natural tol
+            tolerances["tol_natural"] = res.natural_tol
+            checks.append(_check("natural_equation" + tag, {"max_abs": res.natural_max_abs},
+                                 res.natural_tol, not res.natural_warning))
+            statuses.append(_result_status("reconstruction" + tag, res))
+        if args.pair:
+            res_p, res_m = members.values()
             cong = congruence_check(res_p.mesh, res_m.mesh, chart.u_grid, chart.v_grid,
                                     tol=PAIR_CONGRUENCE_TOL)
             tolerances["tol_congruence"] = cong.tol
@@ -497,18 +503,9 @@ def cmd_reconstruct(args):
                 "verdict": cong.verdict.value,
                 "mismatch": cong.mismatch, "mismatch_flipped": cong.mismatch_flipped,
                 "tolerance": cong.tol}))
-            warning = res_p.natural_warning or res_m.natural_warning
-        else:
-            # reconstruct reads F and H alone; the stored L, M, N and K are not
-            # held through its march
-            chart = chart.with_fields(L=None, M=None, N=None, K=None)
-            res = reconstruct(chart, seed=seed)
-            _export_mesh(res, args.mesh, f"eps=({res.eps1},{res.eps2})")
-            statuses.append(_result_status("reconstruction", res))
-            warning = res.natural_warning
-
+    warning = any(res.natural_warning for res in members.values())
     return _finish(args, "reconstruct", dict(src.inputs, pair=bool(args.pair), **seed_inputs),
-                   tolerances, [], statuses, warning=bool(warning), mesh_prefix=args.mesh)
+                   tolerances, checks, statuses, warning=warning, mesh_prefix=args.mesh)
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -591,8 +588,6 @@ def build_parser():
     p.add_argument("--mesh", required=True, help="mesh output prefix (.obj and .csv)")
     p.add_argument("--pair", action="store_true",
                    help="reconstruct both members of the CMC pair from (K, H)")
-    p.add_argument("--force", action="store_true",
-                   help="reconstruct even when the natural equation is violated")
     p.set_defaults(fn=cmd_reconstruct)
     for name in ("residual", "reconstruct"):  # the commands that use the chart signs
         for k in (1, 2):

@@ -116,7 +116,10 @@ class InvalidFrameError(LorsurfError):
 
 
 class NaturalEquationError(LorsurfError):
-    """Input fields violate the natural equation beyond tolerance; refusing."""
+    """Input fields violate the natural equation beyond tolerance: they chart no surface."""
+
+    exit_code = 1
+    label = "natural equation violated"
 
 
 class ReconstructionAbort(LorsurfError):

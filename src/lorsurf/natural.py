@@ -40,10 +40,9 @@ __all__ = [
     "convergence_order",
 ]
 
-# A residual max_abs above REL_TOL * scale violates the natural equation.  Each
-# report's scale (ResidualReport.scale) is in the units of its residual, and
-# the report carries the verdict (ResidualReport.passed) that `lorsurf
-# residual`, reconstruct's warning and the cmc_pair / minimal_from_K refusals read.
+# A residual max_abs above REL_TOL * scale (ResidualReport.scale, in the units of
+# the residual) violates the natural equation: ResidualReport.passed is the one verdict
+# of `residual`, `reconstruct` (a failed check) and the cmc_pair / minimal_from_K refusals.
 REL_TOL = 1e-3
 # The least order of a two-grid residual estimate (convergence_order) that
 # shows the residual converging: the order check of `lorsurf residual`.

@@ -377,7 +377,8 @@ class ReconstructionResult:
     max_compat_l: float            # over interior nodes, u-equation residual of l
     form_mismatch: FormMismatch
     natural_max_abs: float
-    natural_warning: bool
+    natural_tol: float             # the natural residual's tol (ResidualReport.tol)
+    natural_warning: bool          # not within([natural_max_abs], natural_tol)
 
 
 def _central(Arr, t, axis):
@@ -435,18 +436,19 @@ def reconstruct(chart, seed=None):
     """March the frame system over a chart and assemble all diagnostics.
 
     The chart should satisfy the natural equation, the integrability
-    condition of the frame system; a residual that fails it only warns,
-    and the compatibility residual max_compat (|d_v X - d_u Y|) then
-    exhibits the inconsistency.  Non-finite accumulated L, M or N abort
-    before the march.  The columns stream from the march in slabs (see
-    _slabs): each slab stores its mesh columns and folds its invariant
-    drift and compatibility residuals into running maxima before the next
-    is marched.  No frame is kept beyond its slab, and of the diagnostics
-    only their maxima are kept.  The march holds the knot slopes of its
-    splines and one block of midpoint coefficients (see _march).  The form
-    mismatch then runs over blocks of interior mesh columns, after the
-    accumulated L, M, N are released: reconstruct reads only the chart's F
-    and H, so a caller may pass a chart without its other fields.
+    condition of the frame system; a residual that fails it warns and sets
+    natural_warning (a failed check of the CLI), and the compatibility
+    residual max_compat (|d_v X - d_u Y|) then exhibits the inconsistency.
+    Non-finite accumulated L, M or N abort before the march.  The columns
+    stream from the march in slabs (see _slabs): each slab stores its mesh
+    columns and folds its invariant drift and compatibility residuals into
+    running maxima before the next is marched.  No frame is kept beyond its
+    slab, and of the diagnostics only their maxima are kept.  The march
+    holds the knot slopes of its splines and one block of midpoint
+    coefficients (see _march).  The form mismatch then runs over blocks of
+    interior mesh columns, after the accumulated L, M, N are released:
+    reconstruct reads only the chart's F and H, so a caller may pass a
+    chart without its other fields.
     """
     chart.validate()
     acc = accumulate_LN(chart)
@@ -463,7 +465,7 @@ def reconstruct(chart, seed=None):
         seed = initial_frame(F0, X=seed.X, Y=seed.Y, l=seed.l, x=seed.x)
 
     nat = natural_residual(chart, acc)
-    nat_max_abs, nat_scale, warning = nat.max_abs, nat.scale, not nat.passed
+    nat_max_abs, nat_scale, nat_tol, warning = nat.max_abs, nat.scale, nat.tol, not nat.passed
     del nat  # its residual field is not held through the march
     if warning:
         warnings.warn(
@@ -521,7 +523,7 @@ def reconstruct(chart, seed=None):
         eps1=chart.eps1, eps2=chart.eps2,
         max_invariant_drift=float(np.max(drift)), max_compat=float(np.max(compat)),
         max_compat_l=float(np.max(compat_l)), form_mismatch=mismatch,
-        natural_max_abs=nat_max_abs, natural_warning=bool(warning))
+        natural_max_abs=nat_max_abs, natural_tol=nat_tol, natural_warning=bool(warning))
 
 
 def _cmc_chart(F, H, u, v, eps1, eps2):
@@ -531,41 +533,41 @@ def _cmc_chart(F, H, u, v, eps1, eps2):
                  eps1=eps1, eps2=eps2).validate()
 
 
-def _refuse_violation(res, which, force):
-    """NaturalEquationError, unless `force`, when the residual report `res` fails."""
-    if not (force or res.passed):
+def _refuse_violation(res, which):
+    """NaturalEquationError when the residual report `res` fails."""
+    if not res.passed:
         raise NaturalEquationError(
-            f"K violates the {which} natural equation (max residual {res.max_abs:.3g}); "
-            "pass --force (force=True in the library) to reconstruct anyway")
+            f"K violates the {which} natural equation (max residual {res.max_abs:.3g}, "
+            f"tol {res.tol:.3g})")
 
 
-def cmc_pair(K, H, u_grid, v_grid, seed=None, force=False):
+def cmc_pair(K, H, u_grid, v_grid, seed=None):
     """The two constant-mean-curvature surfaces sharing (K, H).
 
     F comes from F = 1/sqrt(|H^2 - K|); the sign product eps1*eps2 =
     sign(H^2 - K) admits exactly two sign pairs, and both are
     reconstructed with the same seed.  Raises ChartError when is_minimal(H, K)
-    (minimal_from_K rebuilds that surface), and NaturalEquationError when K
-    violates the constant-H natural equation (unless `force`).
+    (minimal_from_K rebuilds that surface), and NaturalEquationError before
+    any march when K violates the constant-H natural equation (no surface).
     """
     if is_minimal(H, K):
         raise ChartError("--pair requires a non-zero H: a minimal surface is fixed "
                          "by K up to motion, so it has no pair")
     # cmc_residual checks the grids and K's shape for all that follows
-    _refuse_violation(cmc_residual(K, H, u_grid, v_grid), "constant-H", force)
+    _refuse_violation(cmc_residual(K, H, u_grid, v_grid), "constant-H")
     F, eps_product = F_from_K_cmc(K, H)
     pairs = ((1, 1), (-1, -1)) if eps_product == 1 else ((1, -1), (-1, 1))
     return tuple(reconstruct(_cmc_chart(F, H, u_grid, v_grid, *eps), seed=seed) for eps in pairs)
 
 
-def minimal_from_K(K, u_grid, v_grid, seed=None, force=False):
+def minimal_from_K(K, u_grid, v_grid, seed=None):
     """Minimal surface with prescribed Gauss curvature K (unique up to motion).
 
     Uses H = 0, F = 1/sqrt(|K|) and the sign pair (+1, sign(-K)); the other
-    admissible pair gives the image under a non-proper motion.  Refuses
-    when K violates the minimal natural equation unless `force`.
+    admissible pair gives the image under a non-proper motion.  Raises
+    NaturalEquationError when K violates the minimal natural equation.
     """
-    _refuse_violation(minimal_residual(K, u_grid, v_grid), "minimal", force)
+    _refuse_violation(minimal_residual(K, u_grid, v_grid), "minimal")
     F, eps_product = F_from_K_cmc(K, 0.0)
     return reconstruct(_cmc_chart(F, 0.0, u_grid, v_grid, 1, eps_product), seed=seed)
 

@@ -88,6 +88,7 @@ def test_corpus_show_unknown(capsys):
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                  if issubclass(cls, errors.LorsurfError)]
 CHECK_FAILURES = {errors.NotGeneralTypeError: "not of general type",
+                  errors.NaturalEquationError: "natural equation violated",
                   errors.ReconstructionAbort: "reconstruction aborted"}
 
 
@@ -460,11 +461,19 @@ def test_a_bump_in_H_fails_residual_and_turns_the_warning_on(tmp_path_factory, c
                                                              amplitude, sign, width):
     # the natural-equation gate is sound: a canonical chart passes it, and a smooth
     # bump in H of amplitude >= 10 REL_TOL * scale at any node makes residual fail
-    # and reconstruct warn
+    # and reconstruct warn; on both charts the CLI's reconstruct exits 1 exactly
+    # when residual --mode general does
     chart = cone_canonical_chart(41) if cone else enneper1_chart(41)
-    path = tmp_path_factory.mktemp("bump") / "c.json"
+    out = tmp_path_factory.mktemp("bump")
+    path = out / "c.json"
     ls.write_chart(chart, str(path))
-    assert run("residual", str(path), "--mode", "general") == 0
+
+    def same_verdicts():
+        code = run("residual", str(path), "--mode", "general")
+        assert run("reconstruct", str(path), "--mesh", str(out / "m")) == code
+        return code
+
+    assert same_verdicts() == 0
     u, v = chart.u_grid, chart.v_grid
     U, V = np.meshgrid(u - u[i], v - v[j], indexing="ij")
     w = width * (u[1] - u[0])
@@ -472,7 +481,7 @@ def test_a_bump_in_H_fails_residual_and_turns_the_warning_on(tmp_path_factory, c
         * np.exp(-(U**2 + V**2) / (2.0 * w * w))
     bumped = chart.with_fields(H=chart.H + bump).validate()
     ls.write_chart(bumped, str(path))
-    assert run("residual", str(path), "--mode", "general") == 1
+    assert same_verdicts() == 1
     with pytest.warns(UserWarning, match="violates the natural equation"):
         assert ls.reconstruct(bumped).natural_warning
 
@@ -546,6 +555,8 @@ def test_reconstruct_non_finite_diagnostics_fail_without_runtime_warnings(capsys
         "lorsurf: warning: chart violates the natural equation (max residual nan, scale 1); "
         "reconstruction diagnostics will reflect this"]
     doc = load_strict(str(rep))
+    assert doc["checks"] == [{"name": "natural_equation", "values": {"max_abs": "NaN"},
+                              "tolerance": 0.001, "pass": False}]
     vals = status(doc, "reconstruction")["values"]
     assert vals["natural_warning"] is True
     assert vals["natural_residual_max_abs"] == "NaN" and vals["max_invariant_drift"] == "NaN"
@@ -825,10 +836,12 @@ def test_reconstruct_pair_refuses_the_H_fields_that_mode_minimal_accepts(capsys,
 # file is written.
 
 @pytest.mark.parametrize("source, flags, message", [
-    ("enneper1", ["--force"], "--force applies to --pair only; a single reconstruction warns"),
+    ("enneper1", ["--force"], "unrecognized arguments: --force"),
+    ("cylinder", ["--pair", "--force"], "unrecognized arguments: --force"),
     ("enneper1", ["--tol-congruence", "5"], "unrecognized arguments: --tol-congruence 5"),
     ("cylinder", ["--pair", "--tol-congruence", "5"], "unrecognized arguments: --tol-congruence 5"),
-], ids=["force_without_pair", "tol_congruence_without_pair", "tol_congruence_with_pair"])
+], ids=["force_without_pair", "force_with_pair", "tol_congruence_without_pair",
+        "tol_congruence_with_pair"])
 def test_reconstruct_refuses_flags_that_would_do_nothing(capsys, tmp_path, source, flags, message):
     code, lines = refused(capsys, "reconstruct", source, "--grid", "11x11", *flags,
                           "--mesh", str(tmp_path / "m"))
@@ -874,8 +887,9 @@ def test_analyze_refuses_flags_that_would_do_nothing(capsys, tmp_path, flag):
     (["canonicalize", "hyperbolic_cone", "--output", "{tmp}/c.json"], ["tol_canonical"]),
     (["residual", "enneper1", "--mode", "minimal"], ["tol"]),
     (["residual", "enneper1", "--mode", "minimal", "--refine", "2"], ["tol", "min_order"]),
-    (["reconstruct", "enneper1", "--mesh", "{tmp}/m"], []),
-    (["reconstruct", "cylinder", "--pair", "--mesh", "{tmp}/m"], ["tol_congruence"]),
+    (["reconstruct", "enneper1", "--mesh", "{tmp}/m"], ["tol_natural"]),
+    (["reconstruct", "cylinder", "--pair", "--mesh", "{tmp}/m"],
+     ["tol_natural", "tol_congruence"]),
 ], ids=["analyze_corpus", "analyze_no_canonical", "analyze_chart", "analyze_chart_LN",
         "canonicalize", "residual", "residual_order", "reconstruct", "reconstruct_pair"])
 def test_reports_record_the_tolerances_that_were_read(tmp_path, argv, recorded):
@@ -892,7 +906,7 @@ def test_reports_record_the_tolerances_that_were_read(tmp_path, argv, recorded):
     assert list(load(str(rep))["effective_tolerances"]) == recorded
 
 
-def test_reconstruct_defective_chart_warns_but_succeeds(capsys, tmp_path):
+def test_reconstruct_defective_chart_fails_its_check_and_writes_the_mesh(capsys, tmp_path):
     g = np.linspace(0.0, 1.0, 31)
     chart = ls.Chart(u_grid=g, v_grid=g, F=np.full((31, 31), 2.1),
                      H=np.full((31, 31), 0.5),
@@ -902,13 +916,86 @@ def test_reconstruct_defective_chart_warns_but_succeeds(capsys, tmp_path):
     rep = tmp_path / "r.json"
     code = run("reconstruct", str(path), "--mesh", str(tmp_path / "d"), "--report", str(rep))
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
-    assert code == 0 and len(lines) == 1
+    assert code == 1 and len(lines) == 1
     assert lines[0].startswith("lorsurf: warning: chart violates the natural equation")
     doc = load(str(rep))
-    assert doc["summary"]["warning"] is True
+    assert doc["summary"]["warning"] is True and doc["summary"]["passed"] is False
     vals = status(doc, "reconstruction")["values"]
     assert np.isclose(vals["natural_residual_max_abs"], 0.1025, atol=1e-12)
     assert vals["max_compat_residual"] >= 1e-3
+    nat = check(doc, "natural_equation")
+    assert nat["values"] == {"max_abs": vals["natural_residual_max_abs"]}
+    assert nat["pass"] is False and nat["tolerance"] == doc["effective_tolerances"]["tol_natural"]
+    assert (tmp_path / "d.obj").exists() and (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["corpus", "chart_file"])
+def test_reconstruct_of_the_raw_cone_fails_its_natural_equation_check(capsys, tmp_path, kind):
+    # the cone's raw coordinates are not canonical: its (F, H) violate the natural
+    # equation, so the rebuilt mesh is not the cone; reconstruct fails as residual does
+    # and still writes the mesh
+    source, grid = "hyperbolic_cone", ["--grid", "41x41"]
+    if kind == "chart_file":
+        source, grid, g = str(tmp_path / "cone.json"), [], np.linspace(-1.0, 1.0, 41)
+        ls.write_chart(ls.reference_chart("hyperbolic_cone", g, g), source)
+    rep = tmp_path / "r.json"
+    code = run("reconstruct", source, *grid, "--mesh", str(tmp_path / "m"), "--report", str(rep))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln]
+    assert code == 1
+    assert lines == ["lorsurf: warning: chart violates the natural equation (max residual 1.6, "
+                     "scale 9.25); reconstruction diagnostics will reflect this"]
+    doc = load_strict(str(rep))
+    nat = check(doc, "natural_equation")
+    assert nat["pass"] is False and doc["checks"] == [nat]
+    assert nat["values"]["max_abs"] == pytest.approx(1.6036, abs=1e-4)
+    assert nat["tolerance"] == pytest.approx(0.0092517, abs=1e-7)
+    assert doc["effective_tolerances"] == {"tol_natural": nat["tolerance"]}
+    assert doc["summary"]["passed"] is False and doc["summary"]["warning"] is True
+    assert (tmp_path / "m.obj").exists() and (tmp_path / "m.csv").exists()
+    assert run("residual", source, *grid, "--mode", "general") == 1
+
+
+def test_a_perturbed_K_fails_residual_and_reconstruct_pair_alike(capsys, tmp_path):
+    # K + 0.01 sin 3u cos 2v is the curvature of no constant-H surface: residual --mode
+    # cmc fails on it, and reconstruct --pair refuses it before its march, exit 1 as well
+    g = np.linspace(0.0, 2.0 * np.pi, 21)
+    chart = ls.reference_chart("cylinder", g, g)
+    U, V = np.meshgrid(g, g, indexing="ij")
+    path = tmp_path / "perturbed.json"
+    ls.write_chart(chart.with_fields(K=chart.K + 0.01 * np.sin(3 * U) * np.cos(2 * V)),
+                   str(path))
+    rep = tmp_path / "r.json"
+    assert run("residual", str(path), "--mode", "cmc", "--report", str(rep)) == 1
+    res = check(load_strict(str(rep)), "residual")
+    assert res["pass"] is False
+    out = tmp_path / "out"
+    out.mkdir()
+    code, lines = refused(capsys, "reconstruct", str(path), "--pair", "--mesh", str(out / "p"),
+                          "--report", str(out / "r.json"))
+    assert code == 1
+    assert lines == ["lorsurf: natural equation violated: K violates the constant-H natural "
+                     f"equation (max residual {res['values']['max_abs']:.3g}, "
+                     f"tol {res['tolerance']:.3g})"]
+    assert list(out.iterdir()) == []
+
+
+def test_reconstruct_refuses_a_bad_seed_file_before_reading_the_chart(monkeypatch, capsys,
+                                                                     tmp_path):
+    path = tmp_path / "c.json"
+    ls.write_chart(enneper1_chart(11), str(path))
+    seed = tmp_path / "seed.json"
+    seed.write_text("[1, 2]")
+    calls = []
+
+    def spy(*args, _load=cli.load_chart):
+        calls.append(args)
+        return _load(*args)
+
+    monkeypatch.setattr(cli, "load_chart", spy)
+    code, lines = refused(capsys, "reconstruct", str(path), "--seed", str(seed),
+                          "--mesh", str(tmp_path / "m"))
+    assert code == 2 and calls == []
+    assert lines == [f"lorsurf: error: seed file {str(seed)!r} must contain a JSON object"]
 
 
 def test_reconstruct_seed_file(tmp_path):

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import inspect
 import tracemalloc
 import warnings
 from unittest import mock
@@ -270,6 +271,8 @@ def test_planted_defect_keeps_compat_residual_large():
             res = ls.reconstruct(bad)
         assert res.natural_warning
         assert np.isclose(res.natural_max_abs, 0.1025, atol=1e-12)
+        nat = ls.natural_residual(bad)
+        assert (res.natural_max_abs, res.natural_tol) == (nat.max_abs, nat.tol)
         assert res.max_compat >= 1e-3
         good = ls.reconstruct(constant_chart(2.0, 0.5, n=n))
         h = 1.0 / (n - 1)
@@ -473,12 +476,15 @@ def test_minimal_from_K_enneper2():
 
 def test_minimal_from_K_refuses_invalid_K():
     g = np.linspace(0.0, 1.0, 11)
-    K = np.full((11, 11), -1.0)    # minimal residual is identically 1
-    with pytest.raises(ls.NaturalEquationError):
+    K = np.full((11, 11), -1.0)    # minimal residual is identically 1, scale 1
+    with pytest.raises(ls.NaturalEquationError, match=r"^K violates the minimal natural "
+                       r"equation \(max residual 1, tol 0\.001\)$"):
         ls.minimal_from_K(K, g, g)
-    with pytest.warns(UserWarning):
-        res = ls.minimal_from_K(K, g, g, force=True)
-    assert res.natural_warning
+    # a K that violates the equation is the curvature of no surface: nothing overrides that
+    for fn, args in ((ls.minimal_from_K, (K, g, g)), (ls.cmc_pair, (K, 0.5, g, g))):
+        assert "force" not in inspect.signature(fn).parameters
+        with pytest.raises(TypeError, match="force"):
+            fn(*args, force=True)
 
 
 # -- congruence loads ------------------------------------------------------------------
