@@ -1,23 +1,27 @@
 """Chart, report and mesh files.
 
-Charts and reports are JSON: human-readable key/value documents with
-nested arrays.  Floats are serialized with Python's shortest round-trip
-representation, so write-then-read reproduces every number bit-exactly.
-In chart files the 2-D arrays are stored with row index = v and column
-index = u (the in-memory layout is the transpose).  A chart file holds
-exactly the bytes of `json.dumps(doc, indent=1) + "\n"`.
+Charts, reports and meshes are text.  Reports are JSON, and meshes hold
+floats in Python's shortest round-trip representation.  A chart file is
+JSON (schema_version 2) whose fields F, H, L, M, N, K each hold one
+string per file row: the standard padded base64 of the row's
+little-endian float64 bytes, so write-then-read reproduces every number
+bit-exactly.  The rows are stored with row index = v and column index = u
+(the in-memory layout is the transpose).  A chart file holds exactly the
+bytes of `json.dumps(doc, indent=1) + "\n"`.  Files of schema_version 1,
+whose rows are lists of JSON numbers, are still read.
 
 All writes are atomic and streamed: the text goes into a temporary file in
 the target directory one grid row at a time, then the file is renamed onto
 the target, so no writer holds a whole file in memory.  Files are UTF-8
 whatever the locale.  The reader reads a chart file forward in chunks,
 hashing and decoding each as it comes, and converts a field to float64 a
-block of rows at a time: it holds a window of the text and one block of
-rows, never the whole file.
+row at a time, gathered in blocks of rows: it holds a window of the text
+and one block of rows, never the whole file.
 """
 
 from __future__ import annotations
 
+import binascii
 import codecs
 import hashlib
 import itertools
@@ -44,7 +48,8 @@ __all__ = [
     "digest_text",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # the version written; 1 is still read
+_ROWS = {1: "a 2-D array", 2: "a list of base64 row strings"}  # a field, by version
 _FIELDS = ("F", "H", "L", "M", "N", "K")
 
 
@@ -81,7 +86,7 @@ def digest_text(text):
 
 
 def write_chart(chart, path):
-    """Serialize a chart to JSON (arrays transposed to row index = v)."""
+    """Serialize a chart to JSON, one base64 string per file row (row index = v)."""
     chart.validate()
     _atomic_write(path, _chart_chunks(chart))
 
@@ -98,17 +103,15 @@ def _chart_chunks(chart):
         "eps2": int(chart.eps2),
     }, indent=1)
     yield head[:-2]  # without the closing "\n}"
-    inner, pad = "\n   ", "\n  "
     for name in _FIELDS:
         arr = getattr(chart, name)
         if arr is None:
             continue
-        # validate() made every value finite, so float repr is what json writes
-        sep = f',\n "{name}": [{pad}'
+        sep = f',\n "{name}": [\n  '
         for col in arr.T:
-            row = ("," + inner).join(map(float.__repr__, col.tolist()))
-            yield f"{sep}[{inner}{row}{pad}]"
-            sep = "," + pad
+            row = binascii.b2a_base64(np.asarray(col, "<f8").tobytes(), newline=False)
+            yield f'{sep}"{row.decode("ascii")}"'
+            sep = ",\n  "
         yield "\n ]"
     metadata = json.dumps(chart.metadata, indent=1)
     yield ',\n "metadata": ' + metadata.replace("\n", "\n ") + "\n}\n"
@@ -136,9 +139,23 @@ def _numbers(what, values):
                          + ", ".join(sorted(t.__name__ for t in others)))
 
 
-def _is_rows(value):
-    """Whether `value` is a non-empty list of lists, the shape of a field member."""
-    return isinstance(value, list) and bool(value) and all(isinstance(r, list) for r in value)
+def _is_rows(value, version):
+    """Whether `value` is a field member of `version`: a non-empty list of lists
+    (1) or of strings (2)."""
+    kind = list if version == 1 else str
+    return isinstance(value, list) and bool(value) and all(isinstance(r, kind) for r in value)
+
+
+def _row_floats(row):
+    """The float64 values of a schema_version 2 row: `row` must be the standard
+    padded base64 of a whole number of little-endian float64; ValueError if not."""
+    data = binascii.a2b_base64(row, strict_mode=True)
+    if not data or len(data) % 8:
+        raise ValueError(f"{len(data)} bytes, not a positive multiple of 8")
+    tail = len(data) % 3  # bytes of the last group, the padded one; strict_mode checked the rest
+    if tail and binascii.b2a_base64(data[-tail:], newline=False) != row[-4:].encode("ascii"):
+        raise ValueError("non-zero bits after the last byte")  # a second spelling of it
+    return np.frombuffer(data, "<f8")
 
 
 _CHUNK = 1 << 16   # bytes read at a time
@@ -221,9 +238,10 @@ class _Window:
             raise _Unstreamable("syntax error")
 
 
-def _block(rows):
-    """Rows of a field as a float64 array, if they are equally long lists of numbers."""
-    if _non_numbers(itertools.chain.from_iterable(rows)):
+def _block(rows, kind):
+    """Rows of a field as a float64 array, if they are equally long: lists of
+    numbers (kind 1) or decoded rows (kind 2)."""
+    if kind == 1 and _non_numbers(itertools.chain.from_iterable(rows)):
         raise _Unstreamable("not numbers")
     try:
         return np.asarray(rows, dtype=float)
@@ -232,19 +250,33 @@ def _block(rows):
 
 
 def _field(win):
-    """A field member read one file row at a time, as its float64 array [i, j]."""
+    """A field member read one file row at a time: (row kind, float64 array [i, j]).
+
+    Its rows are all lists of numbers (kind 1, schema_version 1) or all
+    base64 strings (kind 2), each decoded by _row_floats as it is read.  A
+    list row is scanned once its "]" is in the window; a string row ends at
+    its closing quote, and value() refills until it closes, so no more than
+    one row's text need be in the window.
+    """
     win.expect("[")
+    kind = 2 if win.skip() == '"' else 1
     blocks, rows, count = [], [], 0
     while True:
-        while win.text.find("]", win.pos, len(win.text) - _SLACK) < 0 and win.refill():
+        while kind == 1 and win.text.find("]", win.pos, len(win.text) - _SLACK) < 0 \
+                and win.refill():
             pass  # the row's end is in the window, so its scan is not cut short
         row = win.value()
-        if not (isinstance(row, list) and row):
+        if kind == 2 and isinstance(row, str):
+            try:
+                row = _row_floats(row)
+            except ValueError as exc:
+                raise _Unstreamable("not a row") from exc
+        elif not (kind == 1 and isinstance(row, list) and row):
             raise _Unstreamable("not a row")
         rows.append(row)
         count += len(row)
         if count >= _BLOCK:
-            blocks.append(_block(rows))
+            blocks.append(_block(rows, kind))
             rows, count = [], 0
         sep = win.skip()
         win.pos += 1
@@ -253,9 +285,9 @@ def _field(win):
         if sep != ",":
             raise _Unstreamable("no ','")
     if rows:
-        blocks.append(_block(rows))
+        blocks.append(_block(rows, kind))
     try:
-        return np.concatenate(blocks).T  # file stores row index = v
+        return kind, np.concatenate(blocks).T  # file stores row index = v
     except ValueError as exc:  # blocks of unequal row lengths
         raise _Unstreamable("rows of unequal length") from exc
 
@@ -265,8 +297,8 @@ def _stream(win):
 
     The walk takes a non-empty top-level object, with json.loads's
     last-wins duplicate keys and NaN and Infinity tokens, whose fields
-    are non-empty lists of equally long, non-empty lists of numbers; a
-    field's rows are converted to float64 _BLOCK floats at a time.
+    are non-empty lists of equally long rows of one kind (see _field); a
+    field's rows are gathered in float64 blocks of _BLOCK floats.
     Anything else raises _Unstreamable.
     """
     doc = {}
@@ -301,9 +333,10 @@ def load_chart(path):
     The file is read forward in _CHUNK-byte chunks, each hashed and decoded
     as it comes, so the read holds a window of text and one block of a
     field's rows, never the whole file.  A file the walk cannot take (not
-    UTF-8, a syntax error, trailing data, a field that is not a 2-D array
-    of numbers) is read again whole and decoded by one json.loads, which
-    gives its chart or its error.  OSError from reading is left to the
+    UTF-8, a syntax error, trailing data, a field whose rows are not all
+    number lists or all base64 strings of float64 of one length) is read
+    again whole and decoded by one json.loads, which gives its chart or
+    its error.  OSError from reading is left to the
     caller to name."""
     with open(path, "rb") as fh:
         win = _Window(fh)
@@ -329,11 +362,16 @@ def load_chart(path):
 
 
 def _parse_chart(doc, path):
-    """Validate a decoded chart document; `path` names the file in errors."""
+    """Validate a decoded chart document; `path` names the file in errors.
+
+    A field is a (row kind, array) pair from the streamed walk, or the rows
+    json.loads made; either way its rows must be of the kind its
+    schema_version stores, and a version 2 row must hold len(u_grid) floats.
+    """
     if not isinstance(doc, dict):
         raise ChartError("chart file must contain a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION or isinstance(version, bool):
+    if isinstance(version, bool) or version not in (1, 2):
         raise ChartError(f"unsupported chart schema_version {version!r}")
     missing = [k for k in ("u_grid", "v_grid", "F", "H", "u0_index", "v0_index",
                            "eps1", "eps2") if k not in doc]
@@ -346,23 +384,44 @@ def _parse_chart(doc, path):
         _numbers(key, doc[key])
         return np.asarray(doc[key], dtype=float)
 
+    def length(name, k, n):
+        if n != u_grid.size:
+            raise ChartError(f"field {name} row {k} holds {n} floats, u_grid {u_grid.size}")
+
+    def decoded(name, k, row):
+        try:
+            values = _row_floats(row)
+        except ValueError as exc:
+            raise ChartError(f"field {name} row {k} is not base64 of float64: {exc}") from exc
+        length(name, k, values.size)
+        return values
+
     def field(name):
         if name not in doc:
             return None
         rows = doc[name]
-        if isinstance(rows, np.ndarray):  # converted by _field
-            return rows
-        if not _is_rows(rows):
-            raise ChartError(f"field {name} must be a 2-D array")
-        _numbers(f"field {name}", itertools.chain.from_iterable(rows))
-        return np.asarray(rows, dtype=float).T  # file stores row index = v
+        if isinstance(rows, tuple):  # (row kind, array [i, j]) from _field
+            kind, arr = rows
+        else:
+            kind, arr = (version if _is_rows(rows, version) else None), None
+        if kind != version:
+            raise ChartError(f"field {name} must be {_ROWS[version]}")
+        if arr is None and version == 1:
+            _numbers(f"field {name}", itertools.chain.from_iterable(rows))
+            arr = np.asarray(rows, dtype=float).T  # file stores row index = v
+        elif arr is None:
+            arr = np.array([decoded(name, k, row) for k, row in enumerate(rows)]).T
+        elif version == 2:
+            length(name, 0, arr.shape[0])  # _field's rows are equally long
+        return arr
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ChartError("metadata must be a JSON object")
     try:
+        u_grid = grid("u_grid")
         chart = Chart(
-            u_grid=grid("u_grid"), v_grid=grid("v_grid"),
+            u_grid=u_grid, v_grid=grid("v_grid"),
             F=field("F"), H=field("H"),
             L=field("L"), M=field("M"), N=field("N"), K=field("K"),
             u0_index=_integer(doc, "u0_index"), v0_index=_integer(doc, "v0_index"),

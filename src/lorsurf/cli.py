@@ -303,6 +303,8 @@ def cmd_analyze(args):
             statuses.append(_status("classification", _kind_counts(K, chart.H)))
             statuses.append(_canonical_status(chart, tolerances))
         nat = natural_residual(chart)
+        tolerances["tol_natural"] = nat.tol
+        checks.append(_check("natural_equation", {"max_abs": nat.max_abs}, nat.tol, nat.passed))
         statuses.append(_status("natural_residual", {"max_abs": nat.max_abs, "l2": nat.l2}))
 
     return _finish(args, "analyze", src.inputs, tolerances, checks, statuses)

@@ -21,7 +21,8 @@ import lorsurf as ls
 from lorsurf import cli, errors
 from lorsurf.cli import main
 
-from conftest import CONE_TU0, cone_canonical_chart, enneper1_chart, random_grid
+from conftest import (CONE_TU0, ROW_REFUSALS, chart_doc, cone_canonical_chart, enneper1_chart,
+                      random_grid, row_refusal_text)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -131,9 +132,7 @@ def test_analyze_chart_with_nonpositive_F_exits_2(tmp_path):
     g = np.linspace(0.0, 1.0, 5)
     chart = ls.Chart(u_grid=g, v_grid=g, F=np.ones((5, 5)), H=np.zeros((5, 5)),
                      u0_index=0, v0_index=0, eps1=1, eps2=1).validate()
-    path = tmp_path / "c.json"
-    ls.write_chart(chart, str(path))
-    doc = json.loads(path.read_text())
+    doc = chart_doc(chart, 1)
     doc["F"][2][3] = -0.5
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -461,8 +460,8 @@ def test_a_bump_in_H_fails_residual_and_turns_the_warning_on(tmp_path_factory, c
                                                              amplitude, sign, width):
     # the natural-equation gate is sound: a canonical chart passes it, and a smooth
     # bump in H of amplitude >= 10 REL_TOL * scale at any node makes residual fail
-    # and reconstruct warn; on both charts the CLI's reconstruct exits 1 exactly
-    # when residual --mode general does
+    # and reconstruct warn; on both charts the CLI's reconstruct and analyze exit 1
+    # exactly when residual --mode general does
     chart = cone_canonical_chart(41) if cone else enneper1_chart(41)
     out = tmp_path_factory.mktemp("bump")
     path = out / "c.json"
@@ -471,6 +470,7 @@ def test_a_bump_in_H_fails_residual_and_turns_the_warning_on(tmp_path_factory, c
     def same_verdicts():
         code = run("residual", str(path), "--mode", "general")
         assert run("reconstruct", str(path), "--mesh", str(out / "m")) == code
+        assert run("analyze", str(path)) == code
         return code
 
     assert same_verdicts() == 0
@@ -508,7 +508,7 @@ def test_residual_overflow_fails_instead_of_passing(tmp_path):
 
 
 def test_analyze_overflow_fails_instead_of_passing(tmp_path):
-    # the huge H node overflows the natural residual recorded as a status
+    # the huge H node overflows the natural residual, recorded as a check and a status
     path = tmp_path / "huge.json"
     ls.write_chart(small_chart(1e200), str(path))
     rep = tmp_path / "r.json"
@@ -635,8 +635,7 @@ def assert_residual_refuses(path):
 @given(key=st.sampled_from(["u0_index", "v0_index", "eps1", "eps2"]), value=not_an_integer)
 def test_cli_refuses_coerced_chart_integers(tmp_path_factory, key, value):
     path = tmp_path_factory.mktemp("coerce") / "c.json"
-    ls.write_chart(small_chart(), str(path))
-    doc = json.loads(path.read_text())
+    doc = chart_doc(small_chart(), 1)
     doc[key] = value
     path.write_text(json.dumps(doc))
     assert_residual_refuses(path)
@@ -655,8 +654,7 @@ def test_cli_names_the_node_of_a_planted_bad_value(tmp_path_factory, nu, nv, dat
                      H=rng.uniform(-1.0, 1.0, (nu, nv)), u0_index=0, v0_index=0,
                      eps1=1, eps2=1).validate()
     path = tmp_path_factory.mktemp("planted") / "c.json"
-    ls.write_chart(chart, str(path))
-    doc = json.loads(path.read_text())
+    doc = chart_doc(chart, 1)
     name, literal = bad
     doc[name][j][i] = "PLANTED"  # the file stores row index = v
     path.write_text(json.dumps(doc).replace('"PLANTED"', literal))
@@ -704,8 +702,7 @@ def test_cli_refuses_a_dropped_or_mistyped_chart_key(tmp_path_factory, key, valu
     chart = small_chart().with_fields(u_grid=g, v_grid=g, L=ones, M=zeros, N=ones, K=zeros,
                                       metadata={"source": "test"})
     path = tmp_path_factory.mktemp("keys") / "c.json"
-    ls.write_chart(chart, str(path))
-    doc = json.loads(path.read_text())
+    doc = chart_doc(chart, 1)
     if value == DROP:
         assume(key not in OPTIONAL_KEYS)  # a chart without them is valid
         del doc[key]
@@ -714,6 +711,16 @@ def test_cli_refuses_a_dropped_or_mistyped_chart_key(tmp_path_factory, key, valu
         doc[key] = value
     path.write_text(json.dumps(doc))
     assert_residual_refuses(path)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_REFUSALS))
+def test_cli_refuses_a_malformed_row_in_one_line(capsys, tmp_path, name):
+    text, reason = row_refusal_text(name)
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    code, lines = refused(capsys, "residual", str(path), "--mode", "general")
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith("lorsurf: error: ") and reason in lines[0]
 
 
 def test_cli_refuses_a_chart_that_is_not_utf8(tmp_path):
@@ -882,8 +889,8 @@ def test_analyze_refuses_flags_that_would_do_nothing(capsys, tmp_path, flag):
 @pytest.mark.parametrize("argv, recorded", [
     (["analyze", "enneper1"], ["tol_iso", "tol_normal", "tol_ref", "tol_canonical"]),
     (["analyze", "lorentz_sphere"], ["tol_iso", "tol_normal", "tol_ref"]),
-    (["analyze", "{plain}"], []),
-    (["analyze", "{forms}"], ["tol_canonical"]),
+    (["analyze", "{plain}"], ["tol_natural"]),
+    (["analyze", "{forms}"], ["tol_canonical", "tol_natural"]),
     (["canonicalize", "hyperbolic_cone", "--output", "{tmp}/c.json"], ["tol_canonical"]),
     (["residual", "enneper1", "--mode", "minimal"], ["tol"]),
     (["residual", "enneper1", "--mode", "minimal", "--refine", "2"], ["tol", "min_order"]),
@@ -953,6 +960,26 @@ def test_reconstruct_of_the_raw_cone_fails_its_natural_equation_check(capsys, tm
     assert doc["summary"]["passed"] is False and doc["summary"]["warning"] is True
     assert (tmp_path / "m.obj").exists() and (tmp_path / "m.csv").exists()
     assert run("residual", source, *grid, "--mode", "general") == 1
+
+
+def test_analyze_of_the_raw_cone_chart_fails_its_natural_equation_check(capsys, tmp_path):
+    # analyze of a chart file judges the natural equation as residual and reconstruct
+    # do; the canonical and natural_residual statuses stay beside the check
+    source, g = str(tmp_path / "cone.json"), np.linspace(-1.0, 1.0, 41)
+    ls.write_chart(ls.reference_chart("hyperbolic_cone", g, g), source)
+    rep = tmp_path / "r.json"
+    assert run("analyze", source, "--report", str(rep)) == 1
+    assert [ln for ln in capsys.readouterr().err.splitlines() if "wall time" not in ln] == []
+    doc = load_strict(str(rep))
+    nat = check(doc, "natural_equation")
+    assert nat["pass"] is False and doc["checks"] == [nat]
+    assert nat["values"]["max_abs"] == pytest.approx(1.6036, abs=1e-4)
+    assert nat["values"]["max_abs"] == status(doc, "natural_residual")["values"]["max_abs"]
+    assert nat["tolerance"] == doc["effective_tolerances"]["tol_natural"]
+    assert nat["tolerance"] == pytest.approx(0.0092517, abs=1e-7)
+    assert status(doc, "canonical")["values"]["status"] == "fail"
+    assert doc["summary"]["passed"] is False
+    assert run("residual", source, "--mode", "general") == 1
 
 
 def test_a_perturbed_K_fails_residual_and_reconstruct_pair_alike(capsys, tmp_path):

@@ -15,6 +15,8 @@ import lorsurf as ls
 from lorsurf import chartio
 from lorsurf.chartio import report_json, write_mesh_csv, write_mesh_obj
 
+from conftest import ROW_REFUSALS, chart_doc, chart_text, row_refusal_text, v2_floats, v2_row
+
 # floats whose shortest repr takes each form: signed zero, the least subnormal,
 # exponent notation both ways, an inexact decimal and the largest double
 AWKWARD = (-0.0, 5e-324, 1e16, 1e-5, 0.1, 1.7976931348623157e308)
@@ -64,7 +66,8 @@ def test_chart_file_is_row_major_by_v(tmp_path):
     path = tmp_path / "chart.json"
     ls.write_chart(chart, str(path))
     doc = json.loads(path.read_text())
-    F = np.asarray(doc["F"])
+    assert doc["schema_version"] == 2
+    F = np.array([v2_floats(row) for row in doc["F"]])
     assert F.shape == (chart.v_grid.size, chart.u_grid.size)
     np.testing.assert_array_equal(F.T, chart.F)
 
@@ -102,15 +105,33 @@ def test_chart_file_optional_fields_absent(tmp_path):
     lambda d: json.dumps(d).encode()[:-1] + b" \xff}",   # UnicodeDecodeError, a traceback
 ])
 def test_malformed_chart_rejected(tmp_path, corrupt):
-    chart = awkward_chart()
-    path = tmp_path / "chart.json"
-    ls.write_chart(chart, str(path))
-    doc = json.loads(path.read_text())
+    doc = chart_doc(awkward_chart(), 1)  # a schema_version 1 file, as users hold them
     raw = corrupt(doc)  # the file's bytes, or None where doc was corrupted in place
     bad = tmp_path / "bad.json"
     bad.write_bytes(raw if isinstance(raw, bytes) else json.dumps(doc).encode())
     with pytest.raises((ls.ChartError, ls.StencilError)):
         ls.read_chart(str(bad))
+
+
+@pytest.mark.parametrize("name", sorted(ROW_REFUSALS))
+def test_malformed_rows_are_refused_in_one_line(tmp_path, name):
+    # through the streamed walk at every chunk size, and so through its fallback
+    text, reason = row_refusal_text(name)
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    for sizes in SIZES:
+        with pytest.raises(ls.ChartError) as exc:
+            streamed_read(str(path), sizes)
+        assert reason in str(exc.value) and "\n" not in str(exc.value)
+
+
+def test_version_1_files_read_to_the_same_bits(tmp_path):
+    chart = awkward_chart()
+    path = tmp_path / "c.json"
+    path.write_text(chart_text(chart, 1))
+    back = ls.read_chart(str(path))
+    for name in ("u_grid", "v_grid", "F", "H", "L", "M", "N", "K"):
+        assert getattr(back, name).tobytes() == getattr(chart, name).tobytes()
 
 
 def awkward_or(elements):
@@ -150,45 +171,26 @@ def charts(draw):
         **optional).validate()
 
 
-def chart_doc(chart):
-    """The document of a chart file, fields as nested lists with row index = v."""
-    doc = {
-        "schema_version": 1,
-        "u_grid": chart.u_grid.tolist(),
-        "v_grid": chart.v_grid.tolist(),
-        "u0_index": int(chart.u0_index),
-        "v0_index": int(chart.v0_index),
-        "eps1": int(chart.eps1),
-        "eps2": int(chart.eps2),
-    }
-    for name in ("F", "H", "L", "M", "N", "K"):
-        arr = getattr(chart, name)
-        if arr is not None:
-            doc[name] = arr.T.tolist()
-    doc["metadata"] = dict(chart.metadata)
-    return doc
-
-
-def reference_chart_text(chart):
-    """The chart file as one json.dumps of the whole document."""
-    return json.dumps(chart_doc(chart), indent=1) + "\n"
-
-
 @settings(max_examples=80, deadline=None)
 @given(chart=charts())
 @example(chart=awkward_chart())
 def test_streamed_chart_equals_one_json_dumps(tmp_path_factory, chart):
     path = tmp_path_factory.mktemp("chart") / "c.json"
     ls.write_chart(chart, str(path))
-    assert path.read_bytes() == reference_chart_text(chart).encode("utf-8")
+    assert path.read_bytes() == chart_text(chart).encode("utf-8")
 
 
 @settings(max_examples=60, deadline=None)
 @given(chart=charts())
 def test_chart_write_read_write_is_byte_identical(tmp_path_factory, chart):
+    # charts() draws -0.0 and the least subnormal among its floats
     d = tmp_path_factory.mktemp("round_trip")
     ls.write_chart(chart, str(d / "a.json"))
-    ls.write_chart(ls.read_chart(str(d / "a.json")), str(d / "b.json"))
+    back = ls.read_chart(str(d / "a.json"))
+    for name in ("u_grid", "v_grid", "F", "H", "L", "M", "N", "K"):
+        a, b = getattr(chart, name), getattr(back, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+    ls.write_chart(back, str(d / "b.json"))
     assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
 
 
@@ -209,7 +211,7 @@ def reference_read_chart(path):
     if not isinstance(doc, dict):
         raise ls.ChartError("chart file must contain a JSON object")
     version = doc.get("schema_version")
-    if version != 1 or isinstance(version, bool):
+    if isinstance(version, bool) or version not in (1, 2):
         raise ls.ChartError(f"unsupported chart schema_version {version!r}")
     missing = [k for k in ("u_grid", "v_grid", "F", "H", "u0_index", "v0_index",
                            "eps1", "eps2") if k not in doc]
@@ -226,17 +228,32 @@ def reference_read_chart(path):
         if name not in doc:
             return None
         rows = doc[name]
-        if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
-            raise ls.ChartError(f"field {name} must be a 2-D array")
-        chartio._numbers(f"field {name}", itertools.chain.from_iterable(rows))
-        return np.asarray(rows, dtype=float).T
+        row_type = list if version == 1 else str
+        if not (isinstance(rows, list) and rows and all(isinstance(r, row_type) for r in rows)):
+            raise ls.ChartError(f"field {name} must be " + (
+                "a 2-D array" if version == 1 else "a list of base64 row strings"))
+        if version == 1:
+            chartio._numbers(f"field {name}", itertools.chain.from_iterable(rows))
+            return np.asarray(rows, dtype=float).T
+        decoded = []
+        for k, row in enumerate(rows):
+            try:
+                values = chartio._row_floats(row)
+            except ValueError as exc:
+                raise ls.ChartError(f"field {name} row {k} is not base64 of float64: {exc}")
+            if values.size != u_grid.size:
+                raise ls.ChartError(f"field {name} row {k} holds {values.size} floats, "
+                                    f"u_grid {u_grid.size}")
+            decoded.append(values)
+        return np.array(decoded).T
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ls.ChartError("metadata must be a JSON object")
     try:
+        u_grid = grid("u_grid")
         chart = ls.Chart(
-            u_grid=grid("u_grid"), v_grid=grid("v_grid"),
+            u_grid=u_grid, v_grid=grid("v_grid"),
             F=field("F"), H=field("H"),
             L=field("L"), M=field("M"), N=field("N"), K=field("K"),
             u0_index=chartio._integer(doc, "u0_index"),
@@ -249,25 +266,45 @@ def reference_read_chart(path):
 
 
 MUTATIONS = ("none", "truncate", "delete", "insert", "trailing", "duplicate", "shuffle",
-             "non_finite", "bom", "top_level")
+             "non_finite", "bad_row", "bom", "top_level")
+
+
+def bad_rows(row, version):
+    """Rows that no chart file of `version` may hold in place of `row`."""
+    if version == 1:
+        return [v2_row(row), row[:-1], row + [1.0], [], row + ["1.5"]]
+    values = v2_floats(row).tolist()
+    return [values, v2_row(values[:-1]), v2_row(values + [1.0]), "", "*" + row[1:],
+            row.rstrip("="), row + "AAAA", row[:4] + " " + row[4:], 1.0]
 
 
 @st.composite
 def chart_files(draw):
-    """The bytes of a file of charts(), changed in one of the ways a chart file
-    can differ from what write_chart makes."""
-    doc = chart_doc(draw(charts()))
+    """The bytes of a file of charts() in either schema_version, changed in one of
+    the ways a chart file can differ from what write_chart makes."""
+    version = draw(st.sampled_from((1, 2)))
+    doc = chart_doc(draw(charts()), version)
     kind = draw(st.sampled_from(MUTATIONS))
     members = list(doc.items())
+    fields = [k for k in "FHLMNK" if k in doc]
     if kind == "duplicate":  # last wins, also for a field given twice in two shapes
-        values = [v for _, v in members] + [np.asarray(doc["F"]).T.tolist(), doc["F"][:1]]
+        F = np.array([v2_floats(r) for r in doc["F"]] if version == 2 else doc["F"])
+        transposed = [v2_row(r) for r in F.T] if version == 2 else F.T.tolist()
+        values = [v for _, v in members] + [transposed, doc["F"][:1]]
         members.insert(draw(st.integers(0, len(members))),
                        (draw(st.sampled_from(list(doc))), draw(st.sampled_from(values))))
     elif kind == "shuffle":
         members = draw(st.permutations(members))
-    elif kind == "non_finite":  # json writes NaN, Infinity and -Infinity as bare tokens
-        row = draw(st.sampled_from(doc[draw(st.sampled_from([k for k in "FHLMNK" if k in doc]))]))
-        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    elif kind in ("non_finite", "bad_row"):
+        rows = doc[draw(st.sampled_from(fields))]
+        k = draw(st.integers(0, len(rows) - 1))
+        if kind == "bad_row":
+            rows[k] = draw(st.sampled_from(bad_rows(rows[k], version)))
+        else:  # json writes NaN, Infinity and -Infinity as bare tokens
+            values = v2_floats(rows[k]).copy() if version == 2 else rows[k]
+            values[draw(st.integers(0, len(values) - 1))] = draw(
+                st.sampled_from((np.nan, np.inf, -np.inf)))
+            rows[k] = v2_row(values) if version == 2 else values
     if kind in ("duplicate", "shuffle", "non_finite"):
         space = draw(st.sampled_from(("", " ", "\n ", " \t\r\n")))
         text = ("{" + space + ("," + space).join(f"{json.dumps(k)}:{space}{json.dumps(v)}"
@@ -304,9 +341,12 @@ def read_outcome(read, path):
             for k, v in vars(chart).items()}
 
 
-AWKWARD_TEXT = reference_chart_text(awkward_chart())
+AWKWARD_TEXT = chart_text(awkward_chart(), 1)
 AWKWARD_OPEN = AWKWARD_TEXT[:-len("\n}\n")]
 DOUBLED_F = json.dumps((2.0 * awkward_chart().F).T.tolist())
+AWKWARD_V2 = chart_text(awkward_chart())
+AWKWARD_V2_OPEN = AWKWARD_V2[:-len("\n}\n")]
+FIRST_F_ROW = chart_doc(awkward_chart())["F"][0]
 
 
 # the reader's (chunk bytes, block floats) under test: tiny chunks put the
@@ -334,6 +374,12 @@ def streamed_read(path, sizes):
 @example(data=(AWKWARD_TEXT + "x").encode(), sizes=TINY)
 @example(data=(AWKWARD_TEXT + "{}").encode(), sizes=TINY)
 @example(data=(AWKWARD_TEXT + " \r\n").encode(), sizes=TINY)
+@example(data=AWKWARD_V2.encode(), sizes=TINY)  # every base64 row split at chunk edges
+@example(data=AWKWARD_V2.replace(FIRST_F_ROW, FIRST_F_ROW[:30] + "*" + FIRST_F_ROW[31:])
+         .encode(), sizes=TINY)  # a bad character past the first chunk edge of a row
+@example(data=AWKWARD_V2.replace(FIRST_F_ROW, FIRST_F_ROW[:-1]).encode(), sizes=TINY)
+@example(data=(AWKWARD_V2_OPEN + f',\n "F": {DOUBLED_F}\n}}\n').encode(), sizes=TINY)
+@example(data=(AWKWARD_V2_OPEN + ',\n "schema_version": 1\n}\n').encode(), sizes=TINY)
 def test_streamed_reader_equals_one_json_loads(tmp_path_factory, data, sizes):
     path = str(tmp_path_factory.mktemp("read") / "c.json")
     with open(path, "wb") as fh:
@@ -351,12 +397,18 @@ def test_streamed_reader_equals_one_json_loads(tmp_path_factory, data, sizes):
 
 
 @settings(max_examples=40, deadline=None)
-@given(chart=charts(), sizes=st.sampled_from(SIZES))
-@example(chart=awkward_chart(note="a string that runs past the window's end " * 4), sizes=TINY)
-def test_valid_charts_never_reach_the_fallback(tmp_path_factory, chart, sizes):
-    # the fallback is one json.loads of the whole file; a valid chart is streamed
+@given(chart=charts(), sizes=st.sampled_from(SIZES), version=st.sampled_from((1, 2)))
+@example(chart=awkward_chart(note="a string that runs past the window's end " * 4), sizes=TINY,
+         version=2)
+def test_valid_charts_never_reach_the_fallback(tmp_path_factory, chart, sizes, version):
+    # the fallback is one json.loads of the whole file; a valid chart of either
+    # version is streamed
     path = str(tmp_path_factory.mktemp("valid") / "c.json")
-    ls.write_chart(chart, path)
+    if version == 2:
+        ls.write_chart(chart, path)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(chart_text(chart, 1))
     with mock.patch.object(chartio.json, "loads", side_effect=AssertionError("fallback")):
         back, digest = streamed_read(path, sizes)
     assert read_outcome(lambda _: back, path) == read_outcome(reference_read_chart, path)
@@ -524,15 +576,31 @@ def test_writers_hold_no_whole_file_in_memory(tmp_path, grid_201):
 
 
 def test_reader_holds_a_window_and_one_block_of_rows(tmp_path, grid_201):
-    # The six float64 arrays are 0.36x this file; the streamed read adds a
-    # window of a few 64 KiB chunks and one block of ~8k boxed floats, and
-    # peaks at ~0.48x.  A reader holding the file's bytes or its decoded text
-    # whole peaks at >= 2x; 1 MiB chunks give ~1.1x.
+    # A schema_version 1 file, as earlier versions wrote it.  The six float64
+    # arrays are 0.36x this file; the streamed read adds a window of a few
+    # 64 KiB chunks and one block of ~8k boxed floats, and peaks at ~0.48x.  A
+    # reader holding the file's bytes or its decoded text whole peaks at >= 2x;
+    # 1 MiB chunks give ~1.1x.
+    _, chart, _ = grid_201
+    path = str(tmp_path / "c.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(chart_text(chart, 1))
+    peak = _peak_bytes(ls.read_chart, path)
+    assert peak <= 0.75 * os.path.getsize(path), (peak, os.path.getsize(path))
+
+
+def test_reader_of_base64_rows_holds_little_beyond_its_arrays(tmp_path, grid_201):
+    # A schema_version 2 file is ~0.75x the bytes of its six float64 arrays,
+    # so its bound is stated against the arrays (6 nu nv 8 bytes), not the
+    # file.  The streamed read peaks at ~1.21x of them: the arrays, the last
+    # field's blocks beside the array they are joined into (1/6) and the
+    # window.  A reader that held the file's bytes whole would add >= 0.75x.
     _, chart, _ = grid_201
     path = str(tmp_path / "c.json")
     ls.write_chart(chart, path)
+    arrays = 6 * chart.u_grid.size * chart.v_grid.size * 8
     peak = _peak_bytes(ls.read_chart, path)
-    assert peak <= 0.75 * os.path.getsize(path), (peak, os.path.getsize(path))
+    assert peak <= 1.5 * arrays, (peak, arrays)
 
 
 def test_a_write_failing_mid_stream_leaves_the_target_untouched(tmp_path):
