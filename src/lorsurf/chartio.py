@@ -13,10 +13,11 @@ whose rows are lists of JSON numbers, are still read.
 All writes are atomic and streamed: the text goes into a temporary file in
 the target directory one grid row at a time, then the file is renamed onto
 the target, so no writer holds a whole file in memory.  Files are UTF-8
-whatever the locale.  The reader reads a chart file forward in chunks,
-hashing and decoding each as it comes, and converts a field to float64 a
-row at a time, gathered in blocks of rows: it holds a window of the text
-and one block of rows, never the whole file.
+whatever the locale.  The reader reads each byte of a chart file once,
+forward in chunks, hashing and decoding each as it comes, and converts a
+field to float64 a row at a time, gathered in blocks of rows: it holds a
+window of the text and one block of rows, never the whole file, and it
+refuses a malformed file with the message one json.loads would give.
 """
 
 from __future__ import annotations
@@ -166,21 +167,20 @@ _SPACE = json.decoder.WHITESPACE.match
 _STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL).match  # a string that closes
 
 
-class _Unstreamable(ValueError):
-    """The streamed walk cannot take this file; one json.loads of it decides."""
-
-
 class _Window:
     """A forward window of a chart file's text.
 
     Each refill hashes and decodes the next chunk of bytes and drops the
-    text before `pos`, so the window holds what the walk has not passed.
+    text before `pos`, so the window holds what the walk has not passed; it
+    counts what it drops, so that fail() names a place in the whole file.
     """
 
-    def __init__(self, fh):
-        self.fh, self.hash = fh, hashlib.sha256()
+    def __init__(self, fh, path):
+        self.fh, self.path, self.hash = fh, path, hashlib.sha256()
         self.decoder = codecs.getincrementaldecoder("utf-8")()
         self.text, self.pos, self.eof = "", 0, False
+        # the characters and the newlines dropped, and the place of the last of those
+        self.dropped, self.lines, self.newline = 0, 0, -1
 
     def refill(self):
         """Append the next chunk; False at end of file.  A value longer than the
@@ -190,9 +190,31 @@ class _Window:
         data = self.fh.read(max(_CHUNK, len(self.text) - self.pos))
         self.hash.update(data)
         self.eof = not data
-        self.text = self.text[self.pos:] + self.decoder.decode(data, final=self.eof)
+        self.lines += self.text.count("\n", 0, self.pos)
+        last = self.text.rfind("\n", 0, self.pos)
+        self.newline = self.dropped + last if last >= 0 else self.newline
+        self.dropped += self.pos
+        try:
+            self.text = self.text[self.pos:] + self.decoder.decode(data, final=self.eof)
+        except UnicodeDecodeError as exc:  # in the decoder's buffered bytes + data
+            start, end = (self.fh.tell() - len(exc.object) + i for i in (exc.start, exc.end))
+            where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end - start == 1
+                     else f"bytes in position {start}-{end - 1}")
+            raise ChartError(f"chart file {self.path!r} is not UTF-8 text: '{exc.encoding}' "
+                             f"codec can't decode {where}: {exc.reason}") from exc
         self.pos = 0
         return True
+
+    def fail(self, msg, pos):
+        """Refuse the file with json's `msg` at `pos`, placed in the whole file, once
+        the rest is decoded: json.loads refuses bytes that are not UTF-8 first."""
+        at, newline = self.dropped + pos, self.text.rfind("\n", 0, pos)
+        line = self.lines + self.text.count("\n", 0, pos) + 1
+        column = at - (self.dropped + newline if newline >= 0 else self.newline)
+        while self.refill():
+            self.pos = len(self.text)
+        raise ChartError(f"chart file {self.path!r} is not valid JSON: "
+                         f"{msg}: line {line} column {column} (char {at})")
 
     def skip(self):
         """Move past whitespace; the next character, or "" at end of file."""
@@ -201,10 +223,10 @@ class _Window:
             if self.pos < len(self.text) or not self.refill():
                 return self.text[self.pos:self.pos + 1]
 
-    def expect(self, char):
-        """Move past whitespace and `char`, which must come next."""
+    def expect(self, char, msg):
+        """Move past whitespace and `char`, which must come next; json's `msg` if not."""
         if self.skip() != char:
-            raise _Unstreamable(f"no {char!r}")
+            self.fail(msg, self.pos)
         self.pos += 1
 
     def value(self):
@@ -222,99 +244,115 @@ class _Window:
                 if self.eof or end <= len(self.text) - _SLACK:
                     self.pos = end
                     return value
-            except StopIteration as exc:
-                self._cut_at(exc.value)
+            except StopIteration as exc:  # json.loads's "Expecting value"
+                self._cut_at("Expecting value", exc.value)
             except json.JSONDecodeError as exc:
-                self._cut_at(exc.pos)
+                self._cut_at(exc.msg, exc.pos)
             self.refill()
 
-    def _cut_at(self, pos):
-        """Refuse the file unless the window's end may have cut the value that
-        failed at `pos`: `pos` lies within _SLACK of the end, or a string
-        starts there that does not close before it."""
+    def _cut_at(self, msg, pos):
+        """Refuse the file with json's `msg` unless the window's end may have cut
+        the value that failed at `pos`: `pos` lies within _SLACK of the end, or
+        a string starts there that does not close before it."""
         text = self.text
         if self.eof or not (pos >= len(text) - _SLACK
                             or text[pos] == '"' and not _STRING(text, pos)):
-            raise _Unstreamable("syntax error")
+            self.fail(msg, pos)
 
 
 def _block(rows, kind):
-    """Rows of a field as a float64 array, if they are equally long: lists of
-    numbers (kind 1) or decoded rows (kind 2)."""
-    if kind == 1 and _non_numbers(itertools.chain.from_iterable(rows)):
-        raise _Unstreamable("not numbers")
-    try:
-        return np.asarray(rows, dtype=float)
-    except (ValueError, OverflowError) as exc:  # ragged, or an int beyond float range
-        raise _Unstreamable("not a 2-D array of floats") from exc
+    """Rows of a field as a float64 array: lists of numbers (kind 1) or base64 strings
+    (kind 2); ValueError or OverflowError unless equally long rows of float64."""
+    if kind == 2:
+        rows = [_row_floats(row) for row in rows]
+    elif _non_numbers(itertools.chain.from_iterable(rows)):
+        raise ValueError("not numbers")
+    return np.asarray(rows, dtype=float)  # ragged, or an int beyond float range: the errors
+
+
+def _stand_ins(blocks, kind):
+    """Rows of zeros for the rows of float64 `blocks`, one shared list (kind 1) or
+    base64 string (kind 2) per block: _parse_chart refuses a field _field cannot
+    take for its kind, row lengths or first bad row, never for the good rows' values."""
+    return [row for block in blocks for row in len(block) * [
+        [0.0] * block.shape[1] if kind == 1
+        else binascii.b2a_base64(bytes(8 * block.shape[1]), newline=False).decode("ascii")]]
 
 
 def _field(win):
-    """A field member read one file row at a time: (row kind, float64 array [i, j]).
+    """A field member read one file row at a time.
 
-    Its rows are all lists of numbers (kind 1, schema_version 1) or all
-    base64 strings (kind 2), each decoded by _row_floats as it is read.  A
-    list row is scanned once its "]" is in the window; a string row ends at
-    its closing quote, and value() refills until it closes, so no more than
-    one row's text need be in the window.
+    Equally long rows, all lists of numbers (kind 1, schema_version 1) or
+    all base64 strings of float64 (kind 2), give (row kind, float64 array
+    [i, j]), converted in blocks of _BLOCK floats.  Any other member gives
+    json.loads's value, with _stand_ins for the rows converted, for
+    _parse_chart to refuse.  A list row is scanned once its "]" is in the
+    window; a string row ends at its closing quote, and value() refills
+    until it closes, so no more than one row's text need be in the window.
     """
-    win.expect("[")
+    if win.skip() != "[":
+        return win.value()
+    win.pos += 1
     kind = 2 if win.skip() == '"' else 1
-    blocks, rows, count = [], [], 0
-    while True:
+    blocks, rows, count, end = [], [], 0, win.skip() == "]"
+    while not end:
         while kind == 1 and win.text.find("]", win.pos, len(win.text) - _SLACK) < 0 \
                 and win.refill():
             pass  # the row's end is in the window, so its scan is not cut short
         row = win.value()
-        if kind == 2 and isinstance(row, str):
-            try:
-                row = _row_floats(row)
-            except ValueError as exc:
-                raise _Unstreamable("not a row") from exc
-        elif not (kind == 1 and isinstance(row, list) and row):
-            raise _Unstreamable("not a row")
         rows.append(row)
-        count += len(row)
-        if count >= _BLOCK:
-            blocks.append(_block(rows, kind))
-            rows, count = [], 0
-        sep = win.skip()
-        win.pos += 1
-        if sep == "]":
-            break
-        if sep != ",":
-            raise _Unstreamable("no ','")
-    if rows:
-        blocks.append(_block(rows, kind))
-    try:
-        return kind, np.concatenate(blocks).T  # file stores row index = v
-    except ValueError as exc:  # blocks of unequal row lengths
-        raise _Unstreamable("rows of unequal length") from exc
+        end = win.skip() == "]"
+        if blocks is not None:
+            try:
+                if not (isinstance(row, str) if kind == 2 else isinstance(row, list) and row):
+                    raise ValueError("not a row of this field's kind")
+                count += len(row) if kind == 1 else len(row) * 3 // 32  # floats, or about
+                if count >= _BLOCK or end:
+                    blocks.append(_block(rows, kind))
+                    rows, count = [], 0
+            except (ValueError, OverflowError):
+                blocks, rows = None, _stand_ins(blocks, kind) + rows
+        if not end:
+            win.expect(",", "Expecting ',' delimiter")
+    win.pos += 1
+    if blocks is not None:
+        try:
+            return kind, np.concatenate(blocks).T  # file stores row index = v
+        except ValueError:  # blocks of unequal row lengths, or none: the field is []
+            rows = _stand_ins(blocks, kind)
+    return rows
 
 
 def _stream(win):
     """The chart document of the file behind `win`, read forward to its end.
 
-    The walk takes a non-empty top-level object, with json.loads's
-    last-wins duplicate keys and NaN and Infinity tokens, whose fields
-    are non-empty lists of equally long rows of one kind (see _field); a
-    field's rows are gathered in float64 blocks of _BLOCK floats.
-    Anything else raises _Unstreamable.
+    It is json.loads's document, last-wins duplicate keys and NaN and
+    Infinity tokens included, but for its fields (see _field); a syntax
+    error is refused with json.loads's message.  The one top level that is
+    not walked is one that is not an object: it is no chart, and value()
+    scans it whole, for _parse_chart to refuse.
     """
-    doc = {}
-    win.expect("{")
-    while True:
-        if win.skip() != '"':
-            raise _Unstreamable("no key")
-        key = win.value()
-        win.expect(":")
-        doc[key] = _field(win) if key in _FIELDS else win.value()
-        if win.skip() == "}":
-            break
-        win.expect(",")
-    win.pos += 1
+    first = win.skip()
+    if first == "\ufeff" and not win.dropped + win.pos:
+        win.fail("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+    if first != "{":
+        doc = win.value()
+    else:
+        doc = {}
+        win.pos += 1
+        end = win.skip() == "}"
+        while not end:
+            if win.skip() != '"':
+                win.fail("Expecting property name enclosed in double quotes", win.pos)
+            key = win.value()
+            win.expect(":", "Expecting ':' delimiter")
+            doc[key] = _field(win) if key in _FIELDS else win.value()
+            end = win.skip() == "}"
+            if not end:
+                win.expect(",", "Expecting ',' delimiter")
+        win.pos += 1
     if win.skip():
-        raise _Unstreamable("extra data")
+        win.fail("Extra data", win.pos)
     return doc
 
 
@@ -330,42 +368,22 @@ def load_chart(path):
     """(chart, digest) of a chart file: the parsed, validated chart and the
     sha256 of the file's bytes.
 
-    The file is read forward in _CHUNK-byte chunks, each hashed and decoded
-    as it comes, so the read holds a window of text and one block of a
-    field's rows, never the whole file.  A file the walk cannot take (not
-    UTF-8, a syntax error, trailing data, a field whose rows are not all
-    number lists or all base64 strings of float64 of one length) is read
-    again whole and decoded by one json.loads, which gives its chart or
-    its error.  OSError from reading is left to the
-    caller to name."""
+    Every byte is read once, forward, in _CHUNK-byte chunks, each hashed and
+    decoded as it comes: the read holds a window of text and one block of a
+    field's rows, never the whole file, valid or not.  Every file gets the
+    chart or the error of one json.loads of it followed by _parse_chart.
+    OSError from reading is left to the caller to name."""
     with open(path, "rb") as fh:
-        win = _Window(fh)
-        try:
-            doc = _stream(win)
-        except ValueError:  # _Unstreamable, or UnicodeDecodeError at a chunk's position
-            doc = None
-    if doc is not None:
-        return _parse_chart(doc, path), win.hash.hexdigest()
-    with open(path, "rb") as fh:
-        data = fh.read()
-    digest = digest_bytes(data)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ChartError(f"chart file {path!r} is not UTF-8 text: {exc}") from exc
-    del data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ChartError(f"chart file {path!r} is not valid JSON: {exc}") from exc
-    return _parse_chart(doc, path), digest
+        win = _Window(fh, path)
+        doc = _stream(win)
+    return _parse_chart(doc, path), win.hash.hexdigest()
 
 
 def _parse_chart(doc, path):
     """Validate a decoded chart document; `path` names the file in errors.
 
-    A field is a (row kind, array) pair from the streamed walk, or the rows
-    json.loads made; either way its rows must be of the kind its
+    A field is a (row kind, array) pair from _field, or the value of a member
+    it could not take; either way its rows must be of the kind its
     schema_version stores, and a version 2 row must hold len(u_grid) floats.
     """
     if not isinstance(doc, dict):

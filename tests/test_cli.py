@@ -749,6 +749,10 @@ def test_a_chart_file_source_is_opened_once(monkeypatch, capsys, tmp_path, argv)
     command, *flags = (a.format(tmp=tmp_path) for a in argv)
     assert run(command, str(path), *flags) == 0
     assert len(opened) == 1
+    # a malformed file is refused from the same one read
+    path.write_bytes(path.read_bytes() + b" x")
+    assert run(command, str(path), *flags) == 2
+    assert len(opened) == 2
 
 
 # -- reconstruct -------------------------------------------------------------------
